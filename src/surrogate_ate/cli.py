@@ -15,8 +15,10 @@ bounds
 simulate
     Monte Carlo study tables as CSV plus a JSON manifest.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 estimation
-failure (overlap, degenerate arm, separation, ...).  Errors are written as
+Exit codes: 0 success, 2 invalid input or configuration (including a
+``--trim`` outside [0, 0.5), a negative ``--bootstrap`` and a ``--grid``
+value of the wrong type), 3 estimation failure (overlap, degenerate arm,
+separation, ...).  Errors are written as
 a single machine-parseable line on stderr.  The ``SURROGATE_THREADS``
 environment variable caps worker parallelism; output is byte-identical for
 any value.
@@ -42,7 +44,7 @@ from .estimators import (
     estimate_score,
 )
 from .nuisance import NuisanceOptions, fit_all
-from .simulation import run_study
+from .simulation import GRID_PARAMETERS, run_study
 
 _METHODS = ("index", "score", "linear", "match", "all")
 _STUDY_ALIASES = {
@@ -87,6 +89,8 @@ def _trim_value(args) -> float | None:
 
 
 def run_estimate(args) -> int:
+    if args.bootstrap < 0:
+        raise ConfigurationError("--bootstrap must be non-negative")
     exp = load_experimental(args.exp)
     obs = load_observational(args.obs)
     pooled = pool(exp, obs)
@@ -163,8 +167,13 @@ def run_simulate(args) -> int:
     study = _STUDY_ALIASES[args.study]
     grid = None
     if args.grid:
-        raw = [g for g in args.grid.split(",") if g]
-        grid = [float(g) if study == "sample_size" else int(g) for g in raw]
+        _, cast = GRID_PARAMETERS[study]
+        try:
+            grid = [cast(g) for g in args.grid.split(",") if g]
+        except ValueError:
+            raise ConfigurationError(
+                f"--grid values for the {study} study must be of type {cast.__name__}, got {args.grid!r}"
+            ) from None
     run_study(study, reps=args.reps, seed=args.seed, out_path=args.out, grid=grid)
     return 0
 

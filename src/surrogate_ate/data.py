@@ -7,7 +7,14 @@ single-sample design observes treatment, surrogates, and outcome on every
 unit.  All containers are immutable after construction and safe to share
 across threads.
 
-CSV layout (header required, UTF-8, ``.`` decimal point):
+The three layouts differ only in their per-unit columns besides the
+surrogates ``s`` and covariates ``x``, listed once per class in
+``unit_columns``: ``("w",)`` experimental, ``("y",)`` observational and
+``("w", "y")`` single-sample.  That tuple drives validation, the CSV
+readers and writers, and bootstrap resampling.
+
+CSV layout (header required, UTF-8, ``.`` decimal point): the
+``unit_columns`` in order, then ``s1..sM``, then optional ``x1..xK``:
 
 * experimental:  ``w,s1..sM[,x1..xK]``
 * observational: ``y,s1..sM[,x1..xK]``
@@ -24,7 +31,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -57,8 +64,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Sample:
+    """Validation, freezing and sizes shared by the three sample layouts."""
+
+    unit_columns: ClassVar[tuple[str, ...]] = ()
+    _kind: ClassVar[str] = ""
+
+    def __post_init__(self):
+        cols = {c: np.asarray(getattr(self, c), dtype=float).ravel() for c in self.unit_columns}
+        n = len(cols[self.unit_columns[0]])
+        cols["s"] = _as_matrix(self.s, "s")
+        cols["x"] = _as_matrix(self.x, "x") if self.x is not None else np.empty((n, 0))
+        if n == 0:
+            raise ValidationError(f"{self._kind} sample must contain at least one row")
+        if any(len(arr) != n for arr in cols.values()):
+            raise ValidationError(
+                "row counts differ: " + ", ".join(f"{c}={len(arr)}" for c, arr in cols.items())
+            )
+        for c, arr in cols.items():
+            _check_finite(arr, c)
+        w = cols.get("w")
+        if w is not None:
+            if not np.isin(w, (0.0, 1.0)).all():
+                bad = int(np.flatnonzero(~np.isin(w, (0.0, 1.0)))[0]) + 1
+                raise ValidationError(f"treatment must be 0 or 1; row {bad} has w={w[bad - 1]}")
+            if w.sum() == 0 or w.sum() == n:
+                raise ValidationError(f"{self._kind} sample needs at least one treated and one control unit")
+        for c, arr in cols.items():
+            object.__setattr__(self, c, _freeze(arr))
+
+    @property
+    def n(self) -> int:
+        return self.s.shape[0]
+
+    @property
+    def n_surrogates(self) -> int:
+        return self.s.shape[1]
+
+    @property
+    def n_covariates(self) -> int:
+        return self.x.shape[1]
+
+
 @dataclass(frozen=True)
-class ExperimentalSample:
+class ExperimentalSample(_Sample):
     """Treatment indicators and surrogates (no outcome observed).
 
     Attributes
@@ -71,41 +120,12 @@ class ExperimentalSample:
         Pre-treatment covariates; K may be zero.
     """
 
+    unit_columns: ClassVar[tuple[str, ...]] = ("w",)
+    _kind: ClassVar[str] = "experimental"
+
     w: np.ndarray
     s: np.ndarray
     x: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
-        s = _as_matrix(self.s, "s")
-        x = _as_matrix(self.x, "x") if self.x is not None else np.empty((len(w), 0))
-        if not (len(w) == s.shape[0] == x.shape[0]):
-            raise ValidationError(
-                f"row counts differ: w={len(w)}, s={s.shape[0]}, x={x.shape[0]}"
-            )
-        _check_finite(w, "w")
-        _check_finite(s, "s")
-        _check_finite(x, "x")
-        if not np.isin(w, (0.0, 1.0)).all():
-            bad = int(np.flatnonzero(~np.isin(w, (0.0, 1.0)))[0]) + 1
-            raise ValidationError(f"treatment must be 0 or 1; row {bad} has w={w[bad - 1]}")
-        if w.sum() == 0 or w.sum() == len(w):
-            raise ValidationError("experimental sample needs at least one treated and one control unit")
-        object.__setattr__(self, "w", _freeze(w))
-        object.__setattr__(self, "s", _freeze(s))
-        object.__setattr__(self, "x", _freeze(x))
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    @property
-    def n_surrogates(self) -> int:
-        return self.s.shape[1]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
 
     @property
     def n_treated(self) -> int:
@@ -117,82 +137,28 @@ class ExperimentalSample:
 
 
 @dataclass(frozen=True)
-class ObservationalSample:
+class ObservationalSample(_Sample):
     """Outcomes and surrogates (no treatment observed)."""
+
+    unit_columns: ClassVar[tuple[str, ...]] = ("y",)
+    _kind: ClassVar[str] = "observational"
 
     y: np.ndarray
     s: np.ndarray
     x: np.ndarray = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        s = _as_matrix(self.s, "s")
-        x = _as_matrix(self.x, "x") if self.x is not None else np.empty((len(y), 0))
-        if len(y) == 0:
-            raise ValidationError("observational sample must contain at least one row")
-        if not (len(y) == s.shape[0] == x.shape[0]):
-            raise ValidationError(
-                f"row counts differ: y={len(y)}, s={s.shape[0]}, x={x.shape[0]}"
-            )
-        _check_finite(y, "y")
-        _check_finite(s, "s")
-        _check_finite(x, "x")
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "s", _freeze(s))
-        object.__setattr__(self, "x", _freeze(x))
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-    @property
-    def n_surrogates(self) -> int:
-        return self.s.shape[1]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True)
-class SingleSample:
+class SingleSample(_Sample):
     """Treatment, outcome, surrogates, and covariates observed jointly."""
+
+    unit_columns: ClassVar[tuple[str, ...]] = ("w", "y")
+    _kind: ClassVar[str] = "single"
 
     w: np.ndarray
     y: np.ndarray
     s: np.ndarray
     x: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
-        s = _as_matrix(self.s, "s")
-        x = _as_matrix(self.x, "x") if self.x is not None else np.empty((len(w), 0))
-        if not (len(w) == len(y) == s.shape[0] == x.shape[0]):
-            raise ValidationError("row counts differ across w, y, s, x")
-        for arr, name in ((w, "w"), (y, "y"), (s, "s"), (x, "x")):
-            _check_finite(arr, name)
-        if not np.isin(w, (0.0, 1.0)).all():
-            bad = int(np.flatnonzero(~np.isin(w, (0.0, 1.0)))[0]) + 1
-            raise ValidationError(f"treatment must be 0 or 1; row {bad} has w={w[bad - 1]}")
-        if w.sum() == 0 or w.sum() == len(w):
-            raise ValidationError("single sample needs at least one treated and one control unit")
-        object.__setattr__(self, "w", _freeze(w))
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "s", _freeze(s))
-        object.__setattr__(self, "x", _freeze(x))
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    @property
-    def n_surrogates(self) -> int:
-        return self.s.shape[1]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -332,38 +298,29 @@ def _parse_block(rows, header, names):
     return np.column_stack([_parse_column(rows, header, n) for n in names])
 
 
-def load_experimental(path, schema: Schema | None = None) -> ExperimentalSample:
-    """Load an experimental sample (``w``, surrogates, optional covariates) from CSV."""
+def _load(cls, path, schema: Schema | None):
     schema = schema or Schema()
     header, rows = _read_rows(path)
-    surrogates, covariates = schema.resolve(header, need_treatment=True, need_outcome=False)
-    w = _parse_treatment(rows, header, schema.treatment)
-    s = _parse_block(rows, header, surrogates)
-    x = _parse_block(rows, header, covariates)
-    return ExperimentalSample(w=w, s=s, x=x)
+    need = cls.unit_columns
+    surrogates, covariates = schema.resolve(header, need_treatment="w" in need, need_outcome="y" in need)
+    names = {"w": schema.treatment, "y": schema.outcome}
+    cols = {c: (_parse_treatment if c == "w" else _parse_column)(rows, header, names[c]) for c in need}
+    return cls(**cols, s=_parse_block(rows, header, surrogates), x=_parse_block(rows, header, covariates))
+
+
+def load_experimental(path, schema: Schema | None = None) -> ExperimentalSample:
+    """Load an experimental sample (``w``, surrogates, optional covariates) from CSV."""
+    return _load(ExperimentalSample, path, schema)
 
 
 def load_observational(path, schema: Schema | None = None) -> ObservationalSample:
     """Load an observational sample (``y``, surrogates, optional covariates) from CSV."""
-    schema = schema or Schema()
-    header, rows = _read_rows(path)
-    surrogates, covariates = schema.resolve(header, need_treatment=False, need_outcome=True)
-    y = _parse_column(rows, header, schema.outcome)
-    s = _parse_block(rows, header, surrogates)
-    x = _parse_block(rows, header, covariates)
-    return ObservationalSample(y=y, s=s, x=x)
+    return _load(ObservationalSample, path, schema)
 
 
 def load_single(path, schema: Schema | None = None) -> SingleSample:
     """Load a single-sample design (``w``, ``y``, surrogates, covariates) from CSV."""
-    schema = schema or Schema()
-    header, rows = _read_rows(path)
-    surrogates, covariates = schema.resolve(header, need_treatment=True, need_outcome=True)
-    w = _parse_treatment(rows, header, schema.treatment)
-    y = _parse_column(rows, header, schema.outcome)
-    s = _parse_block(rows, header, surrogates)
-    x = _parse_block(rows, header, covariates)
-    return SingleSample(w=w, y=y, s=s, x=x)
+    return _load(SingleSample, path, schema)
 
 
 def _fmt(v: float) -> str:
@@ -371,36 +328,25 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_csv(path, header, columns):
+def _write(sample: _Sample, path) -> None:
+    header = list(sample.unit_columns) + [f"s{j + 1}" for j in range(sample.n_surrogates)]
+    header += [f"x{j + 1}" for j in range(sample.n_covariates)]
+    cols = [[str(int(v)) if c == "w" else _fmt(v) for v in getattr(sample, c)] for c in sample.unit_columns]
+    cols += [[_fmt(v) for v in col] for col in np.hstack([sample.s, sample.x]).T]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*columns):
+        for row in zip(*cols):
             writer.writerow(row)
 
 
 def write_experimental(sample: ExperimentalSample, path) -> None:
-    header = ["w"] + [f"s{j + 1}" for j in range(sample.n_surrogates)]
-    header += [f"x{j + 1}" for j in range(sample.n_covariates)]
-    cols = [[str(int(v)) for v in sample.w]]
-    cols += [[_fmt(v) for v in sample.s[:, j]] for j in range(sample.n_surrogates)]
-    cols += [[_fmt(v) for v in sample.x[:, j]] for j in range(sample.n_covariates)]
-    _write_csv(path, header, cols)
+    _write(sample, path)
 
 
 def write_observational(sample: ObservationalSample, path) -> None:
-    header = ["y"] + [f"s{j + 1}" for j in range(sample.n_surrogates)]
-    header += [f"x{j + 1}" for j in range(sample.n_covariates)]
-    cols = [[_fmt(v) for v in sample.y]]
-    cols += [[_fmt(v) for v in sample.s[:, j]] for j in range(sample.n_surrogates)]
-    cols += [[_fmt(v) for v in sample.x[:, j]] for j in range(sample.n_covariates)]
-    _write_csv(path, header, cols)
+    _write(sample, path)
 
 
 def write_single(sample: SingleSample, path) -> None:
-    header = ["w", "y"] + [f"s{j + 1}" for j in range(sample.n_surrogates)]
-    header += [f"x{j + 1}" for j in range(sample.n_covariates)]
-    cols = [[str(int(v)) for v in sample.w], [_fmt(v) for v in sample.y]]
-    cols += [[_fmt(v) for v in sample.s[:, j]] for j in range(sample.n_surrogates)]
-    cols += [[_fmt(v) for v in sample.x[:, j]] for j in range(sample.n_covariates)]
-    _write_csv(path, header, cols)
+    _write(sample, path)

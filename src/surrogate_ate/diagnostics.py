@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,16 +58,7 @@ class BiasBound:
     total_bound: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "surrogacy_multiplier": self.surrogacy_multiplier,
-                "comparability_multiplier": self.comparability_multiplier,
-                "delta_surrogacy": self.delta_surrogacy,
-                "delta_comparability": self.delta_comparability,
-                "total_bound": self.total_bound,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def bias_bound(
@@ -290,16 +281,7 @@ class IdentificationReport:
     compliant: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tau": self.tau,
-                "tau_index_form": self.tau_index_form,
-                "tau_weighting_form": self.tau_weighting_form,
-                "max_abs_gap": self.max_abs_gap,
-                "compliant": self.compliant,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_identification(pop: DiscretePopulation, q: float) -> IdentificationReport:
@@ -332,16 +314,7 @@ class BiasIdentityReport:
     gap: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "surrogacy_term": self.surrogacy_term,
-                "comparability_term": self.comparability_term,
-                "rhs": self.rhs,
-                "gap": self.gap,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_bias_identity(pop: DiscretePopulation) -> BiasIdentityReport:
@@ -375,17 +348,7 @@ class EfficiencyBounds:
     per_stratum_fallback: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "v_no_surrogacy": self.v_no_surrogacy,
-                "v_surrogacy": self.v_surrogacy,
-                "gain": self.gain,
-                "v_two_sample": self.v_two_sample,
-                "components": self.components,
-                "per_stratum_fallback": self.per_stratum_fallback,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _cell_indices(rows: np.ndarray) -> np.ndarray:

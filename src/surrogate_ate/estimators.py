@@ -21,7 +21,7 @@ menu, plus a within-sample bootstrap for standard errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class ArmWeights:
     ess: float
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "min": self.min, "max": self.max, "ess": self.ess}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,7 @@ class WeightSummary:
     n_trimmed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "treated": self.treated.to_dict(),
-            "control": self.control.to_dict(),
-            "trim_epsilon": self.trim_epsilon,
-            "n_trimmed": self.n_trimmed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,7 @@ class EstimateReport:
     n_used: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "tau_hat": self.tau_hat,
-            "method": self.method,
-            "se_bootstrap": self.se_bootstrap,
-            "n_used": self.n_used,
-            "weight_summary": self.weight_summary.to_dict() if self.weight_summary else None,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -107,6 +95,8 @@ def _trim_scores(p: np.ndarray, eps: float | None):
     """Clamp scores to [eps, 1-eps]; returns the clipped array and the clip count."""
     if eps is None or eps == 0.0:
         return p, 0
+    if not 0.0 < eps < 0.5:
+        raise ValidationError(f"trim must lie in [0, 0.5), got {eps}")
     clipped = np.clip(p, eps, 1.0 - eps)
     return clipped, int(np.sum(clipped != p))
 
@@ -352,12 +342,8 @@ def _resample(sample, rng: np.random.Generator):
     rows.  Single samples are resampled within each treatment arm so the
     arm sizes (and hence the validity of arm contrasts) are preserved.
     """
-    if isinstance(sample, ExperimentalSample):
-        idx = rng.integers(0, sample.n, sample.n)
-        return ExperimentalSample(w=sample.w[idx], s=sample.s[idx], x=sample.x[idx])
-    if isinstance(sample, ObservationalSample):
-        idx = rng.integers(0, sample.n, sample.n)
-        return ObservationalSample(y=sample.y[idx], s=sample.s[idx], x=sample.x[idx])
+    if isinstance(sample, PooledDataset):
+        return PooledDataset(_resample(sample.exp, rng), _resample(sample.obs, rng))
     if isinstance(sample, SingleSample):
         treated = np.flatnonzero(sample.w == 1.0)
         control = np.flatnonzero(sample.w == 0.0)
@@ -365,10 +351,11 @@ def _resample(sample, rng: np.random.Generator):
             treated[rng.integers(0, len(treated), len(treated))],
             control[rng.integers(0, len(control), len(control))],
         ])
-        return SingleSample(w=sample.w[idx], y=sample.y[idx], s=sample.s[idx], x=sample.x[idx])
-    if isinstance(sample, PooledDataset):
-        return PooledDataset(_resample(sample.exp, rng), _resample(sample.obs, rng))
-    raise UnsupportedConfigurationError(f"cannot resample object of type {type(sample).__name__}")
+    elif isinstance(sample, (ExperimentalSample, ObservationalSample)):
+        idx = rng.integers(0, sample.n, sample.n)
+    else:
+        raise UnsupportedConfigurationError(f"cannot resample object of type {type(sample).__name__}")
+    return type(sample)(**{c: getattr(sample, c)[idx] for c in (*sample.unit_columns, "s", "x")})
 
 
 def bootstrap_se(
@@ -384,8 +371,8 @@ def bootstrap_se(
     preserved); ``estimator(*resampled)`` must return a float.  Replicate
     ``k`` uses the seed stream ``(seed, k)``, so results are deterministic
     for any worker count.  Replicates whose estimator raises a package
-    error are dropped; more than ``max_failure_rate`` of them aborts with
-    :class:`UnstableBootstrapError`.
+    error are dropped; more than ``max_failure_rate`` of them, or fewer
+    than 2 successes, aborts with :class:`UnstableBootstrapError`.
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
@@ -404,7 +391,7 @@ def bootstrap_se(
     results = ordered_map(one, range(reps))
     values = np.array([v for v in results if v is not None])
     failures = reps - len(values)
-    if failures > max_failure_rate * reps:
+    if failures > max_failure_rate * reps or len(values) < 2:
         raise UnstableBootstrapError(
             f"{failures} of {reps} bootstrap replicates failed", failures=failures, reps=reps
         )

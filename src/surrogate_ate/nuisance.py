@@ -22,8 +22,9 @@ produce bit-identical models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Union
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.special import expit
@@ -72,93 +73,74 @@ def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class _LinearPredictor:
+    """``link(intercept + coef_s's + coef_x'x [+ coef_sx'(s*x)])``; subclasses set the link."""
+
+    _json_type: ClassVar[str] = ""
+
+    intercept: float
+    coef_s: np.ndarray
+    coef_x: np.ndarray
+    coef_sx: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def coef(self) -> np.ndarray:
+        return np.concatenate([self.coef_s, self.coef_x, self.coef_sx])
+
+    @property
+    def uses_interactions(self) -> bool:
+        return self.coef_sx.size > 0
+
+    @staticmethod
+    def _link(eta: np.ndarray) -> np.ndarray:
+        return eta
+
+    def predict(self, s, x=None) -> np.ndarray:
+        s = np.atleast_2d(np.asarray(s, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
+        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
+        if n_s != len(self.coef_s) or n_x != len(self.coef_x):
+            raise ValueError(
+                f"feature dimensions (s={n_s}, x={n_x}) do not match model "
+                f"(s={len(self.coef_s)}, x={len(self.coef_x)})"
+            )
+        return self._link(self.intercept + features @ self.coef)
+
+    def to_dict(self) -> dict:
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(type=self._json_type, coef_s=self.coef_s.tolist(), coef_x=self.coef_x.tolist(),
+                       coef_sx=self.coef_sx.tolist())
+        return payload
+
+
+@dataclass(frozen=True)
+class LinearModel(_LinearPredictor):
     """Linear surrogate index ``h(s, x) = intercept + coef_s's + coef_x'x [+ coef_sx'(s*x)]``.
 
     ``residual_variance`` is the mean squared training residual, used as the
     homoskedastic plug-in for conditional outcome variance.
     """
 
-    intercept: float
-    coef_s: np.ndarray
-    coef_x: np.ndarray
-    coef_sx: np.ndarray = field(default_factory=lambda: np.empty(0))
+    _json_type: ClassVar[str] = "linear"
+
     residual_variance: float = 0.0
-
-    @property
-    def coef(self) -> np.ndarray:
-        return np.concatenate([self.coef_s, self.coef_x, self.coef_sx])
-
-    @property
-    def uses_interactions(self) -> bool:
-        return self.coef_sx.size > 0
-
-    def predict(self, s, x=None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
-        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
-        if n_s != len(self.coef_s) or n_x != len(self.coef_x):
-            raise ValueError(
-                f"feature dimensions (s={n_s}, x={n_x}) do not match model "
-                f"(s={len(self.coef_s)}, x={len(self.coef_x)})"
-            )
-        return self.intercept + features @ self.coef
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "linear",
-            "intercept": self.intercept,
-            "coef_s": self.coef_s.tolist(),
-            "coef_x": self.coef_x.tolist(),
-            "coef_sx": self.coef_sx.tolist(),
-            "residual_variance": self.residual_variance,
-        }
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(_LinearPredictor):
     """Logistic score ``p(s, x) = expit(intercept + coef_s's + coef_x'x [+ coef_sx'(s*x)])``.
 
     Predictions are strictly inside (0, 1) for all finite inputs.
     """
 
-    intercept: float
-    coef_s: np.ndarray
-    coef_x: np.ndarray
-    coef_sx: np.ndarray = field(default_factory=lambda: np.empty(0))
+    _json_type: ClassVar[str] = "logistic"
+
     converged: bool = True
     iterations: int = 0
 
-    @property
-    def coef(self) -> np.ndarray:
-        return np.concatenate([self.coef_s, self.coef_x, self.coef_sx])
-
-    @property
-    def uses_interactions(self) -> bool:
-        return self.coef_sx.size > 0
-
-    def predict(self, s, x=None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
-        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
-        if n_s != len(self.coef_s) or n_x != len(self.coef_x):
-            raise ValueError(
-                f"feature dimensions (s={n_s}, x={n_x}) do not match model "
-                f"(s={len(self.coef_s)}, x={len(self.coef_x)})"
-            )
-        eta = self.intercept + features @ self.coef
+    @staticmethod
+    def _link(eta: np.ndarray) -> np.ndarray:
         return expit(np.clip(eta, -_ETA_MAX, _ETA_MAX))
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "logistic",
-            "intercept": self.intercept,
-            "coef_s": self.coef_s.tolist(),
-            "coef_x": self.coef_x.tolist(),
-            "coef_sx": self.coef_sx.tolist(),
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
 
 @dataclass(frozen=True)
@@ -400,8 +382,11 @@ def fit_logistic(
     )
 
 
-def predict_score(model: ScoreModel, row) -> float:
-    """Evaluate a fitted score on one feature row; strictly inside (0, 1)."""
+def predict_score(model: ScoreModel | IndexModel, row) -> float:
+    """Evaluate a fitted score or index on one feature row ``[s | x]``.
+
+    Scores are strictly inside (0, 1).
+    """
     row = np.asarray(row, dtype=float).ravel()
     if isinstance(model, ConstantScore):
         return model.p
@@ -412,14 +397,7 @@ def predict_score(model: ScoreModel, row) -> float:
     return float(model.predict(row[:n_s].reshape(1, -1), row[n_s:].reshape(1, -1))[0])
 
 
-def predict_index(model: LinearModel, row) -> float:
-    """Evaluate a fitted surrogate index on one feature row."""
-    row = np.asarray(row, dtype=float).ravel()
-    n_s = len(model.coef_s)
-    n_x = len(model.coef_x)
-    if len(row) != n_s + n_x:
-        raise ValueError(f"expected a row of length {n_s + n_x}, got {len(row)}")
-    return float(model.predict(row[:n_s].reshape(1, -1), row[n_s:].reshape(1, -1))[0])
+predict_index = predict_score
 
 
 @dataclass(frozen=True)
@@ -441,6 +419,9 @@ class NuisanceOptions:
     constant_propensity: float | None = None
     constant_sampling_score: bool = False
     interactions: bool = False
+
+
+_MODEL_SLOTS = ("e_model", "r_model", "t_model", "h_model")
 
 
 @dataclass(frozen=True)
@@ -467,8 +448,6 @@ class NuisanceFits:
     def propensity(self, x: np.ndarray) -> np.ndarray:
         model = self._require("e_model")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if isinstance(model, ConstantScore):
-            return np.full(x.shape[0], model.p)
         return model.predict(np.empty((x.shape[0], 0)), x)
 
     def surrogate_score(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -481,21 +460,10 @@ class NuisanceFits:
         return self._require("h_model").predict(s, x)
 
     def to_json(self) -> str:
-        payload = {
-            "e_model": self.e_model.to_dict() if self.e_model else None,
-            "r_model": self.r_model.to_dict() if self.r_model else None,
-            "t_model": self.t_model.to_dict() if self.t_model else None,
-            "h_model": self.h_model.to_dict() if self.h_model else None,
-            "options": {
-                "ridge_propensity": self.options.ridge_propensity,
-                "ridge_surrogate_score": self.options.ridge_surrogate_score,
-                "ridge_sampling_score": self.options.ridge_sampling_score,
-                "ridge_index": self.options.ridge_index,
-                "constant_propensity": self.options.constant_propensity,
-                "constant_sampling_score": self.options.constant_sampling_score,
-                "interactions": self.options.interactions,
-            },
-        }
+        payload = {"options": asdict(self.options)}
+        for slot in _MODEL_SLOTS:
+            model = getattr(self, slot)
+            payload[slot] = model.to_dict() if model is not None else None
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
@@ -505,41 +473,24 @@ class NuisanceFits:
         def _model(d):
             if d is None:
                 return None
-            if d["type"] == "constant":
-                return ConstantScore(p=d["p"])
-            common = dict(
-                intercept=d["intercept"],
-                coef_s=np.asarray(d["coef_s"], dtype=float),
-                coef_x=np.asarray(d["coef_x"], dtype=float),
-                coef_sx=np.asarray(d["coef_sx"], dtype=float),
-            )
-            if d["type"] == "linear":
-                return LinearModel(residual_variance=d["residual_variance"], **common)
-            return LogisticModel(converged=d["converged"], iterations=d["iterations"], **common)
+            d = dict(d)
+            tag = d.pop("type")
+            if tag == "constant":
+                return ConstantScore(**d)
+            cls = LinearModel if tag == "linear" else LogisticModel
+            return cls(**{k: np.asarray(v, dtype=float) if k.startswith("coef") else v for k, v in d.items()})
 
-        opts = NuisanceOptions(**payload["options"])
-        return NuisanceFits(
-            e_model=_model(payload["e_model"]),
-            r_model=_model(payload["r_model"]),
-            t_model=_model(payload["t_model"]),
-            h_model=_model(payload["h_model"]),
-            options=opts,
-        )
+        models = {slot: _model(payload[slot]) for slot in _MODEL_SLOTS}
+        return NuisanceFits(**models, options=NuisanceOptions(**payload["options"]))
 
 
+@contextmanager
 def _tagged(label: str):
     """Re-raise fit errors tagged with the nuisance that failed."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, (ValidationError, DegenerateLabelsError, SeparationError, SingularDesignError)):
-                raise type(exc)(f"{label}: {exc}") from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except (ValidationError, DegenerateLabelsError, SeparationError, SingularDesignError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> NuisanceFits:
@@ -585,7 +536,3 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)
 
-
-def with_index_model(fits: NuisanceFits, h_model: IndexModel) -> NuisanceFits:
-    """Return a copy of ``fits`` with the surrogate index replaced."""
-    return replace(fits, h_model=h_model)

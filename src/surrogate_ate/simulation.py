@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,14 @@ from .parallel import ordered_map
 HARNESS_RIDGE = 1e-6
 
 STUDY_NAMES = ("dimension", "misspecification", "sample_size", "explanatory")
+
+# The make_spec keyword each study's grid values feed, and their type.
+GRID_PARAMETERS = {
+    "dimension": ("m", int),
+    "misspecification": ("k_used", int),
+    "sample_size": ("q", float),
+    "explanatory": ("design_row", int),
+}
 
 DEFAULT_GRIDS = {
     "dimension": (1, 10, 50, 100, 200),
@@ -340,14 +348,7 @@ class EstimatorStats:
     failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "abs_bias": self.abs_bias,
-            "sd": self.sd,
-            "reps": self.reps,
-            "true_tau": self.true_tau,
-            "mean_estimate": self.mean_estimate,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -359,11 +360,7 @@ class McResult:
     scaled_by_100: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "score": self.score.to_dict(),
-            "index": self.index.to_dict(),
-            "scaled_by_100": self.scaled_by_100,
-        }
+        return asdict(self)
 
 
 def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
@@ -460,15 +457,9 @@ def run_study(
 
     rows: list[dict] = []
     specs: list[DgpSpec] = []
+    keyword, cast = GRID_PARAMETERS[study]
     for i, value in enumerate(grid):
-        if study == "dimension":
-            spec = make_spec(study, seed=seed, m=int(value))
-        elif study == "misspecification":
-            spec = make_spec(study, seed=seed, k_used=int(value))
-        elif study == "sample_size":
-            spec = make_spec(study, seed=seed, q=float(value))
-        else:
-            spec = make_spec(study, seed=seed, design_row=int(value))
+        spec = make_spec(study, seed=seed, **{keyword: cast(value)})
         specs.append(spec)
         result = run_monte_carlo(spec, reps=reps, seed=seed, grid_index=i)
         for name, stats in (("score", result.score), ("index", result.index)):

@@ -108,6 +108,16 @@ def test_estimate_bad_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValidationError:")
 
 
+@pytest.mark.parametrize("flags", [["--bootstrap", "-1"], ["--trim", "0.7"], ["--trim", "-0.1"]])
+def test_estimate_bad_bootstrap_or_trim_exits_2(fixture_files, tmp_path, capsys, flags):
+    pe, po = fixture_files
+    out = tmp_path / "r.json"
+    code = _run(["estimate", "--exp", pe, "--obs", po, "--method", "index", *flags, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(("error: ConfigurationError:", "error: ValidationError:"))
+    assert not out.exists()
+
+
 def test_diagnose_zero_deltas(fixture_files, tmp_path):
     pe, po = fixture_files
     out = tmp_path / "diag.json"
@@ -176,6 +186,20 @@ def test_simulate_zero_reps_exits_2(tmp_path, capsys):
     code = _run(["simulate", "--study", "samplesize", "--reps", "0", "--seed", "1",
                  "--out", tmp_path / "x.csv"])
     assert code == 2
+
+
+@pytest.mark.parametrize("study, grid", [
+    ("samplesize", "abc"),
+    ("dimension", "0.5"),
+    ("explanatory", "1,x"),
+])
+def test_simulate_bad_grid_value_exits_2(tmp_path, capsys, study, grid):
+    code = _run(["simulate", "--study", study, "--reps", "1", "--seed", "1",
+                 "--out", tmp_path / "x.csv", "--grid", grid])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError:") and "--grid" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_byte_identical_repeats(tmp_path):

@@ -154,24 +154,36 @@ def test_pool_does_not_mutate_inputs():
     assert not exp.s.flags.writeable  # immutable after construction
 
 
+# each layout with its per-unit columns, writer and loader
+LAYOUTS = (
+    (ExperimentalSample, ("w",), write_experimental, load_experimental),
+    (ObservationalSample, ("y",), write_observational, load_observational),
+    (SingleSample, ("w", "y"), write_single, load_single),
+)
+
+
 @st.composite
-def experimental_samples(draw):
+def sample_columns(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     m = draw(st.integers(min_value=1, max_value=3))
     k = draw(st.integers(min_value=0, max_value=2))
     finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
     w = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < len(v)))
+    y = draw(st.lists(finite, min_size=n, max_size=n))
     s = draw(st.lists(st.lists(finite, min_size=m, max_size=m), min_size=n, max_size=n))
     x = draw(st.lists(st.lists(finite, min_size=k, max_size=k), min_size=n, max_size=n)) if k else None
-    return ExperimentalSample(w=w, s=s, x=x)
+    return {"w": w, "y": y, "s": s, "x": x}
 
 
 @settings(max_examples=50, deadline=None)
-@given(experimental_samples())
-def test_write_then_load_is_identity(tmp_path_factory, sample):
-    path = tmp_path_factory.mktemp("rt") / "sample.csv"
-    write_experimental(sample, path)
-    back = load_experimental(path)
-    assert np.array_equal(sample.w, back.w)
-    assert np.array_equal(sample.s, back.s)
-    assert np.array_equal(sample.x, back.x)
+@given(sample_columns())
+def test_write_then_load_is_identity(tmp_path_factory, columns):
+    for cls, unit_columns, write, load in LAYOUTS:
+        names = (*unit_columns, "s", "x")
+        sample = cls(**{c: columns[c] for c in names})
+        path = tmp_path_factory.mktemp("rt") / "sample.csv"
+        write(sample, path)
+        back = load(path)
+        assert type(back) is cls
+        for c in names:
+            assert np.array_equal(getattr(sample, c), getattr(back, c)), (cls.__name__, c)

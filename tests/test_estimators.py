@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from surrogate_ate import (
     SingleSample,
     UnstableBootstrapError,
     UnsupportedConfigurationError,
+    ValidationError,
     bootstrap_se,
     draw_dataset,
     estimate_index,
@@ -83,6 +85,13 @@ def test_index_overlap_error_without_trim(small_exp):
     report = estimate_index(small_exp, fits, trim=1e-6)
     assert np.isfinite(report.tau_hat)
     assert report.weight_summary.n_trimmed == 1
+
+
+@pytest.mark.parametrize("trim", [-0.1, 0.5, 0.7, float("nan")])
+def test_trim_outside_zero_to_half_is_rejected(small_exp, trim):
+    fits = _fits(e=ConstantScore(0.4), h=FixedIndex(np.zeros(small_exp.n)))
+    with pytest.raises(ValidationError, match="trim"):
+        estimate_index(small_exp, fits, trim=trim)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +383,29 @@ def test_bootstrap_failure_threshold(small_single):
         bootstrap_se(flaky, (small_single,), reps=100, seed=0)
     assert exc.value.failures == 50
     assert "50 of 100" in str(exc.value)
+
+
+def test_bootstrap_all_replicates_failing_is_unstable(small_single):
+    def always_fails(s):
+        raise DegenerateArmError("boom")
+
+    with pytest.raises(UnstableBootstrapError) as exc:
+        bootstrap_se(always_fails, (small_single,), reps=10, seed=0, max_failure_rate=1.0)
+    assert exc.value.failures == 10
+
+
+def test_bootstrap_single_survivor_is_unstable(small_single):
+    calls = itertools.count()
+
+    def first_only(s):
+        if next(calls) == 0:
+            return 1.0
+        raise DegenerateArmError("boom")
+
+    # one value has no spread to estimate, which is not a standard error of 0
+    with pytest.raises(UnstableBootstrapError) as exc:
+        bootstrap_se(first_only, (small_single,), reps=10, seed=0, max_failure_rate=1.0)
+    assert exc.value.failures == 9
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from surrogate_ate import (
     ConstantScore,
     DegenerateLabelsError,
     ExperimentalSample,
+    LinearModel,
+    LogisticModel,
     NuisanceFits,
     NuisanceOptions,
     ObservationalSample,
@@ -352,3 +354,29 @@ def test_fits_json_roundtrip():
     assert back.t_model.p == fits.t_model.p
     payload = json.loads(text)
     assert payload["h_model"]["type"] == "linear"
+
+
+# A payload in the serialized format, kept literal so that any change to the
+# format, to a model's fields or to the options fails here.
+SAVED_FITS = (
+    '{"e_model": {"p": 0.5, "type": "constant"}, '
+    '"h_model": {"coef_s": [0.5, 3.0], "coef_sx": [0.0625, 1e-300], "coef_x": [-1.0], "intercept": 2.0, '
+    '"residual_variance": 0.3, "type": "linear"}, '
+    '"options": {"constant_propensity": 0.5, "constant_sampling_score": false, "interactions": true, '
+    '"ridge_index": 1e-06, "ridge_propensity": 0.1, "ridge_sampling_score": 0.0, "ridge_surrogate_score": 0.0}, '
+    '"r_model": {"coef_s": [1.5, -0.125], "coef_sx": [], "coef_x": [0.75], "converged": false, '
+    '"intercept": -0.25, "iterations": 100, "type": "logistic"}, '
+    '"t_model": null}'
+)
+
+
+def test_fits_json_reads_saved_payload():
+    fits = NuisanceFits.from_json(SAVED_FITS)
+    assert fits.e_model == ConstantScore(0.5)
+    assert isinstance(fits.r_model, LogisticModel)
+    assert (fits.r_model.converged, fits.r_model.iterations) == (False, 100)
+    assert isinstance(fits.h_model, LinearModel)
+    assert fits.h_model.uses_interactions and fits.h_model.residual_variance == 0.3
+    assert fits.t_model is None
+    assert fits.options.interactions and fits.options.constant_propensity == 0.5
+    assert fits.to_json() == SAVED_FITS
