@@ -15,10 +15,14 @@ bounds
 simulate
     Monte Carlo study tables as CSV plus a JSON manifest.
 
+``estimate --method all`` with ``--interactions`` leaves out the linear
+shortcut, which needs an index without interaction terms.
+
 Exit codes: 0 success, 2 invalid input or configuration (including a
-``--trim`` outside [0, 0.5), a negative ``--bootstrap`` and a ``--grid``
-value of the wrong type), 3 estimation failure (overlap, degenerate arm,
-separation, ...).  Errors are written as
+``--trim`` outside [0, 0.5) and a ``--bootstrap`` other than 0 or at least
+2, both rejected before any file is read, and a ``--grid`` value of the
+wrong type), 3 estimation failure (overlap, degenerate arm, separation,
+...).  Errors are written as
 a single machine-parseable line on stderr.  The ``SURROGATE_THREADS``
 environment variable caps worker parallelism; output is byte-identical for
 any value.
@@ -85,18 +89,25 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _trim_value(args) -> float | None:
+    if not 0.0 <= args.trim < 0.5:
+        raise ConfigurationError(f"--trim must lie in [0, 0.5), got {args.trim}")
     return None if args.trim == 0.0 else args.trim
 
 
 def run_estimate(args) -> int:
-    if args.bootstrap < 0:
-        raise ConfigurationError("--bootstrap must be non-negative")
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise ConfigurationError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
+    trim = _trim_value(args)
+    if args.method != "all":
+        methods = (args.method,)
+    elif args.interactions:
+        methods = ("index", "score", "match")
+    else:
+        methods = ("index", "score", "linear", "match")
     exp = load_experimental(args.exp)
     obs = load_observational(args.obs)
     pooled = pool(exp, obs)
     options = _options(args)
-    trim = _trim_value(args)
-    methods = ("index", "score", "linear", "match") if args.method == "all" else (args.method,)
     needs_fits = any(m in ("index", "score", "linear") for m in methods)
     fits = fit_all(pooled, options) if needs_fits else None
 
@@ -131,10 +142,11 @@ def run_estimate(args) -> int:
 
 
 def run_diagnose(args) -> int:
+    trim = _trim_value(args)
     exp = load_experimental(args.exp)
     obs = load_observational(args.obs)
     fits = fit_all(pool(exp, obs), _options(args))
-    bound = bias_bound(exp, fits, delta_s=args.delta_s, delta_c=args.delta_c, trim=_trim_value(args))
+    bound = bias_bound(exp, fits, delta_s=args.delta_s, delta_c=args.delta_c, trim=trim)
     _emit(bound.to_json(), args.out)
     return 0
 

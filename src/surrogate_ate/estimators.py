@@ -241,12 +241,53 @@ def _standardize_columns(reference: np.ndarray):
     return mean, sd
 
 
+# Working memory of one query block in `_nearest`, sized for the worst case
+# in which every pool row survives the screen (exact ties on discrete data).
+_NEAREST_BLOCK_BYTES = 16 * 2**20
+
+
 def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
-    """Index of the closest pool row for each query; ties go to the lowest index."""
-    if queries.shape[1] == 0:
-        return np.zeros(len(queries), dtype=int)
-    d2 = ((queries[:, None, :] - pool_rows[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    """Index of the closest pool row for each query; ties go to the lowest index.
+
+    The result is exactly ``argmin(((q - p) ** 2).sum(axis=-1))`` over the
+    pool for each query ``q``, without the ``(n_query, n_pool, d)`` array.
+    Queries are taken in blocks.  One GEMM per block screens every pool row
+    by ``|p|^2 - 2 q.p``; a row stays a candidate when its screened value
+    lies within twice a rounding bound of the block row's minimum, which
+    provably keeps every exact minimizer.  Only candidates are recomputed
+    with the exact expression, so the GEMM's rounding (and hence the BLAS
+    thread count) never decides a match.  Time is O(n_query * n_pool * d).
+    Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
+    is; only a pool too large for one query's worst case within that budget
+    grows it, as O(n_pool * d).
+    """
+    n_query, d = queries.shape
+    if d == 0:
+        return np.zeros(n_query, dtype=int)
+    n_pool = len(pool_rows)
+    pool_sq = (pool_rows**2).sum(axis=1)
+    # The screened value (plus |q|^2) and the exact expression each lie within
+    # about (d + 2) * eps * (|q|^2 + |p|^2) of the true squared distance, so
+    # `tol` covers both errors of one row with margin, and an exact minimizer
+    # screens within 2 * tol of its block row's minimum.
+    tol = 2.0 * (d + 4) * np.finfo(float).eps * ((queries**2).sum(axis=1) + pool_sq.max())
+    # bytes per (query, candidate) pair: two gathered rows plus a handful of scalars
+    block = max(1, _NEAREST_BLOCK_BYTES // (8 * (2 * d + 7) * n_pool))
+    out = np.empty(n_query, dtype=np.intp)
+    for lo in range(0, n_query, block):
+        q = queries[lo : lo + block]
+        screened = q @ pool_rows.T
+        screened *= -2.0
+        screened += pool_sq
+        bound = screened.min(axis=1) + 2.0 * tol[lo : lo + block]
+        rows, cols = np.nonzero(screened <= bound[:, None])
+        del screened
+        # rows ascend and every row has a candidate, so segments start where rows change
+        exact = ((q[rows] - pool_rows[cols]) ** 2).sum(axis=-1)
+        row_min = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+        hits = np.flatnonzero(exact == row_min[rows])
+        out[lo : lo + block] = cols[hits[np.diff(rows[hits], prepend=-1) != 0]]
+    return out
 
 
 def estimate_matching(
@@ -266,6 +307,9 @@ def estimate_matching(
     is with replacement, and ties go to the lowest row index.  With no
     covariates the within-experimental match is degenerate: every
     opposite-arm unit ties at distance zero and the first one is used.
+
+    The search is exact and takes O(n_E * n_O * (M + K)) time; its memory is
+    bounded by a fixed block budget instead of growing with n_E * n_O.
     """
     options = options or MatchOptions()
     if exp.n_surrogates != obs.n_surrogates or exp.n_covariates != obs.n_covariates:
@@ -284,6 +328,10 @@ def estimate_matching(
     sx_mean, sx_sd = _standardize_columns(np.vstack([sx_exp, sx_obs]))
     sx_exp_std = (sx_exp - sx_mean) / sx_sd
     sx_obs_std = (sx_obs - sx_mean) / sx_sd
+    if not all(np.isfinite(a).all() for a in (x_std, sx_exp_std, sx_obs_std)):
+        raise ValidationError(
+            "a surrogate or covariate column is too large in magnitude to standardize for matching"
+        )
 
     obs_match = _nearest(sx_exp_std, sx_obs_std)  # i -> i' for every experimental unit
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from surrogate_ate import (
+    ExperimentalSample,
     NuisanceOptions,
+    ObservationalSample,
     bias_bound,
     draw_dataset,
     efficiency_bounds_single_sample,
@@ -24,6 +26,7 @@ from surrogate_ate import (
     write_observational,
     write_single,
 )
+from surrogate_ate import cli
 from surrogate_ate.cli import main
 
 
@@ -34,6 +37,21 @@ def fixture_files(tmp_path):
                        alpha=spec.alpha, gamma=spec.gamma, seed=17)
     exp, obs = draw_dataset(small, np.random.SeedSequence((17, 2, 0, 0)))
     pe, po = tmp_path / "e.csv", tmp_path / "o.csv"
+    write_experimental(exp, pe)
+    write_observational(obs, po)
+    return pe, po
+
+
+@pytest.fixture
+def covariate_files(tmp_path):
+    rng = np.random.default_rng(11)
+    exp = ExperimentalSample(
+        w=(rng.random(300) < 0.5).astype(float), s=rng.normal(size=(300, 2)), x=rng.normal(size=(300, 2))
+    )
+    obs = ObservationalSample(
+        y=rng.normal(size=400), s=rng.normal(size=(400, 2)), x=rng.normal(size=(400, 2))
+    )
+    pe, po = tmp_path / "ce.csv", tmp_path / "co.csv"
     write_experimental(exp, pe)
     write_observational(obs, po)
     return pe, po
@@ -64,6 +82,31 @@ def test_estimate_all_matches_library(fixture_files, tmp_path, capsys):
     single_out = tmp_path / "single.json"
     assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "index", "--out", single_out]) == 0
     assert single_out.read_text().rstrip("\n") == estimate_index(exp, fits).to_json()
+
+
+def test_estimate_all_with_interactions_leaves_out_linear(covariate_files, tmp_path, capsys):
+    pe, po = covariate_files
+    out = tmp_path / "report.json"
+    code = _run(["estimate", "--exp", pe, "--obs", po, "--method", "all", "--interactions", "--out", out])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"index", "score", "matching"}
+
+    exp = load_experimental(pe)
+    obs = load_observational(po)
+    pooled = pool(exp, obs)
+    fits = fit_all(pooled, NuisanceOptions(interactions=True))
+    assert payload["index"]["tau_hat"] == estimate_index(exp, fits).tau_hat
+    assert payload["score"]["tau_hat"] == estimate_score(obs, fits, pooled.q).tau_hat
+    assert payload["matching"]["tau_hat"] == estimate_matching(exp, obs).tau_hat
+
+    # asked for by name, the shortcut still refuses an index with interactions
+    linear_out = tmp_path / "linear.json"
+    code = _run(["estimate", "--exp", pe, "--obs", po, "--method", "linear", "--interactions",
+                 "--out", linear_out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: UnsupportedConfigurationError:")
+    assert not linear_out.exists()
 
 
 def test_estimate_missing_obs_is_usage_error(fixture_files, capsys):
@@ -115,6 +158,28 @@ def test_estimate_bad_bootstrap_or_trim_exits_2(fixture_files, tmp_path, capsys,
     code = _run(["estimate", "--exp", pe, "--obs", po, "--method", "index", *flags, "--out", out])
     assert code == 2
     assert capsys.readouterr().err.startswith(("error: ConfigurationError:", "error: ValidationError:"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "match", "--trim", "0.7"],
+    ["estimate", "--method", "all", "--trim", "-0.1"],
+    ["estimate", "--method", "index", "--bootstrap", "1"],
+    ["diagnose", "--delta-s", "1", "--delta-c", "1", "--trim", "0.5"],
+])
+def test_bad_trim_or_bootstrap_rejected_before_loading_or_fitting(
+    fixture_files, tmp_path, capsys, monkeypatch, argv
+):
+    def reached(*args, **kwargs):
+        raise AssertionError("flags must be checked before any file is loaded or model fit")
+
+    for name in ("load_experimental", "load_observational", "fit_all"):
+        monkeypatch.setattr(cli, name, reached)
+    pe, po = fixture_files
+    out = tmp_path / "r.json"
+    code = _run([*argv, "--exp", pe, "--obs", po, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ConfigurationError:")
     assert not out.exists()
 
 
