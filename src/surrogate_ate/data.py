@@ -51,11 +51,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        where = f"row {int(idx[0]) + 1}" if arr.ndim else ""
-        raise ValidationError(f"non-finite value in {name} at {where}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, *col = (int(i) + 1 for i in bad[0])
+        where = f"{name} column {col[0]}" if col else name
+        raise ValidationError(f"non-finite value in {where} at row {row}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -85,9 +85,9 @@ class _Sample:
             _check_finite(arr, c)
         w = cols.get("w")
         if w is not None:
-            if not np.isin(w, (0.0, 1.0)).all():
-                bad = int(np.flatnonzero(~np.isin(w, (0.0, 1.0)))[0]) + 1
-                raise ValidationError(f"treatment must be 0 or 1; row {bad} has w={w[bad - 1]}")
+            bad = np.flatnonzero(~np.isin(w, (0.0, 1.0)))
+            if bad.size:
+                raise ValidationError(f"treatment must be 0 or 1; row {bad[0] + 1} has w={w[bad[0]]}")
             if w.sum() == 0 or w.sum() == n:
                 raise ValidationError(f"{self._kind} sample needs at least one treated and one control unit")
         for c, arr in cols.items():
@@ -166,14 +166,13 @@ class PooledDataset:
     """The two samples viewed as one dataset with a sample indicator.
 
     ``q`` is always the realized experimental fraction N_E / (N_E + N_O);
-    it is never user-supplied.  ``p_indicator`` labels each pooled row with
-    the sample it came from, experimental rows first.
+    it is never user-supplied.  Pooled rows put the experimental sample
+    first; ``is_experimental`` marks those rows.
     """
 
     exp: ExperimentalSample
     obs: ObservationalSample
     q: float = field(init=False)
-    p_indicator: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.exp.n_surrogates != self.obs.n_surrogates:
@@ -187,9 +186,6 @@ class PooledDataset:
                 f"observational has {self.obs.n_covariates}"
             )
         object.__setattr__(self, "q", self.exp.n / (self.exp.n + self.obs.n))
-        labels = np.array(["E"] * self.exp.n + ["O"] * self.obs.n)
-        labels.flags.writeable = False
-        object.__setattr__(self, "p_indicator", labels)
 
     @property
     def n_total(self) -> int:
@@ -205,7 +201,7 @@ class PooledDataset:
 
     @property
     def is_experimental(self) -> np.ndarray:
-        return self.p_indicator == "E"
+        return np.arange(self.n_total) < self.exp.n
 
 
 def pool(exp: ExperimentalSample, obs: ObservationalSample) -> PooledDataset:
@@ -250,6 +246,9 @@ class Schema:
         missing = [c for c in required if c not in cols]
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")
+        duplicated = sorted({c for c in required if cols.count(c) > 1})
+        if duplicated:
+            raise SchemaError(f"column(s) named more than once in the header: {', '.join(duplicated)}")
         return surrogates, covariates
 
 
@@ -267,35 +266,25 @@ def _read_rows(path):
     return header, rows
 
 
-def _parse_column(rows, header, name, row_offset=1):
-    j = header.index(name)
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if j >= len(row) or row[j] == "":
-            raise ValidationError(f"row {i + row_offset}, column {name}: missing value")
-        try:
-            v = float(row[j])
-        except ValueError:
-            raise ValidationError(f"row {i + row_offset}, column {name}: cannot parse {row[j]!r}") from None
-        if not np.isfinite(v):
-            raise ValidationError(f"row {i + row_offset}, column {name}: non-finite value {row[j]!r}")
-        out[i] = v
-    return out
+def _parse(rows, header, names):
+    """The ``names`` columns of ``rows`` as one float array of shape ``(len(rows), len(names))``.
 
-
-def _parse_treatment(rows, header, name):
-    w = _parse_column(rows, header, name)
-    bad = np.flatnonzero(~np.isin(w, (0.0, 1.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"row {i + 1}, column {name}: treatment must be 0 or 1, got {w[i]}")
-    return w
-
-
-def _parse_block(rows, header, names):
-    if not names:
-        return np.empty((len(rows), 0))
-    return np.column_stack([_parse_column(rows, header, n) for n in names])
+    Only conversion happens here; the samples check finiteness and values.
+    A missing or unparsable cell is located by rescanning the rows.
+    """
+    take = [header.index(c) for c in names]
+    try:
+        return np.array([[row[j] for j in take] for row in rows], dtype=float).reshape(len(rows), len(names))
+    except (IndexError, ValueError):
+        for i, row in enumerate(rows, start=1):
+            for name, j in zip(names, take):
+                cell = row[j] if j < len(row) else ""
+                try:
+                    float(cell)
+                except ValueError:
+                    problem = "missing value" if cell == "" else f"cannot parse {cell!r}"
+                    raise ValidationError(f"row {i}, column {name}: {problem}") from None
+        raise
 
 
 def _load(cls, path, schema: Schema | None):
@@ -303,9 +292,10 @@ def _load(cls, path, schema: Schema | None):
     header, rows = _read_rows(path)
     need = cls.unit_columns
     surrogates, covariates = schema.resolve(header, need_treatment="w" in need, need_outcome="y" in need)
-    names = {"w": schema.treatment, "y": schema.outcome}
-    cols = {c: (_parse_treatment if c == "w" else _parse_column)(rows, header, names[c]) for c in need}
-    return cls(**cols, s=_parse_block(rows, header, surrogates), x=_parse_block(rows, header, covariates))
+    units = [{"w": schema.treatment, "y": schema.outcome}[c] for c in need]
+    table = _parse(rows, header, units + surrogates + covariates)
+    k, m = len(units), len(surrogates)
+    return cls(**{c: table[:, i] for i, c in enumerate(need)}, s=table[:, k : k + m], x=table[:, k + m :])
 
 
 def load_experimental(path, schema: Schema | None = None) -> ExperimentalSample:

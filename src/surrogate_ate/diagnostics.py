@@ -122,8 +122,13 @@ class DiscretePopulation:
             raise ValidationError("prob must have shape (n_s, n_x, 2)")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
             raise ValidationError("cell probabilities must be non-negative and sum to 1")
-        for name in ("mu", "var", "h_obs"):
+        shapes = {"mu": prob.shape, "var": prob.shape, "h_obs": prob.shape[:2], "obs_prob": prob.shape[:2]}
+        for name, shape in shapes.items():
+            if getattr(self, name) is None:  # only obs_prob is optional
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite values")
         x_marg = prob.sum(axis=(0, 2))
@@ -230,7 +235,7 @@ class DiscretePopulation:
         active = self.exp_marginal > 0
         surro = np.abs(self.mu[:, :, 1] - self.mu[:, :, 0])[active].max(initial=0.0)
         compa = np.abs(self.h_exp - self.h_obs)[active].max(initial=0.0)
-        return surro <= tol and compa <= tol
+        return bool(surro <= tol and compa <= tol)
 
 
 def random_population(
@@ -373,6 +378,29 @@ def _per_cell_variance(values: np.ndarray, cells: np.ndarray):
     return out
 
 
+def _covariate_plugins(sample: SingleSample, variance_mode: str, ridge: float):
+    """Propensity ``e(x)`` and the arm regressions of ``y`` on ``x``, shared by both bound forms.
+
+    Returns ``(e, models, mu1, mu0)``: per-row propensities, the
+    least-squares fit of each arm keyed by treatment value, and ``mu_1(x)``
+    and ``mu_0(x)`` on every row.  ``SingleSample`` guarantees both arms are
+    non-empty.
+    """
+    if variance_mode not in ("homoskedastic", "per_stratum"):
+        raise UnsupportedConfigurationError(f"unknown variance mode {variance_mode!r}")
+    no_s = np.empty((sample.n, 0))
+    e = (
+        np.full(sample.n, float(sample.w.mean()))
+        if sample.n_covariates == 0
+        else fit_logistic(sample.x, sample.w, ridge=ridge, n_surrogates=0).predict(no_s, sample.x)
+    )
+    models = {}
+    for arm in (1, 0):
+        rows = sample.w == arm
+        models[arm] = fit_least_squares(sample.x[rows], sample.y[rows], ridge=ridge, n_surrogates=0)
+    return e, models, models[1].predict(no_s, sample.x), models[0].predict(no_s, sample.x)
+
+
 def efficiency_bounds_single_sample(
     sample: SingleSample,
     variance_mode: str = "homoskedastic",
@@ -389,32 +417,12 @@ def efficiency_bounds_single_sample(
     single observation forces a fallback to the homoskedastic plug-in,
     recorded on the result.
     """
-    if variance_mode not in ("homoskedastic", "per_stratum"):
-        raise UnsupportedConfigurationError(f"unknown variance mode {variance_mode!r}")
-    w = sample.w
-    treated = w == 1.0
+    e, _, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
     features = np.hstack([sample.s, sample.x])
-
-    e = (
-        np.full(sample.n, float(w.mean()))
-        if sample.n_covariates == 0
-        else fit_logistic(sample.x, w, ridge=ridge, n_surrogates=0).predict(
-            np.empty((sample.n, 0)), sample.x
-        )
-    )
-    r = fit_logistic(features, w, ridge=ridge, n_surrogates=sample.n_surrogates).predict(
-        sample.s, sample.x
-    )
+    r_model = fit_logistic(features, sample.w, ridge=ridge, n_surrogates=sample.n_surrogates)
+    r = r_model.predict(sample.s, sample.x)
     h_model = fit_least_squares(features, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
     h = h_model.predict(sample.s, sample.x)
-
-    mu_by_arm = {}
-    for arm, mask in ((1, treated), (0, ~treated)):
-        if mask.sum() == 0:
-            raise ValidationError("both treatment arms are required")
-        model = fit_least_squares(sample.x[mask], sample.y[mask], ridge=ridge, n_surrogates=0)
-        mu_by_arm[arm] = model.predict(np.empty((sample.n, 0)), sample.x)
-    mu1, mu0 = mu_by_arm[1], mu_by_arm[0]
     tau_hat = float(np.mean(mu1 - mu0))
 
     fallback = False
@@ -466,40 +474,22 @@ def v_ns_covariate_form(
     plug-ins satisfy the within-stratum variance decomposition, which holds
     on discrete data with saturated fits.
     """
-    if variance_mode not in ("homoskedastic", "per_stratum"):
-        raise UnsupportedConfigurationError(f"unknown variance mode {variance_mode!r}")
-    w = sample.w
-    treated = w == 1.0
-    e = (
-        np.full(sample.n, float(w.mean()))
-        if sample.n_covariates == 0
-        else fit_logistic(sample.x, w, ridge=ridge, n_surrogates=0).predict(
-            np.empty((sample.n, 0)), sample.x
-        )
-    )
+    e, models, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
     x_cells = _cell_indices(sample.x)
-    mu_pred = {}
     sig2 = {}
-    for arm, mask in ((1, treated), (0, ~treated)):
-        model = fit_least_squares(sample.x[mask], sample.y[mask], ridge=ridge, n_surrogates=0)
-        mu_pred[arm] = model.predict(np.empty((sample.n, 0)), sample.x)
+    for arm, model in models.items():
         if variance_mode == "per_stratum":
             by_cell = {}
             for cell in np.unique(x_cells):
-                in_cell = mask & (x_cells == cell)
+                in_cell = (sample.w == arm) & (x_cells == cell)
                 if in_cell.sum() < 2:
                     raise ValidationError("a covariate stratum holds fewer than 2 observations in one arm")
                 by_cell[int(cell)] = float(sample.y[in_cell].var(ddof=0))
             sig2[arm] = np.array([by_cell[int(c)] for c in x_cells])
         else:
-            resid = sample.y[mask] - model.predict(np.empty((int(mask.sum()), 0)), sample.x[mask])
-            sig2[arm] = np.full(sample.n, float(np.mean(resid**2)))
-    tau_hat = float(np.mean(mu_pred[1] - mu_pred[0]))
-    return float(
-        np.mean(
-            sig2[1] / e + sig2[0] / (1.0 - e) + (mu_pred[1] - mu_pred[0] - tau_hat) ** 2
-        )
-    )
+            sig2[arm] = np.full(sample.n, model.residual_variance)
+    tau_hat = float(np.mean(mu1 - mu0))
+    return float(np.mean(sig2[1] / e + sig2[0] / (1.0 - e) + (mu1 - mu0 - tau_hat) ** 2))
 
 
 def efficiency_gain_homoskedastic(

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample
+from .data import ExperimentalSample, ObservationalSample, SingleSample
 from .errors import (
     DegenerateArmError,
     OverlapError,
@@ -390,8 +390,6 @@ def _resample(sample, rng: np.random.Generator):
     rows.  Single samples are resampled within each treatment arm so the
     arm sizes (and hence the validity of arm contrasts) are preserved.
     """
-    if isinstance(sample, PooledDataset):
-        return PooledDataset(_resample(sample.exp, rng), _resample(sample.obs, rng))
     if isinstance(sample, SingleSample):
         treated = np.flatnonzero(sample.w == 1.0)
         control = np.flatnonzero(sample.w == 0.0)

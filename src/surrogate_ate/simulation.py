@@ -47,7 +47,7 @@ from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import estimate_index, estimate_score
-from .nuisance import ConstantScore, NuisanceFits, NuisanceOptions, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, fit_logistic
 from .parallel import ordered_map
 
 HARNESS_RIDGE = 1e-6
@@ -104,19 +104,7 @@ class DgpSpec:
         object.__setattr__(self, "gamma", gamma)
 
     def to_dict(self) -> dict:
-        return {
-            "study": self.study,
-            "m_surrogates": self.m_surrogates,
-            "n_exp": self.n_exp,
-            "n_obs": self.n_obs,
-            "alpha": self.alpha.tolist(),
-            "gamma": self.gamma.tolist(),
-            "alpha0": self.alpha0,
-            "gamma0": self.gamma0,
-            "coef_rule": self.coef_rule,
-            "k_used": self.k_used,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "alpha": self.alpha.tolist(), "gamma": self.gamma.tolist()}
 
 
 def _hermite():
@@ -204,7 +192,7 @@ def calibrate_tau(
     target: float,
     direction: np.ndarray,
     tolerance: float = 1e-3,
-) -> tuple[float, tuple[float, float]]:
+) -> float:
     """Scale a shared coefficient direction so the true effect hits ``target``.
 
     Bisection on the common scale ``c`` with ``alpha = gamma = c * direction``
@@ -221,7 +209,7 @@ def calibrate_tau(
         raise CalibrationError("direction must be a non-zero vector")
     unit = direction / norm
     if target == 0.0:
-        return 0.0, (0.0, 0.0)
+        return 0.0
 
     def tau_of(scale: float) -> float:
         spec = DgpSpec(
@@ -244,7 +232,7 @@ def calibrate_tau(
         mid = 0.5 * (lo + hi)
         value = tau_of(mid)
         if abs(value - goal) < tolerance:
-            return sign * mid, (0.0, 0.0)
+            return sign * mid
         if value < goal:
             lo = mid
         else:
@@ -295,12 +283,10 @@ def make_spec(
         m = 10
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 0)))
         direction = rng.normal(0.0, np.sqrt(1.0 / m), m)
-        scale, (a0, g0) = calibrate_tau(target_tau, direction)
-        unit = direction / np.linalg.norm(direction)
-        alpha = scale * unit
+        alpha = calibrate_tau(target_tau, direction) * (direction / np.linalg.norm(direction))
         return DgpSpec(
             study=study, m_surrogates=m, n_exp=n_exp, n_obs=n_obs,
-            alpha=alpha, gamma=alpha.copy(), alpha0=a0, gamma0=g0,
+            alpha=alpha, gamma=alpha.copy(),
             coef_rule=f"shared direction drawn once, rescaled so the true effect is {target_tau}",
             seed=seed,
         )
@@ -374,10 +360,6 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
         exp = ExperimentalSample(w=exp.w, s=exp.s[:, :k])
         obs = ObservationalSample(y=obs.y, s=obs.s[:, :k])
     q = spec.n_exp / (spec.n_exp + spec.n_obs)
-    options = NuisanceOptions(
-        ridge_surrogate_score=HARNESS_RIDGE, ridge_index=HARNESS_RIDGE,
-        constant_sampling_score=True,
-    )
     e_model = ConstantScore(float(exp.w.mean()))
     t_model = ConstantScore(q)
 
@@ -385,14 +367,14 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     tau_e: float | None = None
     try:
         r_model = fit_logistic(exp.s, exp.w, ridge=HARNESS_RIDGE)
-        fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None, options=options)
+        fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
         tau_o = estimate_score(obs, fits, q).tau_hat
     except SurrogateError:
         tau_o = None
     try:
         # the outcomes are binary, so the index is itself a logistic mean
         h_model = fit_logistic(obs.s, obs.y, ridge=HARNESS_RIDGE)
-        fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model, options=options)
+        fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
         tau_e = estimate_index(exp, fits).tau_hat
     except SurrogateError:
         tau_e = None

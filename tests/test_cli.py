@@ -151,6 +151,15 @@ def test_estimate_bad_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValidationError:")
 
 
+def test_estimate_duplicate_header_exits_2(fixture_files, tmp_path, capsys):
+    _, po = fixture_files
+    pe = tmp_path / "dup.csv"
+    pe.write_text("w,s1,s1\n0,0.1,9.0\n1,0.2,8.0\n0,0.3,7.0\n1,0.4,6.0\n", encoding="utf-8")
+    code = _run(["estimate", "--exp", pe, "--obs", po, "--method", "match"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: SchemaError:")
+
+
 @pytest.mark.parametrize("flags", [["--bootstrap", "-1"], ["--trim", "0.7"], ["--trim", "-0.1"]])
 def test_estimate_bad_bootstrap_or_trim_exits_2(fixture_files, tmp_path, capsys, flags):
     pe, po = fixture_files

@@ -127,8 +127,9 @@ def test_pool_q_from_sizes(rng):
     pooled = pool(exp, obs)
     assert pooled.q == 0.5
     assert pooled.n_total == 1000
-    assert (pooled.p_indicator[:500] == "E").all()
-    assert (pooled.p_indicator[500:] == "O").all()
+    assert pooled.is_experimental.dtype == bool
+    assert pooled.is_experimental[:500].all()
+    assert not pooled.is_experimental[500:].any()
 
 
 def test_pool_q_quarter():
@@ -187,3 +188,41 @@ def test_write_then_load_is_identity(tmp_path_factory, columns):
         assert type(back) is cls
         for c in names:
             assert np.array_equal(getattr(sample, c), getattr(back, c)), (cls.__name__, c)
+
+
+def test_duplicate_header_column_is_schema_error(tmp_path):
+    p = _write(tmp_path / "e.csv", "w,s1,s1\n0,0.1,9.0\n1,0.2,8.0\n")
+    with pytest.raises(SchemaError, match="more than once.*s1"):
+        load_experimental(p)
+    p = _write(tmp_path / "o.csv", "y,s1,x1,x1\n0,0.1,1.0,2.0\n1,0.2,3.0,4.0\n")
+    with pytest.raises(SchemaError, match="more than once.*x1"):
+        load_observational(p)
+
+
+# a bad cell on data row 3 of a six-row file, for each layout
+BAD_ROWS = {
+    "short row": (lambda cells: cells[:-1], r"row 3, column x1: missing value"),
+    "blank line": (lambda cells: [], r"row 3, column (w|y): missing value"),
+    "unparsable x": (lambda cells: cells[:-1] + ["abc"], r"row 3, column x1: cannot parse 'abc'"),
+    "quoted number": (lambda cells: cells[:-3] + ['"0.5"'] + cells[-2:], None),
+    "overflow": (lambda cells: cells[:-2] + ["1e400"] + cells[-1:], r"non-finite value in s column 2 at row 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: layout[0].__name__)
+def test_load_names_the_bad_row(tmp_path, layout, case):
+    cls, unit_columns, _, load = layout
+    edit, message = BAD_ROWS[case]
+    lines = [",".join([*unit_columns, "s1", "s2", "x1"])]
+    for i in range(6):
+        cells = [str(i % 2) if c == "w" else f"{i}.25" for c in unit_columns]
+        cells += [f"{0.1 * i!r}", f"{-0.2 * i!r}", f"{i}.5"]
+        lines.append(",".join(edit(cells) if i == 2 else cells))
+    path = _write(tmp_path / "sample.csv", "\n".join(lines) + "\n")
+    if message is None:
+        sample = load(path)
+        assert type(sample) is cls and sample.n == 6 and sample.s[2, 0] == 0.5
+    else:
+        with pytest.raises(ValidationError, match=message):
+            load(path)

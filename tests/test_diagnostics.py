@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +123,26 @@ def test_identification_flags_violations(rng):
     assert not report.compliant
     # the two representations still agree with each other
     assert abs(report.tau_index_form - report.tau_weighting_form) < 1e-10
+
+
+def test_identification_report_json_round_trips():
+    pop = random_population(np.random.default_rng(0))
+    report = verify_identification(pop, 0.5)
+    payload = json.loads(report.to_json())
+    assert payload["compliant"] is report.compliant is True
+    assert payload["max_abs_gap"] == report.max_abs_gap
+
+
+@pytest.mark.parametrize("field, cut", [
+    ("h_obs", lambda a: a[:, :1]),  # (n_s, 1) would broadcast over covariate levels
+    ("mu", lambda a: a[:, :, 0]),
+    ("var", lambda a: a[:, :1, :]),
+    ("obs_prob", lambda a: a.ravel()),
+])
+def test_population_rejects_misshapen_arrays(field, cut):
+    pop = random_population(np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=f"{field} must have shape"):
+        replace(pop, **{field: cut(getattr(pop, field))})
 
 
 def test_bias_identity_compliant_population(rng):
@@ -261,6 +284,36 @@ def test_single_sample_bounds_ordering_random(rng):
         assert bounds.gain >= -1e-10 * scale
         for name in ("between_strata_treated", "between_strata_control", "covariate_heterogeneity"):
             assert bounds.components[name] >= 0.0
+
+
+def _continuous_single_sample():
+    rng = np.random.default_rng(2016)
+    n = 120
+    x = rng.normal(size=(n, 2))
+    w = (rng.random(n) < 0.3 + 0.4 * (x[:, 0] > 0)).astype(float)
+    s = rng.normal(size=(n, 2)) + 0.8 * w[:, None] + 0.3 * x[:, :1]
+    y = s @ np.array([1.0, -0.5]) + x @ np.array([0.4, 0.2]) + rng.normal(size=n)
+    return SingleSample(w=w, y=y, s=s, x=x)
+
+
+def test_single_sample_bounds_pinned_homoskedastic():
+    # regression literals: sharing the plug-in fits between the two bounds must not move them
+    sample = _continuous_single_sample()
+    bounds = efficiency_bounds_single_sample(sample)
+    expected = {
+        "between_strata_control": 2.6650530962464867,
+        "between_strata_treated": 2.779046461593541,
+        "conditional_variance_no_surrogacy": 4.366057481486265,
+        "conditional_variance_surrogacy": 2.354517018644908,
+        "covariate_heterogeneity": 0.05028307045677961,
+    }
+    assert bounds.components.keys() == expected.keys()
+    for name, value in expected.items():
+        assert bounds.components[name] == pytest.approx(value, rel=0, abs=1e-12), name
+    assert bounds.v_no_surrogacy == pytest.approx(9.860440109783072, rel=0, abs=1e-12)
+    assert bounds.v_surrogacy == pytest.approx(7.848899646941715, rel=0, abs=1e-12)
+    assert bounds.gain == pytest.approx(2.0115404628413573, rel=0, abs=1e-12)
+    assert v_ns_covariate_form(sample) == pytest.approx(9.98768567639139, rel=0, abs=1e-12)
 
 
 def test_single_sample_bounds_per_stratum_fallback_warns():

@@ -162,14 +162,13 @@ def test_true_tau_invariant_to_joint_permutation():
 # calibration
 
 def test_calibrate_zero_target():
-    scale, intercepts = calibrate_tau(0.0, np.ones(5))
+    scale = calibrate_tau(0.0, np.ones(5))
     assert scale == 0.0
-    assert intercepts == (0.0, 0.0)
 
 
 def test_calibrate_reaches_half():
     direction = np.random.default_rng(1).normal(size=10)
-    scale, _ = calibrate_tau(0.5, direction, tolerance=1e-3)
+    scale = calibrate_tau(0.5, direction, tolerance=1e-3)
     unit = direction / np.linalg.norm(direction)
     spec = DgpSpec(study="dimension", m_surrogates=10, n_exp=1, n_obs=1,
                    alpha=scale * unit, gamma=scale * unit)
@@ -189,7 +188,7 @@ def test_calibrate_is_monotone_in_scale():
 def test_calibrate_extreme_target():
     direction = np.ones(4)
     try:
-        scale, _ = calibrate_tau(0.999, direction, tolerance=1e-3)
+        scale = calibrate_tau(0.999, direction, tolerance=1e-3)
     except CalibrationError as err:
         assert "supremum" in str(err)
     else:
