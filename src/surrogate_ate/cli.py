@@ -19,10 +19,11 @@ simulate
 shortcut, which needs an index without interaction terms.
 
 Exit codes: 0 success, 2 invalid input or configuration (including a
-``--trim`` outside [0, 0.5) and a ``--bootstrap`` other than 0 or at least
-2, both rejected before any file is read, and a ``--grid`` value of the
-wrong type), 3 estimation failure (overlap, degenerate arm, separation,
-...).  Errors are written as
+``--trim`` outside [0, 0.5), a ``--bootstrap`` other than 0 or at least 2
+and a negative ``--seed``, all rejected before any file is read, a
+``--ridge`` or ``--delta-*`` that is negative or not finite, and an empty
+``--grid`` or one with a value of the wrong type), 3 estimation failure
+(overlap, degenerate arm, separation, ...).  Errors are written as
 a single machine-parseable line on stderr.  The ``SURROGATE_THREADS``
 environment variable caps worker parallelism; output is byte-identical for
 any value.
@@ -97,6 +98,8 @@ def _trim_value(args) -> float | None:
 def run_estimate(args) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigurationError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     trim = _trim_value(args)
     if args.method != "all":
         methods = (args.method,)
@@ -174,11 +177,9 @@ def run_bounds(args) -> int:
 
 
 def run_simulate(args) -> int:
-    if args.reps < 1:
-        raise ConfigurationError("--reps must be at least 1")
     study = _STUDY_ALIASES[args.study]
     grid = None
-    if args.grid:
+    if args.grid is not None:
         _, cast = GRID_PARAMETERS[study]
         try:
             grid = [cast(g) for g in args.grid.split(",") if g]

@@ -243,6 +243,9 @@ class Schema:
             required.append(self.treatment)
         if need_outcome:
             required.append(self.outcome)
+        repeated = sorted({c for c in required if required.count(c) > 1})
+        if repeated:
+            raise SchemaError(f"column(s) the schema reads more than once: {', '.join(repeated)}")
         missing = [c for c in required if c not in cols]
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")

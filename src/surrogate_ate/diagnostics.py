@@ -26,23 +26,22 @@ score and no covariates.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .data import ExperimentalSample, PooledDataset, SingleSample
+from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
-from .estimators import DEFAULT_TRIM, _hajek, _trim_scores
+from .estimators import DEFAULT_TRIM, _check_open_unit_interval, _hajek, _ipw_weights, _JsonRecord, _trim_scores
 from .nuisance import ConstantScore, NuisanceFits, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
 # Bias bound
 
 @dataclass(frozen=True)
-class BiasBound:
+class BiasBound(_JsonRecord):
     """Bound on the identification bias from assumption violations.
 
     ``total_bound = delta_surrogacy * surrogacy_multiplier
@@ -57,9 +56,6 @@ class BiasBound:
     delta_comparability: float
     total_bound: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def bias_bound(
     exp: ExperimentalSample,
@@ -73,12 +69,11 @@ def bias_bound(
     The multipliers are sample means of ``r(1-r) / (e(1-e))`` and
     ``|r-e| / (e(1-e))`` over the experimental rows.
     """
-    if delta_s < 0 or delta_c < 0:
-        raise ValidationError("bias-bound deltas must be non-negative")
+    if not (0.0 <= delta_s < np.inf and 0.0 <= delta_c < np.inf):
+        raise ValidationError(f"bias-bound deltas must be finite and non-negative, got {delta_s} and {delta_c}")
     e, _ = _trim_scores(fits.propensity(exp.x), trim)
     r, _ = _trim_scores(fits.surrogate_score(exp.s, exp.x), trim)
-    if np.any(e <= 0.0) or np.any(e >= 1.0):
-        raise OverlapError("propensity score outside (0, 1) on an experimental row")
+    _check_open_unit_interval(e, "propensity score")
     denom = e * (1.0 - e)
     sm = float(np.mean(r * (1.0 - r) / denom))
     cm = float(np.mean(np.abs(r - e) / denom))
@@ -117,30 +112,32 @@ class DiscretePopulation:
     obs_prob: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        prob = np.asarray(self.prob, dtype=float)
+        # store frozen float copies, so every derived quantity can use array methods
+        for f in fields(self):
+            if getattr(self, f.name) is not None:  # only obs_prob is optional
+                object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
+        prob = self.prob
         if prob.ndim != 3 or prob.shape[2] != 2:
             raise ValidationError("prob must have shape (n_s, n_x, 2)")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
             raise ValidationError("cell probabilities must be non-negative and sum to 1")
         shapes = {"mu": prob.shape, "var": prob.shape, "h_obs": prob.shape[:2], "obs_prob": prob.shape[:2]}
         for name, shape in shapes.items():
-            if getattr(self, name) is None:  # only obs_prob is optional
+            arr = getattr(self, name)
+            if arr is None:
                 continue
-            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite values")
-        x_marg = prob.sum(axis=(0, 2))
-        e = np.divide(prob[:, :, 1].sum(axis=0), x_marg, out=np.full_like(x_marg, 0.5), where=x_marg > 0)
-        active = x_marg > 0
-        if np.any(e[active] <= 0.0) or np.any(e[active] >= 1.0):
+        e = self.propensity[self.x_marginal > 0]
+        if np.any(e <= 0.0) or np.any(e >= 1.0):
             raise ValidationError("propensity must be strictly inside (0, 1) at every covariate level")
         if self.obs_prob is not None:
-            op = np.asarray(self.obs_prob, dtype=float)
+            op = self.obs_prob
             if np.any(op < 0) or abs(op.sum() - 1.0) > 1e-9:
                 raise ValidationError("obs_prob must be non-negative and sum to 1")
-            if np.any((prob.sum(axis=2) > 0) & (op == 0)):
+            if np.any((self.exp_marginal > 0) & (op == 0)):
                 raise ValidationError("observational support must cover the experimental support")
 
     # -- derived quantities -------------------------------------------------
@@ -152,7 +149,7 @@ class DiscretePopulation:
 
     @property
     def obs_marginal(self) -> np.ndarray:
-        return self.exp_marginal if self.obs_prob is None else np.asarray(self.obs_prob, dtype=float)
+        return self.exp_marginal if self.obs_prob is None else self.obs_prob
 
     @property
     def x_marginal(self) -> np.ndarray:
@@ -276,7 +273,7 @@ def random_population(
 
 
 @dataclass(frozen=True)
-class IdentificationReport:
+class IdentificationReport(_JsonRecord):
     """Exact comparison of the direct effect with its two representations."""
 
     tau: float
@@ -284,9 +281,6 @@ class IdentificationReport:
     tau_weighting_form: float
     max_abs_gap: float
     compliant: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_identification(pop: DiscretePopulation, q: float) -> IdentificationReport:
@@ -309,7 +303,7 @@ def verify_identification(pop: DiscretePopulation, q: float) -> IdentificationRe
 
 
 @dataclass(frozen=True)
-class BiasIdentityReport:
+class BiasIdentityReport(_JsonRecord):
     """Exact check that the identification gap equals the two-term decomposition."""
 
     lhs: float
@@ -317,9 +311,6 @@ class BiasIdentityReport:
     comparability_term: float
     rhs: float
     gap: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_bias_identity(pop: DiscretePopulation) -> BiasIdentityReport:
@@ -336,7 +327,7 @@ def verify_bias_identity(pop: DiscretePopulation) -> BiasIdentityReport:
 # Efficiency bounds
 
 @dataclass(frozen=True)
-class EfficiencyBounds:
+class EfficiencyBounds(_JsonRecord):
     """Variance lower bounds, with and without exploiting surrogacy.
 
     ``gain = v_no_surrogacy - v_surrogacy`` is the precision value of the
@@ -352,9 +343,6 @@ class EfficiencyBounds:
     components: dict = field(default_factory=dict)
     per_stratum_fallback: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _cell_indices(rows: np.ndarray) -> np.ndarray:
     """Group identical rows; returns an integer cell id per row."""
@@ -364,17 +352,20 @@ def _cell_indices(rows: np.ndarray) -> np.ndarray:
     return inverse.ravel()
 
 
-def _per_cell_variance(values: np.ndarray, cells: np.ndarray):
+def _per_cell_variance(values: np.ndarray, cells: np.ndarray, rows: np.ndarray | None = None):
     """Population-style (ddof=0) variance of ``values`` within each cell, mapped back per row.
 
-    Returns ``None`` if any cell holds a single observation.
+    With a boolean ``rows`` mask, each cell's variance is taken over its
+    selected rows only and mapped back to every row of the cell.  Returns
+    ``None`` if any cell holds fewer than two (selected) observations.
     """
     out = np.empty_like(values)
     for cell in np.unique(cells):
-        mask = cells == cell
-        if mask.sum() < 2:
+        in_cell = cells == cell
+        used = in_cell if rows is None else in_cell & rows
+        if used.sum() < 2:
             return None
-        out[mask] = values[mask].var(ddof=0)
+        out[in_cell] = values[used].var(ddof=0)
     return out
 
 
@@ -475,19 +466,13 @@ def v_ns_covariate_form(
     on discrete data with saturated fits.
     """
     e, models, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
-    x_cells = _cell_indices(sample.x)
-    sig2 = {}
-    for arm, model in models.items():
-        if variance_mode == "per_stratum":
-            by_cell = {}
-            for cell in np.unique(x_cells):
-                in_cell = (sample.w == arm) & (x_cells == cell)
-                if in_cell.sum() < 2:
-                    raise ValidationError("a covariate stratum holds fewer than 2 observations in one arm")
-                by_cell[int(cell)] = float(sample.y[in_cell].var(ddof=0))
-            sig2[arm] = np.array([by_cell[int(c)] for c in x_cells])
-        else:
-            sig2[arm] = np.full(sample.n, model.residual_variance)
+    if variance_mode == "per_stratum":
+        x_cells = _cell_indices(sample.x)
+        sig2 = {arm: _per_cell_variance(sample.y, x_cells, sample.w == arm) for arm in models}
+        if any(v is None for v in sig2.values()):
+            raise ValidationError("a covariate stratum holds fewer than 2 observations in one arm")
+    else:
+        sig2 = {arm: np.full(sample.n, model.residual_variance) for arm, model in models.items()}
     tau_hat = float(np.mean(mu1 - mu0))
     return float(np.mean(sig2[1] / e + sig2[0] / (1.0 - e) + (mu1 - mu0 - tau_hat) ** 2))
 
@@ -572,9 +557,9 @@ def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> Ef
     mu = fits.surrogate_index(s_pooled, x_pooled)
 
     h_exp_rows = fits.surrogate_index(exp.s, exp.x)
-    e = fits.propensity(exp.x)
-    mu1, _ = _hajek(h_exp_rows, exp.w / e, "treated")
-    mu0, _ = _hajek(h_exp_rows, (1.0 - exp.w) / (1.0 - e), "control")
+    w1, w0, _ = _ipw_weights(exp, fits, None)
+    mu1, _ = _hajek(h_exp_rows, w1, "treated")
+    mu0, _ = _hajek(h_exp_rows, w0, "control")
 
     first, second = two_sample_bound_value(sigma2, r, mu, mu1, mu0, p, q)
     return EfficiencyBounds(

@@ -35,10 +35,17 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .nuisance import LinearModel, NuisanceFits, fit_least_squares
+from .nuisance import LinearModel, NuisanceFits, _standardize, fit_least_squares
 from .parallel import ordered_map
 
 DEFAULT_TRIM = 1e-6
+
+
+class _JsonRecord:
+    """``to_json`` for the frozen result records: their fields as sorted-key JSON."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,6 @@ class ArmWeights:
     max: float
     ess: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class WeightSummary:
@@ -63,12 +67,9 @@ class WeightSummary:
     trim_epsilon: float | None = None
     n_trimmed: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(_JsonRecord):
     """A point estimate with its method tag and weight diagnostics."""
 
     tau_hat: float
@@ -76,9 +77,6 @@ class EstimateReport:
     weight_summary: WeightSummary | None = None
     se_bootstrap: float | None = None
     n_used: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,17 @@ def _check_open_unit_interval(p: np.ndarray, name: str) -> None:
         raise OverlapError(f"fitted {name} left the open interval (0, 1); trimming is the usual remedy")
 
 
+def _ipw_weights(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
+    """Inverse-propensity weights of the experimental rows.
+
+    Trims ``e(x)`` and checks that it stays inside (0, 1); returns
+    ``(w / e, (1 - w) / (1 - e), n_trimmed)``.
+    """
+    e, n_trimmed = _trim_scores(fits.propensity(exp.x), trim)
+    _check_open_unit_interval(e, "propensity score")
+    return exp.w / e, (1.0 - exp.w) / (1.0 - e), n_trimmed
+
+
 def estimate_index(
     exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM
 ) -> EstimateReport:
@@ -133,11 +142,10 @@ def estimate_index(
     ``(1 - w) / (1 - e(x))``; each arm's weights are normalized to sum to
     one before averaging the imputed index values.
     """
-    e, n_trimmed = _trim_scores(fits.propensity(exp.x), trim)
-    _check_open_unit_interval(e, "propensity score")
+    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
     h = fits.surrogate_index(exp.s, exp.x)
-    treated_mean, treated = _hajek(h, exp.w / e, "treated")
-    control_mean, control = _hajek(h, (1.0 - exp.w) / (1.0 - e), "control")
+    treated_mean, treated = _hajek(h, w1, "treated")
+    control_mean, control = _hajek(h, w0, "control")
     return EstimateReport(
         tau_hat=treated_mean - control_mean,
         method="index",
@@ -150,16 +158,8 @@ def estimate_tau_surrogates(
     exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM
 ) -> TauSurrogates:
     """Per-surrogate normalized IPW contrasts, one component per column of ``s``."""
-    e, _ = _trim_scores(fits.propensity(exp.x), trim)
-    _check_open_unit_interval(e, "propensity score")
-    w1 = exp.w / e
-    w0 = (1.0 - exp.w) / (1.0 - e)
-    taus = np.empty(exp.n_surrogates)
-    for j in range(exp.n_surrogates):
-        t_mean, _ = _hajek(exp.s[:, j], w1, "treated")
-        c_mean, _ = _hajek(exp.s[:, j], w0, "control")
-        taus[j] = t_mean - c_mean
-    return TauSurrogates(tau_s=taus)
+    w1, w0, _ = _ipw_weights(exp, fits, trim)
+    return TauSurrogates(tau_s=[_hajek(s, w1, "treated")[0] - _hajek(s, w0, "control")[0] for s in exp.s.T])
 
 
 def estimate_linear_shortcut(
@@ -180,9 +180,9 @@ def estimate_linear_shortcut(
             "the linear shortcut needs an index that is linear in (s, x) without interactions"
         )
     taus = estimate_tau_surrogates(exp, fits, trim)
-    e, n_trimmed = _trim_scores(fits.propensity(exp.x), trim)
-    _, treated = _hajek(np.zeros(exp.n), exp.w / e, "treated")
-    _, control = _hajek(np.zeros(exp.n), (1.0 - exp.w) / (1.0 - e), "control")
+    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
+    _, treated = _hajek(np.zeros(exp.n), w1, "treated")
+    _, control = _hajek(np.zeros(exp.n), w0, "control")
     return EstimateReport(
         tau_hat=float(h.coef_s @ taus.tau_s),
         method="linear_shortcut",
@@ -232,13 +232,6 @@ class MatchOptions:
     """
 
     both_directions: bool = False
-
-
-def _standardize_columns(reference: np.ndarray):
-    mean = reference.mean(axis=0)
-    sd = reference.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return mean, sd
 
 
 # Working memory of one query block in `_nearest`, sized for the worst case
@@ -320,14 +313,9 @@ def estimate_matching(
     if len(treated_idx) == 0 or len(control_idx) == 0 or obs.n == 0:
         raise DegenerateArmError("matching needs both experimental arms and a non-empty observational sample")
 
-    x_mean, x_sd = _standardize_columns(exp.x)
-    x_std = (exp.x - x_mean) / x_sd
-
-    sx_exp = np.hstack([exp.s, exp.x])
-    sx_obs = np.hstack([obs.s, obs.x])
-    sx_mean, sx_sd = _standardize_columns(np.vstack([sx_exp, sx_obs]))
-    sx_exp_std = (sx_exp - sx_mean) / sx_sd
-    sx_obs_std = (sx_obs - sx_mean) / sx_sd
+    x_std, _, _ = _standardize(exp.x)
+    sx_std, _, _ = _standardize(np.vstack([np.hstack([exp.s, exp.x]), np.hstack([obs.s, obs.x])]))
+    sx_exp_std, sx_obs_std = sx_std[: exp.n], sx_std[exp.n :]
     if not all(np.isfinite(a).all() for a in (x_std, sx_exp_std, sx_obs_std)):
         raise ValidationError(
             "a surrogate or covariate column is too large in magnitude to standardize for matching"
@@ -422,6 +410,8 @@ def bootstrap_se(
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
+    if seed < 0:
+        raise ValidationError(f"bootstrap seed must be non-negative, got {seed}")
     data = tuple(data)
 
     def one(rep: int):

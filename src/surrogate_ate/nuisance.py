@@ -83,6 +83,13 @@ class _LinearPredictor:
     coef_x: np.ndarray
     coef_sx: np.ndarray = field(default_factory=lambda: np.empty(0))
 
+    @classmethod
+    def _from_coef(cls, intercept: float, b: np.ndarray, n_surrogates: int | None, n_interactions: int, **fit):
+        """Split ``b`` into its ``s``, ``x`` and ``s*x`` blocks; ``n_surrogates=None`` means all of ``b``."""
+        n_s = len(b) if n_surrogates is None else n_surrogates
+        sx_start = len(b) - n_interactions
+        return cls(intercept=intercept, coef_s=b[:n_s], coef_x=b[n_s:sx_start], coef_sx=b[sx_start:], **fit)
+
     @property
     def coef(self) -> np.ndarray:
         return np.concatenate([self.coef_s, self.coef_x, self.coef_sx])
@@ -188,8 +195,31 @@ def _check_rank(z: np.ndarray, n_rows: int) -> None:
         )
 
 
-def _split(coefs: np.ndarray, n_s: int, n_x: int):
-    return coefs[:n_s], coefs[n_s : n_s + n_x], coefs[n_s + n_x :]
+def _prepare(features, targets, ridge: float, binary: bool):
+    """Coerce and check one fit's inputs, then standardize the design.
+
+    Returns ``(features, targets, z, mean, sd)``.  ``binary`` fits also need
+    0/1 labels of both classes.  With ``ridge == 0`` the design must have
+    full rank.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(targets, dtype=float).ravel()
+    if features.shape[0] != len(y):
+        raise ValidationError(f"features and {'labels' if binary else 'targets'} have different row counts")
+    if not (np.isfinite(features).all() and np.isfinite(y).all()):
+        raise ValidationError("non-finite values in the training data")
+    if binary and not np.isin(y, (0.0, 1.0)).all():
+        raise ValidationError("labels must be 0 or 1")
+    if not 0.0 <= ridge < np.inf:
+        raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
+    if binary and (y.sum() == 0 or y.sum() == len(y)):
+        raise DegenerateLabelsError("labels contain a single class; no model can be fit")
+    if len(y) == 0:
+        raise ValidationError("cannot fit on an empty sample")
+    z, mean, sd = _standardize(features)
+    if ridge == 0.0:
+        _check_rank(z, len(y))
+    return features, y, z, mean, sd
 
 
 def fit_least_squares(
@@ -211,22 +241,8 @@ def fit_least_squares(
     SingularDesignError
         If ``ridge == 0`` and the design is rank deficient.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
-    if features.shape[0] != len(y):
-        raise ValidationError("features and targets have different row counts")
-    if not (np.isfinite(features).all() and np.isfinite(y).all()):
-        raise ValidationError("non-finite values in the training data")
-    if ridge < 0:
-        raise ValidationError("ridge penalty must be non-negative")
-    n, d = features.shape
-    if n == 0:
-        raise ValidationError("cannot fit on an empty sample")
-
-    z, mean, sd = _standardize(features)
-    if ridge == 0.0:
-        _check_rank(z, n)
-
+    features, y, z, mean, sd = _prepare(features, targets, ridge, binary=False)
+    d = features.shape[1]
     y_bar = y.mean()
     yc = y - y_bar
     if d > 0:
@@ -239,14 +255,8 @@ def fit_least_squares(
         b = np.empty(0)
     intercept = float(y_bar - mean @ b)
     resid = y - intercept - features @ b
-    n_s = d if n_surrogates is None else n_surrogates
-    coef_s, coef_x, coef_sx = _split(b, n_s, d - n_s - n_interactions)
-    return LinearModel(
-        intercept=intercept,
-        coef_s=coef_s,
-        coef_x=coef_x,
-        coef_sx=coef_sx,
-        residual_variance=float(np.mean(resid**2)),
+    return LinearModel._from_coef(
+        intercept, b, n_surrogates, n_interactions, residual_variance=float(np.mean(resid**2))
     )
 
 
@@ -292,23 +302,8 @@ def fit_logistic(
     SingularDesignError
         If ``ridge == 0`` and the design is rank deficient.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=float).ravel()
-    if features.shape[0] != len(y):
-        raise ValidationError("features and labels have different row counts")
-    if not (np.isfinite(features).all() and np.isfinite(y).all()):
-        raise ValidationError("non-finite values in the training data")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValidationError("labels must be 0 or 1")
-    if ridge < 0:
-        raise ValidationError("ridge penalty must be non-negative")
-    if y.sum() == 0 or y.sum() == len(y):
-        raise DegenerateLabelsError("labels contain a single class; no model can be fit")
-
+    features, y, z, mean, sd = _prepare(features, labels, ridge, binary=True)
     n, d = features.shape
-    z, mean, sd = _standardize(features)
-    if ridge == 0.0:
-        _check_rank(z, n)
     z1 = np.hstack([np.ones((n, 1)), z])
     penalty = np.concatenate([[0.0], ridge / sd**2])
 
@@ -370,15 +365,8 @@ def fit_logistic(
 
     b = beta[1:] / sd
     intercept = float(beta[0] - np.sum(beta[1:] * mean / sd))
-    n_s = d if n_surrogates is None else n_surrogates
-    coef_s, coef_x, coef_sx = _split(b, n_s, d - n_s - n_interactions)
-    return LogisticModel(
-        intercept=intercept,
-        coef_s=coef_s,
-        coef_x=coef_x,
-        coef_sx=coef_sx,
-        converged=converged,
-        iterations=iterations,
+    return LogisticModel._from_coef(
+        intercept, b, n_surrogates, n_interactions, converged=converged, iterations=iterations
     )
 
 
@@ -502,37 +490,29 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     options = options or NuisanceOptions()
     exp, obs = pooled.exp, pooled.obs
 
+    def fit(label, fitter, s, x, target, ridge):
+        design, n_s, _, n_sx = build_design(s, x, options.interactions)
+        with _tagged(label):
+            return fitter(design, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx)
+
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
     elif exp.n_covariates == 0:
         e_model = ConstantScore(float(exp.w.mean()))
     else:
-        with _tagged("propensity score"):
-            e_model = fit_logistic(exp.x, exp.w, ridge=options.ridge_propensity, n_surrogates=0)
+        e_model = fit("propensity score", fit_logistic, np.empty((exp.n, 0)), exp.x, exp.w, options.ridge_propensity)
 
-    design_exp, n_s, _, n_sx = build_design(exp.s, exp.x, options.interactions)
-    with _tagged("surrogate score"):
-        r_model = fit_logistic(
-            design_exp, exp.w, ridge=options.ridge_surrogate_score,
-            n_surrogates=n_s, n_interactions=n_sx,
-        )
+    r_model = fit("surrogate score", fit_logistic, exp.s, exp.x, exp.w, options.ridge_surrogate_score)
 
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)
     else:
-        design_pooled, n_s_p, _, n_sx_p = build_design(pooled.s_pooled, pooled.x_pooled, options.interactions)
-        with _tagged("sampling score"):
-            t_model = fit_logistic(
-                design_pooled, pooled.is_experimental.astype(float),
-                ridge=options.ridge_sampling_score, n_surrogates=n_s_p, n_interactions=n_sx_p,
-            )
-
-    design_obs, n_s_o, _, n_sx_o = build_design(obs.s, obs.x, options.interactions)
-    with _tagged("surrogate index"):
-        h_model = fit_least_squares(
-            design_obs, obs.y, ridge=options.ridge_index,
-            n_surrogates=n_s_o, n_interactions=n_sx_o,
+        t_model = fit(
+            "sampling score", fit_logistic, pooled.s_pooled, pooled.x_pooled,
+            pooled.is_experimental.astype(float), options.ridge_sampling_score,
         )
+
+    h_model = fit("surrogate index", fit_least_squares, obs.s, obs.x, obs.y, options.ridge_index)
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)
 

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._version import __version__ as _version
-from .data import ExperimentalSample, ObservationalSample
+from .data import ExperimentalSample, ObservationalSample, _freeze
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import estimate_index, estimate_score
 from .nuisance import ConstantScore, NuisanceFits, fit_logistic
@@ -73,6 +73,12 @@ _EXPLANATORY_MULTIPLIERS = {1: (1.0, 1.0), 2: (2.0, 1.0), 3: (1.0, 2.0), 4: (2.0
 
 _HERMITE_NODES = 128
 
+# the sample_size study: total rows split by q, and the calibrated true effect
+_SAMPLE_SIZE_TOTAL = 1000
+_SAMPLE_SIZE_TAU = 0.5
+
+_CSV_FIELDS = ("grid_value", "estimator", "abs_bias_x100", "sd_x100", "reps", "failures", "true_tau")
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -91,15 +97,11 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # copy before freezing so the caller's arrays stay writeable
-        alpha = np.array(self.alpha, dtype=float, copy=True).ravel()
-        gamma = np.array(self.gamma, dtype=float, copy=True).ravel()
+        alpha, gamma = _freeze(self.alpha).ravel(), _freeze(self.gamma).ravel()
         if len(alpha) != self.m_surrogates or len(gamma) != self.m_surrogates:
             raise ConfigurationError("coefficient lengths must equal the number of surrogates")
         if self.k_used is not None and not 1 <= self.k_used <= self.m_surrogates:
             raise ConfigurationError("k_used must lie in [1, m_surrogates]")
-        alpha.flags.writeable = False
-        gamma.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
 
@@ -247,8 +249,6 @@ def make_spec(
     k_used: int | None = None,
     q: float | None = None,
     design_row: int | None = None,
-    n_total: int = 1000,
-    target_tau: float = 0.5,
 ) -> DgpSpec:
     """Build the generating process for one grid point of a named study."""
     if study == "dimension":
@@ -276,18 +276,18 @@ def make_spec(
     if study == "sample_size":
         if q is None or not 0.0 < q < 1.0:
             raise ConfigurationError("sample_size study needs q in (0, 1)")
-        n_exp = round(q * n_total)
-        n_obs = n_total - n_exp
+        n_exp = round(q * _SAMPLE_SIZE_TOTAL)
+        n_obs = _SAMPLE_SIZE_TOTAL - n_exp
         if n_exp < 2 or n_obs < 2:
             raise ConfigurationError(f"q={q} leaves a sample with fewer than 2 rows")
         m = 10
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 0)))
         direction = rng.normal(0.0, np.sqrt(1.0 / m), m)
-        alpha = calibrate_tau(target_tau, direction) * (direction / np.linalg.norm(direction))
+        alpha = calibrate_tau(_SAMPLE_SIZE_TAU, direction) * (direction / np.linalg.norm(direction))
         return DgpSpec(
             study=study, m_surrogates=m, n_exp=n_exp, n_obs=n_obs,
             alpha=alpha, gamma=alpha.copy(),
-            coef_rule=f"shared direction drawn once, rescaled so the true effect is {target_tau}",
+            coef_rule=f"shared direction drawn once, rescaled so the true effect is {_SAMPLE_SIZE_TAU}",
             seed=seed,
         )
     if study == "explanatory":
@@ -333,9 +333,6 @@ class EstimatorStats:
     mean_estimate: float
     failures: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class McResult:
@@ -343,10 +340,6 @@ class McResult:
 
     score: EstimatorStats
     index: EstimatorStats
-    scaled_by_100: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
@@ -435,13 +428,27 @@ def run_study(
         raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
     if reps < 1:
         raise ConfigurationError("reps must be at least 1")
-    grid = tuple(grid) if grid is not None else DEFAULT_GRIDS[study]
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    keyword, cast = GRID_PARAMETERS[study]
+    if grid is None:
+        grid = DEFAULT_GRIDS[study]
+    else:
+        grid = tuple(grid)
+        try:
+            cast_grid = tuple(cast(value) for value in grid)
+        except (TypeError, ValueError):
+            cast_grid = ()
+        if not cast_grid or cast_grid != grid:
+            raise ConfigurationError(
+                f"the {study} grid must be a non-empty list of {cast.__name__} values, got {list(grid)!r}"
+            )
+        grid = cast_grid
 
     rows: list[dict] = []
     specs: list[DgpSpec] = []
-    keyword, cast = GRID_PARAMETERS[study]
     for i, value in enumerate(grid):
-        spec = make_spec(study, seed=seed, **{keyword: cast(value)})
+        spec = make_spec(study, seed=seed, **{keyword: value})
         specs.append(spec)
         result = run_monte_carlo(spec, reps=reps, seed=seed, grid_index=i)
         for name, stats in (("score", result.score), ("index", result.index)):
@@ -462,19 +469,8 @@ def run_study(
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["grid_value", "estimator", "abs_bias_x100", "sd_x100", "reps", "failures", "true_tau"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        repr(row["grid_value"]) if isinstance(row["grid_value"], float) else row["grid_value"],
-                        row["estimator"],
-                        repr(row["abs_bias_x100"]),
-                        repr(row["sd_x100"]),
-                        row["reps"],
-                        row["failures"],
-                        repr(row["true_tau"]),
-                    ]
-                )
+            writer.writerow(_CSV_FIELDS)
+            writer.writerows([row[f] for f in _CSV_FIELDS] for row in rows)
         manifest = {
             "study": study,
             "grid": list(grid),

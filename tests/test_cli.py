@@ -297,3 +297,64 @@ def test_cli_entrypoint_subprocess(fixture_files):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["method"] == "index"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "index", "--bootstrap", "2", "--seed", "-1"],
+    ["estimate", "--method", "match", "--seed", "-1"],
+])
+def test_negative_seed_rejected_before_loading(fixture_files, tmp_path, capsys, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError("the seed must be checked before any file is loaded or model fit")
+
+    for name in ("load_experimental", "load_observational", "fit_all"):
+        monkeypatch.setattr(cli, name, reached)
+    pe, po = fixture_files
+    out = tmp_path / "r.json"
+    assert _run([*argv, "--exp", pe, "--obs", po, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigurationError: --seed must be non-negative")
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert _run(["simulate", "--study", "samplesize", "--reps", "2", "--seed", "-1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigurationError: seed must be non-negative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [",", ""])
+def test_simulate_empty_grid_exits_2(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    assert _run(["simulate", "--study", "dimension", "--reps", "2", "--seed", "1", "--grid", grid,
+                 "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigurationError:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("files, flags", [
+    ("covariate_files", ["diagnose", "--delta-s", "nan", "--delta-c", "1"]),
+    ("covariate_files", ["diagnose", "--delta-s", "1", "--delta-c", "inf"]),
+    ("covariate_files", ["estimate", "--ridge", "nan"]),
+    ("covariate_files", ["estimate", "--ridge", "inf"]),
+    ("fixture_files", ["bounds", "--ridge", "nan"]),
+])
+def test_non_finite_delta_or_ridge_exits_2(request, tmp_path, capsys, files, flags):
+    pe, po = request.getfixturevalue(files)
+    out = tmp_path / "r.json"
+    assert _run([*flags, "--exp", pe, "--obs", po, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+    assert not out.exists()
+
+
+def test_bounds_single_non_finite_ridge_exits_2(tmp_path, capsys):
+    from surrogate_ate import SingleSample
+
+    rng = np.random.default_rng(3)
+    path = tmp_path / "single.csv"
+    write_single(SingleSample(w=np.tile([0.0, 1.0], 50), y=rng.normal(size=100), s=rng.normal(size=(100, 2)),
+                              x=rng.normal(size=(100, 1))), path)
+    out = tmp_path / "b.json"
+    assert _run(["bounds", "--single", path, "--ridge", "nan", "--out", out]) == 2
+    assert "ridge penalty must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()

@@ -226,3 +226,14 @@ def test_load_names_the_bad_row(tmp_path, layout, case):
     else:
         with pytest.raises(ValidationError, match=message):
             load(path)
+
+
+@pytest.mark.parametrize("schema", [
+    Schema(surrogates=["s1", "s1"]),
+    Schema(surrogates=["s1"], covariates=["s1"]),
+    Schema(surrogates=["s1", "s2"], treatment="s2"),
+])
+def test_schema_reading_a_column_twice_is_schema_error(tmp_path, schema):
+    p = _write(tmp_path / "e.csv", "w,s1,s2\n0,0.1,0.5\n1,0.2,0.7\n")
+    with pytest.raises(SchemaError, match="reads more than once: s"):
+        load_experimental(p, schema)

@@ -406,3 +406,21 @@ def test_two_sample_bound_requires_constant_sampling_score(rng):
     fits = fit_all(pooled, NuisanceOptions(ridge_surrogate_score=1e-6, ridge_sampling_score=1e-6))
     with pytest.raises(UnsupportedConfigurationError, match="constant sampling score"):
         efficiency_bound_two_sample(pooled, fits)
+
+
+@pytest.mark.parametrize("deltas", [(float("nan"), 1.0), (1.0, float("inf")), (-1.0, 0.0)])
+def test_bias_bound_rejects_non_finite_or_negative_deltas(small_exp, deltas):
+    fits = _fits(e=ConstantScore(0.5), r=ConstantScore(0.5))
+    with pytest.raises(ValidationError, match="deltas must be finite and non-negative"):
+        bias_bound(small_exp, fits, *deltas)
+
+
+def test_population_from_nested_lists_matches_arrays():
+    pop = random_population(np.random.default_rng(0))
+    listed = DiscretePopulation(
+        s_levels=pop.s_levels.tolist(), x_levels=pop.x_levels.tolist(), prob=pop.prob.tolist(),
+        mu=pop.mu.tolist(), var=pop.var.tolist(), h_obs=pop.h_obs.tolist(), obs_prob=pop.obs_prob.tolist(),
+    )
+    assert verify_identification(listed, 0.4) == verify_identification(pop, 0.4)
+    assert verify_bias_identity(listed) == verify_bias_identity(pop)
+    assert isinstance(listed.prob, np.ndarray) and not listed.prob.flags.writeable

@@ -551,3 +551,8 @@ def test_single_sample_scale_and_shift_equivariance(small_single):
     shifted = SingleSample(w=small_single.w, y=small_single.y - 11.0, s=small_single.s)
     assert estimate_single_sample(shifted, "difference_in_means").tau_hat == pytest.approx(base_dim, rel=1e-12)
     assert estimate_single_sample(shifted, "surrogate_index").tau_hat == pytest.approx(base_idx, rel=1e-9, abs=1e-9)
+
+
+def test_bootstrap_negative_seed_is_rejected(small_exp):
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        bootstrap_se(lambda e: float(e.w.mean()), (small_exp,), reps=2, seed=-1)

@@ -15,6 +15,7 @@ from surrogate_ate import (
     ObservationalSample,
     SeparationError,
     SingularDesignError,
+    ValidationError,
     bernoulli_loglik,
     bernoulli_loglik_gradient,
     build_design,
@@ -380,3 +381,12 @@ def test_fits_json_reads_saved_payload():
     assert fits.t_model is None
     assert fits.options.interactions and fits.options.constant_propensity == 0.5
     assert fits.to_json() == SAVED_FITS
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("fit", [fit_least_squares, fit_logistic])
+def test_ridge_must_be_finite_and_non_negative(fit, ridge):
+    s = np.array([[0.0], [1.0], [2.0], [3.0], [0.5], [2.5]])
+    labels = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    with pytest.raises(ValidationError, match="ridge penalty must be finite and non-negative"):
+        fit(s, labels, ridge=ridge)

@@ -282,3 +282,34 @@ def test_run_monte_carlo_all_failures_is_study_error():
                    alpha=np.array([0.5]), gamma=np.array([0.0]), gamma0=40.0)
     with pytest.raises(StudyError):
         run_monte_carlo(spec, reps=5, seed=1)
+
+
+def test_run_study_negative_seed_is_rejected():
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        run_study("sample_size", reps=2, seed=-1, grid=[0.5])
+
+
+@pytest.mark.parametrize("study, grid", [
+    ("dimension", []),
+    ("dimension", [2.7]),
+    ("explanatory", ["1"]),
+    ("sample_size", [0.5, None]),
+])
+def test_run_study_rejects_empty_or_recast_grid(tmp_path, study, grid):
+    out = tmp_path / "study.csv"
+    with pytest.raises(ConfigurationError, match="grid must be a non-empty list"):
+        run_study(study, reps=2, seed=1, out_path=out, grid=grid)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study, grid, text", [
+    ("sample_size", np.array([0.5]), "0.5"),
+    ("explanatory", np.array([1]), "1"),
+])
+def test_run_study_writes_numpy_grid_values_as_numbers(tmp_path, study, grid, text):
+    out = tmp_path / "study.csv"
+    rows = run_study(study, reps=2, seed=2, out_path=out, grid=grid)
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [text, text]
+    assert [type(r["grid_value"]) for r in rows] == [type(grid.tolist()[0])] * 2
+    manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text())
+    assert manifest["grid"] == grid.tolist()
