@@ -43,6 +43,7 @@ from .diagnostics import (
 from .errors import (
     CalibrationError,
     ConfigurationError,
+    ConvergenceError,
     DegenerateArmError,
     DegenerateLabelsError,
     EstimationError,
@@ -127,7 +128,7 @@ __all__ = [
     # errors
     "SurrogateError", "ConfigurationError", "SchemaError", "ValidationError",
     "PoolingError", "UnsupportedConfigurationError", "FitError",
-    "DegenerateLabelsError", "SeparationError", "SingularDesignError",
+    "DegenerateLabelsError", "SeparationError", "SingularDesignError", "ConvergenceError",
     "EstimationError", "OverlapError", "DegenerateArmError",
     "UnstableBootstrapError", "CalibrationError", "StudyError",
 ]

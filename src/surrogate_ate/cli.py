@@ -42,6 +42,7 @@ from .data import load_experimental, load_observational, load_single, pool
 from .diagnostics import bias_bound, efficiency_bound_two_sample, efficiency_bounds_single_sample
 from .errors import ConfigurationError, SurrogateError
 from .estimators import (
+    DEFAULT_TRIM,
     bootstrap_se,
     estimate_index,
     estimate_linear_shortcut,
@@ -64,7 +65,8 @@ _STUDY_ALIASES = {
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ridge", type=float, default=0.0, help="ridge penalty for every nuisance fit")
-    parser.add_argument("--trim", type=float, default=1e-6, help="clamp fitted scores to [eps, 1-eps]; 0 disables")
+    parser.add_argument("--trim", type=float, default=DEFAULT_TRIM,
+                        help="clamp fitted scores to [eps, 1-eps]; 0 disables")
     parser.add_argument("--constant-t", action="store_true", help="fix the sampling score at q instead of fitting it")
     parser.add_argument("--interactions", action="store_true", help="add surrogate-by-covariate interaction columns")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
-from .estimators import DEFAULT_TRIM, _check_open_unit_interval, _hajek, _ipw_weights, _JsonRecord, _trim_scores
+from .estimators import DEFAULT_TRIM, _hajek, _ipw_weights, _JsonRecord, _propensity, _trim_scores
 from .nuisance import ConstantScore, NuisanceFits, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,8 @@ def bias_bound(
     """
     if not (0.0 <= delta_s < np.inf and 0.0 <= delta_c < np.inf):
         raise ValidationError(f"bias-bound deltas must be finite and non-negative, got {delta_s} and {delta_c}")
-    e, _ = _trim_scores(fits.propensity(exp.x), trim)
+    e, _ = _propensity(fits, exp.x, trim)
     r, _ = _trim_scores(fits.surrogate_score(exp.s, exp.x), trim)
-    _check_open_unit_interval(e, "propensity score")
     denom = e * (1.0 - e)
     sm = float(np.mean(r * (1.0 - r) / denom))
     cm = float(np.mean(np.abs(r - e) / denom))

@@ -44,7 +44,11 @@ class SeparationError(FitError):
 
 
 class SingularDesignError(FitError):
-    """Rank-deficient design with no ridge penalty to regularize it."""
+    """Rank-deficient design, or a penalized system that is still singular."""
+
+
+class ConvergenceError(FitError):
+    """An iterative fit reached its iteration limit before converging."""
 
 
 class EstimationError(SurrogateError):

@@ -21,7 +21,7 @@ menu, plus a within-sample bootstrap for standard errors.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .nuisance import LinearModel, NuisanceFits, _standardize, fit_least_squares
-from .parallel import ordered_map
+from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
 
@@ -117,20 +117,35 @@ def _hajek(values: np.ndarray, weights: np.ndarray, arm: str):
     return mean, summary
 
 
-def _check_open_unit_interval(p: np.ndarray, name: str) -> None:
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise OverlapError(f"fitted {name} left the open interval (0, 1); trimming is the usual remedy")
+def _propensity(fits: NuisanceFits, x: np.ndarray, trim: float | None):
+    """Trimmed ``e(x)``, checked to lie inside (0, 1); returns ``(e, n_trimmed)``."""
+    e, n_trimmed = _trim_scores(fits.propensity(x), trim)
+    if np.any(e <= 0.0) or np.any(e >= 1.0):
+        raise OverlapError("fitted propensity score left the open interval (0, 1); trimming is the usual remedy")
+    return e, n_trimmed
 
 
 def _ipw_weights(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
-    """Inverse-propensity weights of the experimental rows.
-
-    Trims ``e(x)`` and checks that it stays inside (0, 1); returns
-    ``(w / e, (1 - w) / (1 - e), n_trimmed)``.
-    """
-    e, n_trimmed = _trim_scores(fits.propensity(exp.x), trim)
-    _check_open_unit_interval(e, "propensity score")
+    """Inverse-propensity weights of the experimental rows: ``(w / e, (1 - w) / (1 - e), n_trimmed)``."""
+    e, n_trimmed = _propensity(fits, exp.x, trim)
     return exp.w / e, (1.0 - exp.w) / (1.0 - e), n_trimmed
+
+
+def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> EstimateReport:
+    """Normalized weighted contrast between the ``(values, weights)`` of the treated and the control arm."""
+    treated_mean, treated = _hajek(*arm1, "treated")
+    control_mean, control = _hajek(*arm0, "control")
+    return EstimateReport(
+        tau_hat=treated_mean - control_mean,
+        method=method,
+        weight_summary=WeightSummary(treated, control, trim, n_trimmed),
+        n_used={"treated": treated.n, "control": control.n},
+    )
+
+
+def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """The normalized contrast of each surrogate column between the arms."""
+    return np.array([_contrast("tau_s", (s, w1), (s, w0), None, 0).tau_hat for s in exp.s.T])
 
 
 def estimate_index(
@@ -144,14 +159,7 @@ def estimate_index(
     """
     w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
     h = fits.surrogate_index(exp.s, exp.x)
-    treated_mean, treated = _hajek(h, w1, "treated")
-    control_mean, control = _hajek(h, w0, "control")
-    return EstimateReport(
-        tau_hat=treated_mean - control_mean,
-        method="index",
-        weight_summary=WeightSummary(treated, control, trim, n_trimmed),
-        n_used={"treated": exp.n_treated, "control": exp.n_control},
-    )
+    return _contrast("index", (h, w1), (h, w0), trim, n_trimmed)
 
 
 def estimate_tau_surrogates(
@@ -159,7 +167,7 @@ def estimate_tau_surrogates(
 ) -> TauSurrogates:
     """Per-surrogate normalized IPW contrasts, one component per column of ``s``."""
     w1, w0, _ = _ipw_weights(exp, fits, trim)
-    return TauSurrogates(tau_s=[_hajek(s, w1, "treated")[0] - _hajek(s, w0, "control")[0] for s in exp.s.T])
+    return TauSurrogates(tau_s=_surrogate_contrasts(exp, w1, w0))
 
 
 def estimate_linear_shortcut(
@@ -179,16 +187,9 @@ def estimate_linear_shortcut(
         raise UnsupportedConfigurationError(
             "the linear shortcut needs an index that is linear in (s, x) without interactions"
         )
-    taus = estimate_tau_surrogates(exp, fits, trim)
     w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
-    _, treated = _hajek(np.zeros(exp.n), w1, "treated")
-    _, control = _hajek(np.zeros(exp.n), w0, "control")
-    return EstimateReport(
-        tau_hat=float(h.coef_s @ taus.tau_s),
-        method="linear_shortcut",
-        weight_summary=WeightSummary(treated, control, trim, n_trimmed),
-        n_used={"treated": exp.n_treated, "control": exp.n_control},
-    )
+    report = _contrast("linear_shortcut", (np.zeros(exp.n), w1), (np.zeros(exp.n), w0), trim, n_trimmed)
+    return replace(report, tau_hat=float(h.coef_s @ _surrogate_contrasts(exp, w1, w0)))
 
 
 def estimate_score(
@@ -200,26 +201,15 @@ def estimate_score(
     """Surrogate score estimator: normalized weighted contrast of observational outcomes."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
-    r_raw = fits.surrogate_score(obs.s, obs.x)
-    e_raw = fits.propensity(obs.x)
-    t_raw = fits.sampling_score(obs.s, obs.x)
-    r, n_tr = _trim_scores(r_raw, trim)
-    e, n_te = _trim_scores(e_raw, trim)
-    t, n_tt = _trim_scores(t_raw, trim)
+    r, n_tr = _trim_scores(fits.surrogate_score(obs.s, obs.x), trim)
+    e, n_te = _propensity(fits, obs.x, trim)
+    t, n_tt = _trim_scores(fits.sampling_score(obs.s, obs.x), trim)
     if np.any(t >= 1.0 - 1e-12):
         raise OverlapError("sampling score reached 1 on an observational row; no weight is defined")
-    _check_open_unit_interval(e, "propensity score")
     base = t * (1.0 - q) / ((1.0 - t) * q)
     w1 = r / e * base
     w0 = (1.0 - r) / (1.0 - e) * base
-    treated_mean, treated = _hajek(obs.y, w1, "treated")
-    control_mean, control = _hajek(obs.y, w0, "control")
-    return EstimateReport(
-        tau_hat=treated_mean - control_mean,
-        method="score",
-        weight_summary=WeightSummary(treated, control, trim, n_tr + n_te + n_tt),
-        n_used={"treated": treated.n, "control": control.n},
-    )
+    return _contrast("score", (obs.y, w1), (obs.y, w0), trim, n_tr + n_te + n_tt)
 
 
 @dataclass(frozen=True)
@@ -316,10 +306,6 @@ def estimate_matching(
     x_std, _, _ = _standardize(exp.x)
     sx_std, _, _ = _standardize(np.vstack([np.hstack([exp.s, exp.x]), np.hstack([obs.s, obs.x])]))
     sx_exp_std, sx_obs_std = sx_std[: exp.n], sx_std[exp.n :]
-    if not all(np.isfinite(a).all() for a in (x_std, sx_exp_std, sx_obs_std)):
-        raise ValidationError(
-            "a surrogate or covariate column is too large in magnitude to standardize for matching"
-        )
 
     obs_match = _nearest(sx_exp_std, sx_obs_std)  # i -> i' for every experimental unit
 
@@ -361,14 +347,8 @@ def estimate_single_sample(
         method = "single_sample_index"
     else:
         raise UnsupportedConfigurationError(f"unknown mode {mode!r}")
-    t_mean, t_summary = _hajek(values[treated], np.ones(int(treated.sum())), "treated")
-    c_mean, c_summary = _hajek(values[~treated], np.ones(int((~treated).sum())), "control")
-    return EstimateReport(
-        tau_hat=t_mean - c_mean,
-        method=method,
-        weight_summary=WeightSummary(t_summary, c_summary, None, 0),
-        n_used={"treated": int(treated.sum()), "control": int((~treated).sum())},
-    )
+    ones = np.ones(sample.n)
+    return _contrast(method, (values[treated], ones[treated]), (values[~treated], ones[~treated]), None, 0)
 
 
 def _resample(sample, rng: np.random.Generator):
@@ -410,12 +390,10 @@ def bootstrap_se(
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
-    if seed < 0:
-        raise ValidationError(f"bootstrap seed must be non-negative, got {seed}")
     data = tuple(data)
 
     def one(rep: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+        rng = np.random.default_rng(seed_sequence(seed, rep))
         try:
             resampled = [_resample(s, rng) for s in data]
             return float(estimator(*resampled))

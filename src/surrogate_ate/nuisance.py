@@ -31,7 +31,9 @@ from scipy.special import expit
 
 from .data import PooledDataset
 from .errors import (
+    ConvergenceError,
     DegenerateLabelsError,
+    FitError,
     SeparationError,
     SingularDesignError,
     ValidationError,
@@ -173,8 +175,12 @@ IndexModel = Union[LinearModel, LogisticModel]
 
 
 def _standardize(features: np.ndarray):
-    mean = features.mean(axis=0) if features.size else np.zeros(features.shape[1])
-    sd = features.std(axis=0) if features.size else np.ones(features.shape[1])
+    """Center and scale each column; a column whose mean or spread overflows is a ``ValidationError``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one typed error, not as warnings
+        mean = features.mean(axis=0) if features.size else np.zeros(features.shape[1])
+        sd = features.std(axis=0) if features.size else np.ones(features.shape[1])
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValidationError("a surrogate or covariate column is too large in magnitude to standardize")
     sd = np.where(sd == 0.0, 1.0, sd)
     return (features - mean) / sd, mean, sd
 
@@ -193,6 +199,25 @@ def _check_rank(z: np.ndarray, n_rows: int) -> None:
         raise SingularDesignError(
             "design matrix is rank deficient; a positive ridge penalty makes the fit well defined"
         )
+
+
+def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: bool = False) -> np.ndarray:
+    """Solve ``(matrix + diag(penalty)) x = rhs``, adding ``penalty`` to the diagonal in place.
+
+    A singular system raises :class:`SingularDesignError`, or
+    :class:`SeparationError` when ``separation`` says that a singular matrix
+    is an unpenalized logistic Hessian, flat at the boundary.
+    """
+    matrix[np.diag_indices(len(matrix))] += penalty
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        if separation:
+            raise SeparationError(
+                "logistic likelihood is flat at the boundary; data may be separated, "
+                "consider a positive ridge penalty"
+            ) from None
+        raise SingularDesignError("the penalized normal equations are singular; use a larger ridge penalty") from None
 
 
 def _prepare(features, targets, ridge: float, binary: bool):
@@ -239,20 +264,13 @@ def fit_least_squares(
     Raises
     ------
     SingularDesignError
-        If ``ridge == 0`` and the design is rank deficient.
+        If ``ridge == 0`` and the design is rank deficient, or if the
+        penalized normal equations are singular.
     """
     features, y, z, mean, sd = _prepare(features, targets, ridge, binary=False)
-    d = features.shape[1]
     y_bar = y.mean()
-    yc = y - y_bar
-    if d > 0:
-        gram = z.T @ z
-        # ridge * S^-2 in standardized space == ridge * I on the original scale
-        gram[np.diag_indices(d)] += ridge / sd**2
-        b_std = np.linalg.solve(gram, z.T @ yc)
-        b = b_std / sd
-    else:
-        b = np.empty(0)
+    # ridge * S^-2 in standardized space == ridge * I on the original scale
+    b = _penalized_solve(z.T @ z, ridge / sd**2, z.T @ (y - y_bar)) / sd
     intercept = float(y_bar - mean @ b)
     resid = y - intercept - features @ b
     return LinearModel._from_coef(
@@ -288,9 +306,8 @@ def fit_logistic(
 
     The fit maximizes ``loglik - (ridge / 2) * ||b||^2`` (intercept
     unpenalized, penalty on original-scale coefficients) and stops when the
-    max-norm of the penalized score falls below ``tol`` or after
-    ``max_iter`` Newton steps, whichever comes first; the ``converged``
-    flag records which.
+    max-norm of the penalized score falls below ``tol``.  A returned model
+    has always converged.
 
     Raises
     ------
@@ -300,7 +317,10 @@ def fit_logistic(
         If ``ridge == 0`` and the coefficient norm diverges, the signature
         of complete separation; a positive ridge makes the optimum finite.
     SingularDesignError
-        If ``ridge == 0`` and the design is rank deficient.
+        If ``ridge == 0`` and the design is rank deficient, or if the
+        penalized Hessian is singular.
+    ConvergenceError
+        If the score is still above ``tol`` after ``max_iter`` Newton steps.
     """
     features, y, z, mean, sd = _prepare(features, labels, ridge, binary=True)
     n, d = features.shape
@@ -325,17 +345,7 @@ def fit_logistic(
             iterations -= 1
             break
         weights = p * (1.0 - p)
-        hess = (z1 * weights[:, None]).T @ z1
-        hess[np.diag_indices(d + 1)] += penalty
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            if ridge == 0.0:
-                raise SeparationError(
-                    "logistic likelihood is flat at the boundary; data may be separated, "
-                    "consider a positive ridge penalty"
-                ) from None
-            raise
+        step = _penalized_solve((z1 * weights[:, None]).T @ z1, penalty, grad, separation=ridge == 0.0)
         scale = 1.0
         candidate = beta + step
         cand_obj = objective(candidate)
@@ -357,16 +367,21 @@ def fit_logistic(
     # a perfect fit (log-likelihood at its supremum of 0) is only possible
     # under complete separation, even if the gradient plateaued before the
     # coefficient norm tripped the divergence threshold
-    if ridge == 0.0 and d > 0 and objective(beta) > -1e-6:
+    if ridge == 0.0 and d > 0 and obj > -1e-6:
         raise SeparationError(
             "data are perfectly separated and the unpenalized MLE does not exist; "
             "use a positive ridge penalty"
+        )
+    if not converged:
+        raise ConvergenceError(
+            f"IRLS did not reach a score max-norm below {tol:g} in {max_iter} iterations; "
+            "a larger ridge penalty may help"
         )
 
     b = beta[1:] / sd
     intercept = float(beta[0] - np.sum(beta[1:] * mean / sd))
     return LogisticModel._from_coef(
-        intercept, b, n_surrogates, n_interactions, converged=converged, iterations=iterations
+        intercept, b, n_surrogates, n_interactions, iterations=iterations
     )
 
 
@@ -477,7 +492,7 @@ def _tagged(label: str):
     """Re-raise fit errors tagged with the nuisance that failed."""
     try:
         yield
-    except (ValidationError, DegenerateLabelsError, SeparationError, SingularDesignError) as exc:
+    except (ValidationError, FitError) as exc:
         raise type(exc)(f"{label}: {exc}") from exc
 
 

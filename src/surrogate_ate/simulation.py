@@ -48,7 +48,7 @@ from .data import ExperimentalSample, ObservationalSample, _freeze
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import estimate_index, estimate_score
 from .nuisance import ConstantScore, NuisanceFits, fit_logistic
-from .parallel import ordered_map
+from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
 
@@ -166,7 +166,7 @@ def true_tau_mc(spec: DgpSpec, n_draws: int = 1_000_000, seed: int = 0) -> tuple
     Simulates the actual assignment mechanism, so it is an independent
     check on the quadrature path.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    rng = np.random.default_rng(seed_sequence(seed, 3))
     chunk = 250_000
     n1 = n0 = 0
     sum1 = sum0 = sumsq1 = sumsq0 = 0.0
@@ -254,7 +254,7 @@ def make_spec(
     if study == "dimension":
         if m is None or not 1 <= m <= 200:
             raise ConfigurationError("dimension study needs m in [1, 200]")
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, m)))
+        rng = np.random.default_rng(seed_sequence(seed, 1, m))
         alpha = rng.normal(0.0, np.sqrt(1.0 / m), m)
         return DgpSpec(
             study=study, m_surrogates=m, n_exp=500, n_obs=500,
@@ -281,7 +281,7 @@ def make_spec(
         if n_exp < 2 or n_obs < 2:
             raise ConfigurationError(f"q={q} leaves a sample with fewer than 2 rows")
         m = 10
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 0)))
+        rng = np.random.default_rng(seed_sequence(seed, 1, 0))
         direction = rng.normal(0.0, np.sqrt(1.0 / m), m)
         alpha = calibrate_tau(_SAMPLE_SIZE_TAU, direction) * (direction / np.linalg.norm(direction))
         return DgpSpec(
@@ -294,7 +294,7 @@ def make_spec(
         if design_row not in _EXPLANATORY_MULTIPLIERS:
             raise ConfigurationError("explanatory study needs design_row in {1, 2, 3, 4}")
         m = 10
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 0)))
+        rng = np.random.default_rng(seed_sequence(seed, 1, 0))
         z = rng.normal(0.0, np.sqrt(1.0 / m), m)
         am, gm = _EXPLANATORY_MULTIPLIERS[design_row]
         return DgpSpec(
@@ -311,9 +311,12 @@ def make_spec(
 def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, ObservationalSample]:
     """Draw one replication's dataset; deterministic in ``(spec, rep_seed)``.
 
-    The generator stream is consumed in a fixed order: experimental
-    surrogates, treatments, observational surrogates, outcomes.
+    An int ``rep_seed`` must be non-negative.  The generator stream is
+    consumed in a fixed order: experimental surrogates, treatments,
+    observational surrogates, outcomes.
     """
+    if isinstance(rep_seed, (int, np.integer)):
+        rep_seed = seed_sequence(rep_seed)
     rng = np.random.default_rng(rep_seed)
     s_exp = rng.standard_normal((spec.n_exp, spec.m_surrogates))
     w = (rng.random(spec.n_exp) < expit(spec.alpha0 + s_exp @ spec.alpha)).astype(float)
@@ -356,8 +359,6 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     e_model = ConstantScore(float(exp.w.mean()))
     t_model = ConstantScore(q)
 
-    tau_o: float | None = None
-    tau_e: float | None = None
     try:
         r_model = fit_logistic(exp.s, exp.w, ridge=HARNESS_RIDGE)
         fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
@@ -401,7 +402,7 @@ def run_monte_carlo(spec: DgpSpec, reps: int, seed: int, grid_index: int = 0) ->
     tt = true_tau(spec)
 
     def one(rep: int):
-        return _replicate(spec, np.random.SeedSequence((seed, 2, grid_index, rep)))
+        return _replicate(spec, seed_sequence(seed, 2, grid_index, rep))
 
     outcomes = ordered_map(one, range(reps))
     return McResult(

@@ -358,3 +358,48 @@ def test_bounds_single_non_finite_ridge_exits_2(tmp_path, capsys):
     assert _run(["bounds", "--single", path, "--ridge", "nan", "--out", out]) == 2
     assert "ridge penalty must be finite and non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_pair(tmp_path, x_exp, x_obs, seed=8):
+    rng = np.random.default_rng(seed)
+    n_exp, n_obs = len(x_exp), len(x_obs)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], n_exp // 2), s=rng.normal(size=(n_exp, 2)), x=x_exp)
+    obs = ObservationalSample(y=rng.normal(size=n_obs), s=rng.normal(size=(n_obs, 2)), x=x_obs)
+    pe, po = tmp_path / "pe.csv", tmp_path / "po.csv"
+    write_experimental(exp, pe)
+    write_observational(obs, po)
+    return pe, po
+
+
+@pytest.mark.parametrize("flags", [["--ridge", "0"], ["--ridge", "0.001"], ["--method", "match"]])
+def test_covariate_too_large_to_standardize_exits_2(tmp_path, capsys, flags):
+    rng = np.random.default_rng(9)
+    x_exp = rng.normal(size=(60, 2)) * [1e307, 1.0]
+    pe, po = _write_pair(tmp_path, x_exp, rng.normal(size=(70, 2)))
+    out = tmp_path / "r.json"
+    assert _run(["estimate", "--exp", pe, "--obs", po, *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError:") and "too large in magnitude to standardize" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_duplicated_covariate_under_a_tiny_ridge_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    x_exp, x_obs = rng.normal(size=(60, 1)), rng.normal(size=(70, 1))
+    pe, po = _write_pair(tmp_path, np.hstack([x_exp, x_exp]), np.hstack([x_obs, x_obs]))
+    assert _run(["estimate", "--exp", pe, "--obs", po, "--ridge", "1e-20"]) == 3
+    assert capsys.readouterr().err.startswith("error: SingularDesignError: propensity score:")
+
+
+def test_fit_that_does_not_converge_exits_3(fixture_files, tmp_path, monkeypatch, capsys):
+    from functools import partial
+
+    from surrogate_ate import nuisance
+
+    monkeypatch.setattr(nuisance, "fit_logistic", partial(nuisance.fit_logistic, max_iter=1))
+    pe, po = fixture_files
+    out = tmp_path / "r.json"
+    assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "index", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("error: ConvergenceError: surrogate score:")
+    assert not out.exists()

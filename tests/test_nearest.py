@@ -136,3 +136,13 @@ def test_nearest_memory_is_bounded_when_every_row_ties():
     # every pool row survives the screen; the full array would be about 230 MB
     rows = np.zeros((1500, 13))
     assert _traced_peak_mb(_nearest, rows, rows) < 32
+
+
+def test_matching_rejects_a_column_whose_spread_overflows():
+    # the column mean stays finite but its standard deviation overflows, so
+    # every standardized value of the column would be exactly zero
+    rng = np.random.default_rng(12)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 20), s=rng.normal(size=(40, 1)), x=rng.normal(size=(40, 1)) * 1e307)
+    obs = ObservationalSample(y=rng.normal(size=30), s=rng.normal(size=(30, 1)), x=rng.normal(size=(30, 1)))
+    with pytest.raises(ValidationError, match="too large in magnitude to standardize"):
+        estimate_matching(exp, obs)

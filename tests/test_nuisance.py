@@ -390,3 +390,48 @@ def test_ridge_must_be_finite_and_non_negative(fit, ridge):
     labels = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
     with pytest.raises(ValidationError, match="ridge penalty must be finite and non-negative"):
         fit(s, labels, ridge=ridge)
+
+
+def test_logistic_iteration_limit_is_a_convergence_error():
+    from surrogate_ate import ConvergenceError
+
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=(40, 2))
+    labels = (rng.random(40) < expit(s @ [1.0, -0.5])).astype(float)
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        fit_logistic(s, labels, max_iter=1)
+    assert fit_logistic(s, labels).converged
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("fit", [fit_least_squares, fit_logistic])
+def test_column_whose_spread_overflows_is_rejected(fit, ridge):
+    # the column mean stays finite, but its standard deviation overflows to inf
+    rng = np.random.default_rng(4)
+    features = np.hstack([rng.normal(size=(40, 1)) * 1e307, rng.normal(size=(40, 1))])
+    labels = np.tile([0.0, 1.0], 20)
+    with pytest.raises(ValidationError, match="too large in magnitude to standardize"):
+        fit(features, labels, ridge=ridge)
+
+
+@pytest.mark.parametrize("fit", [fit_least_squares, fit_logistic])
+def test_singular_system_under_a_tiny_ridge_is_typed(fit):
+    # a duplicated column: a ridge far below the Gram's rounding leaves it singular
+    rng = np.random.default_rng(5)
+    column = rng.normal(size=(50, 1))
+    labels = (rng.random(50) < 0.5).astype(float)
+    with pytest.raises(SingularDesignError, match="penalized normal equations are singular"):
+        fit(np.hstack([column, column]), labels, ridge=1e-20)
+
+
+def test_fit_all_tags_a_convergence_error(monkeypatch):
+    from functools import partial
+
+    from surrogate_ate import ConvergenceError, nuisance
+
+    monkeypatch.setattr(nuisance, "fit_logistic", partial(fit_logistic, max_iter=1))
+    rng = np.random.default_rng(6)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 30), s=rng.normal(size=(60, 2)))
+    obs = ObservationalSample(y=rng.normal(size=50), s=rng.normal(size=(50, 2)))
+    with pytest.raises(ConvergenceError, match="^surrogate score: IRLS did not reach"):
+        fit_all(pool(exp, obs))

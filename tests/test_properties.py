@@ -1,4 +1,8 @@
-"""Invariances of the two-sample point estimates under row order and row duplication.
+"""Invariances of the two-sample point estimates.
+
+Row order and row duplication leave them unchanged, an affine map of the
+outcome scales them by its slope, and relabelling the arms flips the sign
+of the index estimate.
 
 Each draw is continuous, so no two units tie in any matching distance.
 Without covariates, though, matching pairs every treated unit with the first
@@ -79,3 +83,24 @@ def test_duplicating_every_row_leaves_estimates_unchanged(design):
     exp, obs = _samples(*design)
     twice = [_rows(sample, np.tile(np.arange(sample.n), 2)) for sample in (exp, obs)]
     assert _estimates(*twice) == pytest.approx(_estimates(exp, obs), rel=0, abs=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs, st.floats(0.1, 10.0), st.sampled_from([1.0, -1.0]), st.floats(-10.0, 10.0))
+def test_affine_outcome_map_scales_every_estimate(design, magnitude, sign, shift):
+    exp, obs = _samples(*design)
+    a = sign * magnitude
+    moved = ObservationalSample(y=a * obs.y + shift, s=obs.s, x=obs.x)
+    before = _estimates(exp, obs)
+    expected = {name: a * value for name, value in before.items()}
+    assert _estimates(exp, moved) == pytest.approx(expected, rel=0, abs=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs)
+def test_relabelling_the_arms_flips_the_index_estimate(design):
+    exp, obs = _samples(*design)
+    relabelled = ExperimentalSample(w=1.0 - exp.w, s=exp.s, x=exp.x)
+    before = estimate_index(exp, fit_all(pool(exp, obs))).tau_hat
+    after = estimate_index(relabelled, fit_all(pool(relabelled, obs))).tau_hat
+    assert after == pytest.approx(-before, rel=0, abs=TOL)

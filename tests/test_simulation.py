@@ -313,3 +313,35 @@ def test_run_study_writes_numpy_grid_values_as_numbers(tmp_path, study, grid, te
     assert [type(r["grid_value"]) for r in rows] == [type(grid.tolist()[0])] * 2
     manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text())
     assert manifest["grid"] == grid.tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_spec("dimension", seed=-1, m=3),
+    lambda: make_spec("sample_size", seed=-1, q=0.5),
+    lambda: draw_dataset(make_spec("dimension", seed=1, m=3), -1),
+    lambda: run_monte_carlo(make_spec("dimension", seed=1, m=3), reps=2, seed=-1),
+    lambda: true_tau_mc(make_spec("dimension", seed=1, m=3), n_draws=100, seed=-1),
+], ids=["make_spec", "make_spec_sample_size", "draw_dataset", "run_monte_carlo", "true_tau_mc"])
+def test_seeded_entry_points_reject_a_negative_seed(call):
+    from surrogate_ate import ValidationError
+
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        call()
+
+
+def test_draw_dataset_int_seed_is_the_one_element_stream():
+    spec = make_spec("dimension", seed=1, m=3)
+    a, b = draw_dataset(spec, 42), draw_dataset(spec, np.random.SeedSequence((42,)))
+    assert np.array_equal(a[0].s, b[0].s) and np.array_equal(a[1].y, b[1].y)
+
+
+def test_replication_counts_a_non_converged_fit_as_a_failure(monkeypatch):
+    from functools import partial
+
+    from surrogate_ate import simulation
+
+    spec = make_spec("sample_size", seed=2, q=0.5)
+    seed = np.random.SeedSequence((2, 2, 0, 0))
+    assert None not in simulation._replicate(spec, seed)
+    monkeypatch.setattr(simulation, "fit_logistic", partial(simulation.fit_logistic, max_iter=1))
+    assert simulation._replicate(spec, seed) == (None, None)
