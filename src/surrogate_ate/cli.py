@@ -16,7 +16,11 @@ simulate
     Monte Carlo study tables as CSV plus a JSON manifest.
 
 ``estimate --method all`` with ``--interactions`` leaves out the linear
-shortcut, which needs an index without interaction terms.
+shortcut, which needs an index without interaction terms.  With
+``--bootstrap B``, ``--method all`` bootstraps every method on the same B
+resamples, with one ``fit_all`` per resample shared by the index, score and
+linear-shortcut estimates; a resample whose fit fails is dropped for those
+three methods only, and one on which a method fails for that method only.
 
 Exit codes: 0 success, 2 invalid input or configuration (including a
 ``--trim`` outside [0, 0.5), a ``--bootstrap`` other than 0 or at least 2
@@ -24,7 +28,9 @@ and a negative ``--seed``, all rejected before any file is read, a
 ``--ridge`` or ``--delta-*`` that is negative or not finite, and an empty
 ``--grid`` or one with a value of the wrong type), 3 estimation failure
 (overlap, degenerate arm, separation, ...).  Errors are written as
-a single machine-parseable line on stderr.  The ``SURROGATE_THREADS``
+a single machine-parseable line on stderr; so is the ``warning:`` line of
+``bounds --variance-mode per-stratum`` when a stratum holds a single
+observation.  The ``SURROGATE_THREADS``
 environment variable caps worker parallelism; output is byte-identical for
 any value.
 """
@@ -34,12 +40,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
 from .data import load_experimental, load_observational, load_single, pool
-from .diagnostics import bias_bound, efficiency_bound_two_sample, efficiency_bounds_single_sample
+from .diagnostics import (
+    _PER_STRATUM_FALLBACK,
+    bias_bound,
+    efficiency_bound_two_sample,
+    efficiency_bounds_single_sample,
+)
 from .errors import ConfigurationError, SurrogateError
 from .estimators import (
     DEFAULT_TRIM,
@@ -53,6 +65,7 @@ from .nuisance import NuisanceOptions, fit_all
 from .simulation import GRID_PARAMETERS, run_study
 
 _METHODS = ("index", "score", "linear", "match", "all")
+_FITTED = ("index", "score", "linear")  # the methods that read the nuisance fits
 _STUDY_ALIASES = {
     "dimension": "dimension",
     "misspec": "misspecification",
@@ -97,6 +110,16 @@ def _trim_value(args) -> float | None:
     return None if args.trim == 0.0 else args.trim
 
 
+def _estimate(method, exp, obs, pooled, fits, trim):
+    if method == "index":
+        return estimate_index(exp, fits, trim)
+    if method == "score":
+        return estimate_score(obs, fits, pooled.q, trim)
+    if method == "linear":
+        return estimate_linear_shortcut(exp, fits, trim)
+    return estimate_matching(exp, obs)
+
+
 def run_estimate(args) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigurationError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
@@ -113,36 +136,39 @@ def run_estimate(args) -> int:
     obs = load_observational(args.obs)
     pooled = pool(exp, obs)
     options = _options(args)
-    needs_fits = any(m in ("index", "score", "linear") for m in methods)
+    needs_fits = any(m in _FITTED for m in methods)
     fits = fit_all(pooled, options) if needs_fits else None
+    reports = [_estimate(m, exp, obs, pooled, fits, trim) for m in methods]
 
-    def compute(method, e, o, f):
-        if method == "index":
-            return estimate_index(e, f, trim)
-        if method == "score":
-            return estimate_score(o, f, pool(e, o).q, trim)
-        if method == "linear":
-            return estimate_linear_shortcut(e, f, trim)
-        return estimate_matching(e, o)
+    if args.bootstrap > 0:
 
-    reports = {}
-    for method in methods:
-        report = compute(method, exp, obs, fits)
-        if args.bootstrap > 0:
+        def replicate(e, o):
+            # one pool and one fit_all per resample serve every method; when
+            # they fail, only the methods that read the fits lose the replicate
+            p = f = None
+            if needs_fits:
+                try:
+                    p = pool(e, o)
+                    f = fit_all(p, options)
+                except SurrogateError:
+                    pass
+            taus = []
+            for method in methods:
+                tau = None
+                if method not in _FITTED or f is not None:
+                    try:
+                        tau = _estimate(method, e, o, p, f, trim).tau_hat
+                    except SurrogateError:
+                        pass
+                taus.append(tau)
+            return tuple(taus)
 
-            def closure(e, o, _method=method):
-                f = fit_all(pool(e, o), options) if _method in ("index", "score", "linear") else None
-                return compute(_method, e, o, f).tau_hat
-
-            se = bootstrap_se(closure, (exp, obs), reps=args.bootstrap, seed=args.seed)
-            report = replace(report, se_bootstrap=se)
-        reports[report.method] = json.loads(report.to_json())
-
-    if len(reports) == 1:
-        payload = json.dumps(next(iter(reports.values())), sort_keys=True)
-    else:
-        payload = json.dumps(reports, sort_keys=True)
-    _emit(payload, args.out)
+        ses = bootstrap_se(replicate, (exp, obs), reps=args.bootstrap, seed=args.seed)
+        reports = [replace(r, se_bootstrap=se) for r, se in zip(reports, ses)]
+    payload = {r.method: json.loads(r.to_json()) for r in reports}
+    if len(payload) == 1:
+        payload = next(iter(payload.values()))
+    _emit(json.dumps(payload, sort_keys=True), args.out)
     return 0
 
 
@@ -160,7 +186,11 @@ def run_bounds(args) -> int:
     if args.single is not None:
         sample = load_single(args.single)
         mode = args.variance_mode.replace("-", "_")
-        bounds = efficiency_bounds_single_sample(sample, variance_mode=mode, ridge=args.ridge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            bounds = efficiency_bounds_single_sample(sample, variance_mode=mode, ridge=args.ridge)
+        if bounds.per_stratum_fallback:
+            sys.stderr.write(f"warning: {_PER_STRATUM_FALLBACK}\n")
     else:
         if args.exp is None or args.obs is None:
             raise ConfigurationError("two-sample bounds need both --exp and --obs (or use --single)")

@@ -343,6 +343,11 @@ class EfficiencyBounds(_JsonRecord):
     per_stratum_fallback: bool = False
 
 
+_PER_STRATUM_FALLBACK = (
+    "a (s, x) stratum holds a single observation; falling back to the homoskedastic variance plug-in"
+)
+
+
 def _cell_indices(rows: np.ndarray) -> np.ndarray:
     """Group identical rows; returns an integer cell id per row."""
     if rows.shape[1] == 0:
@@ -421,11 +426,7 @@ def efficiency_bounds_single_sample(
         cells = _cell_indices(features)
         per_cell = _per_cell_variance(sample.y, cells)
         if per_cell is None:
-            warnings.warn(
-                "a (s, x) stratum holds a single observation; falling back to the "
-                "homoskedastic variance plug-in",
-                stacklevel=2,
-            )
+            warnings.warn(_PER_STRATUM_FALLBACK, stacklevel=2)
             fallback = True
         else:
             sigma2 = per_cell

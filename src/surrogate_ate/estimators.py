@@ -373,20 +373,27 @@ def _resample(sample, rng: np.random.Generator):
 
 
 def bootstrap_se(
-    estimator: Callable[..., float],
+    estimator: Callable[..., float | tuple],
     data: Sequence,
     reps: int,
     seed: int,
     max_failure_rate: float = 0.2,
-) -> float:
+) -> float | tuple:
     """Bootstrap standard error with within-sample resampling.
 
     ``data`` is a sequence of samples resampled independently (sizes
-    preserved); ``estimator(*resampled)`` must return a float.  Replicate
-    ``k`` uses the seed stream ``(seed, k)``, so results are deterministic
-    for any worker count.  Replicates whose estimator raises a package
-    error are dropped; more than ``max_failure_rate`` of them, or fewer
-    than 2 successes, aborts with :class:`UnstableBootstrapError`.
+    preserved); ``estimator(*resampled)`` returns a float, or a tuple with
+    one entry per statistic, in which case a tuple of standard errors comes
+    back.  Several statistics read off one estimator call share every
+    resample and whatever the estimator fits on it: the CLI's ``estimate
+    --method all`` bootstraps every method this way, with one ``fit_all``
+    per resample.  Replicate ``k`` uses the seed stream ``(seed, k)``, so
+    results are deterministic for any worker count.  A ``None`` entry of a
+    tuple drops that replicate for its own statistic only; an estimator that
+    raises a package error drops the replicate for every statistic.  Each
+    statistic, in tuple order, with more than ``max_failure_rate`` of its
+    replicates dropped, or fewer than 2 left, aborts with
+    :class:`UnstableBootstrapError`.
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
@@ -396,19 +403,26 @@ def bootstrap_se(
         rng = np.random.default_rng(seed_sequence(seed, rep))
         try:
             resampled = [_resample(s, rng) for s in data]
-            return float(estimator(*resampled))
+            result = estimator(*resampled)
         except SurrogateError:
             # a resample that cannot even be constructed (e.g. one arm lost)
             # counts as a failed replicate, same as an estimator failure
             return None
+        if isinstance(result, tuple):
+            return tuple(None if v is None else float(v) for v in result)
+        return float(result)
 
-    results = ordered_map(one, range(reps))
-    values = np.array([v for v in results if v is not None])
-    failures = reps - len(values)
-    if failures > max_failure_rate * reps or len(values) < 2:
-        raise UnstableBootstrapError(
-            f"{failures} of {reps} bootstrap replicates failed", failures=failures, reps=reps
-        )
-    if np.ptp(values) == 0.0:  # exactly constant: avoid mean round-off noise
-        return 0.0
-    return float(np.std(values, ddof=1))
+    results = [r for r in ordered_map(one, range(reps)) if r is not None]
+    scalar = not any(isinstance(r, tuple) for r in results)
+    rows = [(r,) for r in results] if scalar else results
+    ses = []
+    for column in zip(*rows) if rows else [()]:
+        values = np.array([v for v in column if v is not None])
+        failures = reps - len(values)
+        if failures > max_failure_rate * reps or len(values) < 2:
+            raise UnstableBootstrapError(
+                f"{failures} of {reps} bootstrap replicates failed", failures=failures, reps=reps
+            )
+        # an exactly constant statistic gets 0, free of the mean's round-off noise
+        ses.append(0.0 if np.ptp(values) == 0.0 else float(np.std(values, ddof=1)))
+    return ses[0] if scalar else tuple(ses)

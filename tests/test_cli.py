@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from surrogate_ate import (
     ExperimentalSample,
     NuisanceOptions,
     ObservationalSample,
+    SeparationError,
     bias_bound,
+    bootstrap_se,
     draw_dataset,
     efficiency_bounds_single_sample,
     estimate_index,
@@ -403,3 +406,123 @@ def test_fit_that_does_not_converge_exits_3(fixture_files, tmp_path, monkeypatch
     assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "index", "--out", out]) == 3
     assert capsys.readouterr().err.startswith("error: ConvergenceError: surrogate score:")
     assert not out.exists()
+
+
+@pytest.fixture
+def thousand_row_files(tmp_path):
+    rng = np.random.default_rng(23)
+    n = 1000
+    x_exp, x_obs = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    w = (rng.random(n) < 0.5).astype(float)
+    exp = ExperimentalSample(w=w, s=0.5 * w[:, None] + x_exp @ [[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]]
+                             + rng.normal(size=(n, 3)), x=x_exp)
+    s_obs = x_obs @ [[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]] + rng.normal(size=(n, 3))
+    obs = ObservationalSample(y=s_obs @ [0.6, -0.3, 0.2] + 0.1 * x_obs[:, 0] + rng.normal(size=n),
+                              s=s_obs, x=x_obs)
+    pe, po = tmp_path / "te.csv", tmp_path / "to.csv"
+    write_experimental(exp, pe)
+    write_observational(obs, po)
+    return pe, po
+
+
+def _oracle_se(pe, po, reps, seed, make_fit=lambda: fit_all):
+    """One bootstrap per method, each refitting on every resample: the shared bootstrap's oracle.
+
+    Each method's bootstrap fits with its own ``make_fit()``.
+    """
+    exp, obs = load_experimental(pe), load_observational(po)
+    options = NuisanceOptions()
+    fitted = {
+        "index": lambda e, o, f, q: estimate_index(e, f),
+        "score": lambda e, o, f, q: estimate_score(o, f, q),
+        "linear_shortcut": lambda e, o, f, q: estimate_linear_shortcut(e, f),
+    }
+    ses = {}
+    for name, estimate in fitted.items():
+        def closure(e, o, estimate=estimate, fit=make_fit()):
+            p = pool(e, o)
+            return estimate(e, o, fit(p, options), p.q).tau_hat
+
+        ses[name] = bootstrap_se(closure, (exp, obs), reps=reps, seed=seed)
+    ses["matching"] = bootstrap_se(lambda e, o: estimate_matching(e, o).tau_hat, (exp, obs), reps=reps, seed=seed)
+    return ses
+
+
+def _failing_fit_all(fail_on, first):
+    """``fit_all`` that raises ``SeparationError`` on the calls numbered in ``fail_on``, counting from ``first``."""
+    calls = itertools.count(first)
+
+    def fake(pooled, options):
+        if next(calls) in fail_on:
+            raise SeparationError("chosen replicate")
+        return fit_all(pooled, options)
+
+    return fake
+
+
+def _bootstrap_ses(pe, po, tmp_path, reps, seed):
+    out = tmp_path / "shared.json"
+    assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "all", "--bootstrap", reps,
+                 "--seed", seed, "--out", out]) == 0
+    return {name: report["se_bootstrap"] for name, report in json.loads(out.read_text()).items()}
+
+
+def test_shared_bootstrap_matches_one_bootstrap_per_method(thousand_row_files, tmp_path):
+    pe, po = thousand_row_files
+    assert _bootstrap_ses(pe, po, tmp_path, 20, 5) == _oracle_se(pe, po, 20, 5)
+
+
+def test_failed_fit_drops_the_replicate_for_fitted_methods_only(thousand_row_files, tmp_path, monkeypatch):
+    monkeypatch.setenv("SURROGATE_THREADS", "1")
+    pe, po = thousand_row_files
+    fail_on = {2, 7}
+    intact = _oracle_se(pe, po, 20, 5)
+    # a fresh count per method's bootstrap, so its call k is replicate k
+    oracle = _oracle_se(pe, po, 20, 5, make_fit=lambda: _failing_fit_all(fail_on, 0))
+    # the command's first fit is the point estimate's, so replicate k is call k + 1
+    monkeypatch.setattr(cli, "fit_all", _failing_fit_all(fail_on, -1))
+    assert _bootstrap_ses(pe, po, tmp_path, 20, 5) == oracle
+    assert oracle["matching"] == intact["matching"]
+    assert all(oracle[name] != intact[name] for name in ("index", "score", "linear_shortcut"))
+
+
+def test_estimate_all_fits_once_per_resample(fixture_files, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(pooled, options):
+        calls.append(1)
+        return fit_all(pooled, options)
+
+    monkeypatch.setattr(cli, "fit_all", counted)
+    pe, po = fixture_files
+    assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "all", "--bootstrap", "5",
+                 "--out", tmp_path / "r.json"]) == 0
+    assert len(calls) == 6
+
+
+def test_shared_bootstrap_bytes_do_not_depend_on_threads(thousand_row_files, tmp_path, monkeypatch):
+    pe, po = thousand_row_files
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SURROGATE_THREADS", threads)
+        out = tmp_path / f"t{threads}.json"
+        assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "all", "--bootstrap", "12",
+                     "--seed", "3", "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_bounds_per_stratum_fallback_is_one_warning_line(tmp_path):
+    from surrogate_ate import SingleSample
+
+    path = tmp_path / "singletons.csv"
+    write_single(SingleSample(w=[1, 0, 1, 0], y=[0.1, 0.2, 0.3, 0.4], s=[[0.0], [1.0], [2.0], [3.0]]), path)
+    out = tmp_path / "b.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surrogate_ate.cli", "bounds", "--single", str(path),
+         "--variance-mode", "per-stratum", "--ridge", "1e-6", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: ") and proc.stderr.count("\n") == 1
+    assert json.loads(out.read_text())["per_stratum_fallback"] is True

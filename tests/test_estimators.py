@@ -408,6 +408,59 @@ def test_bootstrap_single_survivor_is_unstable(small_single):
     assert exc.value.failures == 9
 
 
+def test_bootstrap_tuple_none_fails_only_its_own_statistic(small_single):
+    calls, alone_calls = itertools.count(), itertools.count()
+    dropped = {3, 17, 40, 41, 99}
+
+    def pair(s):
+        k = next(calls)
+        return float(s.y.mean()), None if k in dropped else float(s.y @ s.w)
+
+    def second_alone(s):
+        if next(alone_calls) in dropped:
+            raise DegenerateArmError("dropped")
+        return float(s.y @ s.w)
+
+    ses = bootstrap_se(pair, (small_single,), reps=100, seed=6)
+    assert isinstance(ses, tuple) and len(ses) == 2
+    # the same resamples as two scalar bootstraps, one of which loses the dropped replicates
+    assert ses[0] == bootstrap_se(lambda s: float(s.y.mean()), (small_single,), reps=100, seed=6)
+    assert ses[1] == bootstrap_se(second_alone, (small_single,), reps=100, seed=6)
+
+
+def test_bootstrap_tuple_first_unstable_statistic_raises(small_single):
+    calls = itertools.count()
+
+    def triple(s):
+        k = next(calls)
+        return 1.0, None if k % 4 == 0 else float(k), None if k % 2 == 0 else float(k)
+
+    # statistics 1 and 2 lose 25 and 50 of 100 replicates; the first over the limit reports
+    with pytest.raises(UnstableBootstrapError) as exc:
+        bootstrap_se(triple, (small_single,), reps=100, seed=0)
+    assert (exc.value.failures, exc.value.reps) == (25, 100)
+    assert "25 of 100" in str(exc.value)
+
+
+def test_bootstrap_tuple_raising_fails_every_statistic(small_single):
+    calls = itertools.count()
+
+    def pair(s):
+        k = next(calls)
+        if k % 10 == 0:
+            raise DegenerateArmError("boom")
+        return float(k), None if k % 10 == 1 else float(k)
+
+    # 10 whole failures fit under the limit for the first statistic; with the
+    # 10 None entries the second statistic has 20, which fit exactly at 0.2
+    first, second = bootstrap_se(pair, (small_single,), reps=100, seed=0)
+    assert first == float(np.std([k for k in range(100) if k % 10], ddof=1))
+    assert second == float(np.std([k for k in range(100) if k % 10 > 1], ddof=1))
+    with pytest.raises(UnstableBootstrapError) as exc:
+        bootstrap_se(pair, (small_single,), reps=100, seed=0, max_failure_rate=0.15)
+    assert (exc.value.failures, exc.value.reps) == (20, 100)
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting properties
 
