@@ -393,10 +393,12 @@ def bootstrap_se(
     raises a package error drops the replicate for every statistic.  Each
     statistic, in tuple order, with more than ``max_failure_rate`` of its
     replicates dropped, or fewer than 2 left, aborts with
-    :class:`UnstableBootstrapError`.
+    :class:`UnstableBootstrapError`; ``max_failure_rate`` must lie in [0, 1].
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
+    if not 0.0 <= max_failure_rate <= 1.0:
+        raise ValidationError(f"max_failure_rate must lie in [0, 1], got {max_failure_rate}")
     data = tuple(data)
 
     def one(rep: int):

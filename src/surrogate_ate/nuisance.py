@@ -17,6 +17,14 @@ Design columns are centered and scaled internally for conditioning; the
 ridge penalty applies to the coefficients on the original scale and the
 intercept is never penalized.  Fitting is deterministic: identical inputs
 produce bit-identical models.
+
+The IRLS kernel is numpy alone.  Each Newton step builds the weighted
+Hessian ``z1' diag(p(1-p)) z1`` as the symmetric product ``zw' zw`` of the
+square-root-weighted design, which BLAS computes as a rank-k update at half
+the flops of a general product, and solves the penalized system by LU
+(``np.linalg.solve``).  The linear predictor of the accepted line-search
+candidate is carried into the next step rather than recomputed.  The
+logistic link is this module's own :func:`expit`.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .data import PooledDataset
 from .errors import (
@@ -39,13 +46,32 @@ from .errors import (
     ValidationError,
 )
 
-# expit saturates to exactly 0.0 / 1.0 beyond |eta| ~ 37; clipping the linear
-# predictor keeps every predicted probability strictly inside (0, 1).
+# expit rounds to exactly 1.0 beyond eta ~ 37; clipping the linear predictor
+# to +-36 keeps every predicted probability strictly inside (0, 1).
 _ETA_MAX = 36.0
+
+# exp(708) is finite and 1 / (1 + exp(708)) is a normal double, so expit needs
+# no floating-point error context for any finite input.
+_EXP_ARG_MAX = 708.0
 
 _GRAD_TOL = 1e-8
 _MAX_ITER = 100
 _SEPARATION_NORM = 30.0
+
+
+def expit(x):
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    Raises no floating-point warning for any finite input: large ``x``
+    gives exactly 1, and ``x`` below ``-708`` gives about ``3e-308``.  A
+    scalar gives a scalar.
+    """
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -_EXP_ARG_MAX)))
+
+
+def _probability(eta: np.ndarray) -> np.ndarray:
+    """``expit`` of the linear predictor clipped to ``+-_ETA_MAX``: strictly inside (0, 1)."""
+    return expit(np.minimum(np.maximum(eta, -_ETA_MAX), _ETA_MAX))
 
 
 def _interaction_columns(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -147,9 +173,7 @@ class LogisticModel(_LinearPredictor):
     converged: bool = True
     iterations: int = 0
 
-    @staticmethod
-    def _link(eta: np.ndarray) -> np.ndarray:
-        return expit(np.clip(eta, -_ETA_MAX, _ETA_MAX))
+    _link = staticmethod(_probability)
 
 
 @dataclass(frozen=True)
@@ -208,7 +232,7 @@ def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: b
     :class:`SeparationError` when ``separation`` says that a singular matrix
     is an unpenalized logistic Hessian, flat at the boundary.
     """
-    matrix[np.diag_indices(len(matrix))] += penalty
+    matrix.flat[:: len(matrix) + 1] += penalty
     try:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
@@ -293,6 +317,16 @@ def bernoulli_loglik_gradient(
     return np.concatenate([[resid.sum()], features.T @ resid])
 
 
+def _weighted_gram(z1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``z1' diag(p(1-p)) z1`` as ``zw' zw`` with ``zw = z1 * sqrt(p(1-p))``.
+
+    numpy hands ``a.T @ a`` to BLAS ``syrk``.  The scaled copy ``zw`` lives
+    only inside this call, so it is freed before the solve.
+    """
+    zw = z1 * np.sqrt(p * (1.0 - p))[:, None]
+    return zw.T @ zw
+
+
 def fit_logistic(
     features: np.ndarray,
     labels: np.ndarray,
@@ -329,35 +363,33 @@ def fit_logistic(
 
     def objective(beta):
         eta = z1 @ beta
-        loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        return loglik - 0.5 * float(penalty @ beta**2)
+        loglik = float((y * eta - np.logaddexp(0.0, eta)).sum())
+        return loglik - 0.5 * float(penalty @ beta**2), eta
 
     beta = np.zeros(d + 1)
-    obj = objective(beta)
+    obj, eta = objective(beta)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eta = z1 @ beta
-        p = expit(np.clip(eta, -_ETA_MAX, _ETA_MAX))
+        p = _probability(eta)
         grad = z1.T @ (y - p) - penalty * beta
-        if np.max(np.abs(grad)) < tol:
+        if np.abs(grad).max() < tol:
             converged = True
             iterations -= 1
             break
-        weights = p * (1.0 - p)
-        step = _penalized_solve((z1 * weights[:, None]).T @ z1, penalty, grad, separation=ridge == 0.0)
+        step = _penalized_solve(_weighted_gram(z1, p), penalty, grad, separation=ridge == 0.0)
         scale = 1.0
         candidate = beta + step
-        cand_obj = objective(candidate)
+        cand_obj, cand_eta = objective(candidate)
         halvings = 0
         # accept float-noise ties; only genuine decreases trigger halving
         floor = obj - 1e-12 * (1.0 + abs(obj))
         while cand_obj < floor and halvings < 30:
             scale *= 0.5
             candidate = beta + scale * step
-            cand_obj = objective(candidate)
+            cand_obj, cand_eta = objective(candidate)
             halvings += 1
-        beta, obj = candidate, cand_obj
+        beta, obj, eta = candidate, cand_obj, cand_eta
         if ridge == 0.0 and np.linalg.norm(beta[1:]) > _SEPARATION_NORM:
             raise SeparationError(
                 "coefficient norm diverged: data are (quasi-)separated and the "

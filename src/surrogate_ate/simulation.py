@@ -41,13 +41,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _freeze
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import estimate_index, estimate_score
-from .nuisance import ConstantScore, NuisanceFits, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, expit, fit_logistic
 from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6

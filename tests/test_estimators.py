@@ -394,6 +394,26 @@ def test_bootstrap_all_replicates_failing_is_unstable(small_single):
     assert exc.value.failures == 10
 
 
+@pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5, float("inf"), -float("inf")])
+def test_bootstrap_rejects_a_failure_rate_outside_the_unit_interval(small_single, rate):
+    calls = itertools.count()
+
+    def counted(s):
+        next(calls)
+        return float(s.y.mean())
+
+    # nan used to switch the failure check off; -0.1 used to report "0 of 10 failed"
+    with pytest.raises(ValidationError, match="max_failure_rate must lie in"):
+        bootstrap_se(counted, (small_single,), reps=10, seed=0, max_failure_rate=rate)
+    assert next(calls) == 0
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_bootstrap_accepts_the_failure_rate_end_points(small_single, rate):
+    se = bootstrap_se(lambda s: float(s.y.mean()), (small_single,), reps=10, seed=0, max_failure_rate=rate)
+    assert np.isfinite(se)
+
+
 def test_bootstrap_single_survivor_is_unstable(small_single):
     calls = itertools.count()
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from surrogate_ate import (
     predict_index,
     predict_score,
 )
+from surrogate_ate.nuisance import expit as own_expit
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +437,168 @@ def test_fit_all_tags_a_convergence_error(monkeypatch):
     obs = ObservationalSample(y=rng.normal(size=50), s=rng.normal(size=(50, 2)))
     with pytest.raises(ConvergenceError, match="^surrogate score: IRLS did not reach"):
         fit_all(pool(exp, obs))
+
+
+# ---------------------------------------------------------------------------
+# the IRLS kernel against the GEMM-Hessian kernel it replaced
+
+def _gemm_kernel_fit(features, labels, ridge=0.0, tol=1e-8, max_iter=100):
+    """The former IRLS body: GEMM Hessian, ``eta`` recomputed, scipy's expit.
+
+    Returns ``(intercept, coef, iterations)``; raises what the kernel raised.
+    """
+    from surrogate_ate.errors import ConvergenceError
+    from surrogate_ate.nuisance import _prepare
+
+    features, y, z, mean, sd = _prepare(features, labels, ridge, binary=True)
+    n, d = features.shape
+    z1 = np.hstack([np.ones((n, 1)), z])
+    penalty = np.concatenate([[0.0], ridge / sd**2])
+
+    def objective(beta):
+        eta = z1 @ beta
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta))) - 0.5 * float(penalty @ beta**2)
+
+    beta = np.zeros(d + 1)
+    obj = objective(beta)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        eta = z1 @ beta
+        p = expit(np.clip(eta, -36.0, 36.0))
+        grad = z1.T @ (y - p) - penalty * beta
+        if np.max(np.abs(grad)) < tol:
+            converged = True
+            iterations -= 1
+            break
+        hessian = (z1 * (p * (1.0 - p))[:, None]).T @ z1
+        hessian[np.diag_indices(d + 1)] += penalty
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            raise (SeparationError if ridge == 0.0 else SingularDesignError)("singular") from None
+        scale = 1.0
+        candidate = beta + step
+        cand_obj = objective(candidate)
+        halvings = 0
+        floor = obj - 1e-12 * (1.0 + abs(obj))
+        while cand_obj < floor and halvings < 30:
+            scale *= 0.5
+            candidate = beta + scale * step
+            cand_obj = objective(candidate)
+            halvings += 1
+        beta, obj = candidate, cand_obj
+        if ridge == 0.0 and np.linalg.norm(beta[1:]) > 30.0:
+            raise SeparationError("diverged")
+    if ridge == 0.0 and d > 0 and obj > -1e-6:
+        raise SeparationError("separated")
+    if not converged:
+        raise ConvergenceError("not converged")
+    return float(beta[0] - np.sum(beta[1:] * mean / sd)), beta[1:] / sd, iterations
+
+
+def _harness_draw(study, **grid):
+    exp, obs = draw_dataset(make_spec(study, seed=0, **grid), 3)
+    return exp.s, exp.w, obs.s, obs.y
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(8)
+    for study, grid in (("misspecification", {"k_used": 250}), ("dimension", {"m": 200}),
+                        ("sample_size", {"q": 0.05})):
+        s_e, w, s_o, y = _harness_draw(study, **grid)
+        yield f"{study}-score", s_e, w, 1e-6
+        yield f"{study}-index", s_o, y, 1e-6
+    s = rng.normal(size=(300, 3))
+    x = rng.normal(size=(300, 2))
+    features, *_ = build_design(s, x, interactions=True)
+    labels = (rng.random(300) < expit(features @ rng.normal(scale=0.3, size=features.shape[1]))).astype(float)
+    yield "covariates-interactions-ridge0", features, labels, 0.0
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda case: case[0])
+def test_logistic_kernel_matches_the_gemm_kernel(case):
+    _, features, labels, ridge = case
+    intercept, coef, iterations = _gemm_kernel_fit(features, labels, ridge)
+    model = fit_logistic(features, labels, ridge=ridge)
+    assert model.iterations == iterations
+    theta = np.array([intercept, *coef])
+    fitted = np.array([model.intercept, *model.coef])
+    assert np.abs(fitted - theta).max() <= 1e-9 * np.abs(theta).max()
+    predicted = expit(np.clip(intercept + features @ coef, -36.0, 36.0))
+    assert np.abs(model.predict(features) - predicted).max() <= 1e-9
+
+
+def _failing_cases():
+    s = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0]).reshape(-1, 1)
+    yield "separation", s, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), {}
+    column = np.random.default_rng(5).normal(size=(50, 1))
+    labels = (np.random.default_rng(6).random(50) < 0.5).astype(float)
+    yield "singular-design", np.hstack([column, column]), labels, {}
+    yield "singular-tiny-ridge", np.hstack([column, column]), labels, {"ridge": 1e-20}
+    yield "single-class", np.zeros((4, 1)), np.ones(4), {}
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=(40, 2))
+    yield "max-iter-1", s, (rng.random(40) < expit(s @ [1.0, -0.5])).astype(float), {"max_iter": 1}
+
+
+@pytest.mark.parametrize("case", list(_failing_cases()), ids=lambda case: case[0])
+def test_logistic_kernel_fails_like_the_gemm_kernel(case):
+    _, features, labels, kwargs = case
+    with pytest.raises(Exception) as expected:
+        _gemm_kernel_fit(features, labels, **kwargs)
+    with pytest.raises(Exception) as raised:
+        fit_logistic(features, labels, **kwargs)
+    assert type(raised.value) is type(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# the package's own expit
+
+def test_expit_within_two_ulp_of_scipy():
+    x = np.random.default_rng(9).normal(scale=5.0, size=1_000_000)
+    ours, theirs = own_expit(x), expit(x)
+    assert (np.abs(ours - theirs) <= 2 * np.spacing(theirs)).all()
+    assert own_expit(0.0) == 0.5
+
+
+@pytest.mark.parametrize("x", [40.0, 745.0, 1e308])
+def test_expit_saturates_like_scipy(x):
+    # 1 / (1 + exp(-40)) rounds to exactly 1; its mirror 4.2e-18 is not yet
+    # saturated, so there the two exps may differ in the last bits
+    assert own_expit(x) == expit(x) == 1.0
+    assert abs(own_expit(-x) - expit(-x)) <= max(1e-300, 2 * np.spacing(expit(-x)))
+
+
+def test_expit_warns_on_no_finite_input():
+    finfo = np.finfo(float)
+    x = np.array([-finfo.max, -1e308, -745.0, -709.8, -708.0, -40.0, -finfo.tiny, 0.0,
+                  finfo.tiny, 40.0, 709.8, 745.0, 1e308, finfo.max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = own_expit(x)
+        for value in x:
+            own_expit(float(value))
+    assert ((p >= 0.0) & (p <= 1.0)).all() and np.all(np.diff(p) >= 0.0)
+
+
+def test_expit_of_a_float_is_a_scalar():
+    value = own_expit(0.25)
+    assert np.ndim(value) == 0 and isinstance(value, float)
+    assert value == pytest.approx(expit(0.25), rel=1e-15)
+
+
+def test_package_and_cli_import_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import surrogate_ate
+
+    src = str(Path(surrogate_ate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, surrogate_ate, surrogate_ate.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
