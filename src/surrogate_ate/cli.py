@@ -25,8 +25,10 @@ three methods only, and one on which a method fails for that method only.
 Exit codes: 0 success, 2 invalid input or configuration (including a
 ``--trim`` outside [0, 0.5), a ``--bootstrap`` other than 0 or at least 2
 and a negative ``--seed``, all rejected before any file is read, a
-``--ridge`` or ``--delta-*`` that is negative or not finite, and an empty
-``--grid`` or one with a value of the wrong type), 3 estimation failure
+``--ridge`` or ``--delta-*`` that is negative or not finite, an empty
+``--grid`` or one with a value of the wrong type, an ``--out`` that names a
+directory or lies under a regular file, checked before any file is read,
+and an input CSV that is not a readable UTF-8 file), 3 estimation failure
 (overlap, degenerate arm, separation, ...).  Errors are written as
 a single machine-parseable line on stderr; so is the ``warning:`` line of
 ``bounds --variance-mode per-stratum`` when a stratum holds a single
@@ -42,10 +44,9 @@ import json
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 from ._version import __version__
-from .data import load_experimental, load_observational, load_single, pool
+from .data import _check_output, _open_output, load_experimental, load_observational, load_single, pool
 from .diagnostics import (
     _PER_STRATUM_FALLBACK,
     bias_bound,
@@ -99,8 +100,7 @@ def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload + "\n")
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_output(out) as fh:
             fh.write(payload + "\n")
 
 
@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an --out that cannot be written fails before any input is read or any work runs
+        if args.out is not None:
+            _check_output(args.out)
         return args.func(args)
     except ConfigurationError as err:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")

@@ -35,7 +35,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import PoolingError, SchemaError, ValidationError
+from .errors import ConfigurationError, PoolingError, SchemaError, ValidationError
 
 _SURROGATE_RE = re.compile(r"^s(\d+)$")
 _COVARIATE_RE = re.compile(r"^x(\d+)$")
@@ -257,15 +257,21 @@ class Schema:
 
 def _read_rows(path):
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"empty file: {path}") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except FileNotFoundError:
+        raise SchemaError(f"file not found: {path}") from None
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path} is not UTF-8 text: it holds the byte {err.object[err.start]:#04x}") from None
+    except csv.Error as err:
+        raise SchemaError(f"{path} is not a readable CSV file: {err}") from None
+    except OSError as err:
+        raise SchemaError(f"cannot read {path}: {err.strerror}") from None
+    if header is None:
+        raise SchemaError(f"empty file: {path}")
     return header, rows
 
 
@@ -314,6 +320,35 @@ def load_observational(path, schema: Schema | None = None) -> ObservationalSampl
 def load_single(path, schema: Schema | None = None) -> SingleSample:
     """Load a single-sample design (``w``, ``y``, surrogates, covariates) from CSV."""
     return _load(SingleSample, path, schema)
+
+
+def _check_output(path) -> Path:
+    """``path`` as a ``Path``, checked to name a file that can be created.
+
+    Raises :class:`ConfigurationError` when it is an existing directory or
+    lies under an existing path that is not a directory.  Missing parent
+    directories are fine; :func:`_open_output` creates them.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigurationError(f"output path {path} is a directory")
+    ancestor = next((p for p in path.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise ConfigurationError(f"output path {path} lies under {ancestor}, which is not a directory")
+    return path
+
+
+def _open_output(path, newline=None):
+    """Open ``path`` for writing UTF-8 text, creating its parent directories.
+
+    A path that cannot be written raises :class:`ConfigurationError`.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _fmt(v: float) -> str:

@@ -99,13 +99,23 @@ def _trim_scores(p: np.ndarray, eps: float | None):
     return clipped, int(np.sum(clipped != p))
 
 
-def _hajek(values: np.ndarray, weights: np.ndarray, arm: str):
+def _normalized(weights: np.ndarray, values: np.ndarray, arm: str) -> np.ndarray:
+    """One arm's weights scaled to sum to one.
+
+    ``values`` holds the arm's outcome column, or one column per outcome;
+    the arm is rejected when its total or a weighted sum of ``values`` is
+    not finite, or when its total is not positive.
+    """
     total = weights.sum()
-    if not np.isfinite(total) or not np.isfinite(values @ weights if len(values) else 0.0):
+    if not np.isfinite(total) or not np.isfinite(weights @ values).all():
         raise OverlapError(f"{arm} arm weights are not finite; a score reached its boundary")
     if total <= 0.0:
         raise DegenerateArmError(f"{arm} arm has zero total weight")
-    normalized = weights / total
+    return weights / total
+
+
+def _hajek(values: np.ndarray, weights: np.ndarray, arm: str):
+    normalized = _normalized(weights, values, arm)
     mean = float(values @ normalized)
     positive = normalized[normalized > 0]
     summary = ArmWeights(
@@ -145,7 +155,9 @@ def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> Es
 
 def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
     """The normalized contrast of each surrogate column between the arms."""
-    return np.array([_contrast("tau_s", (s, w1), (s, w0), None, 0).tau_hat for s in exp.s.T])
+    n1 = _normalized(w1, exp.s, "treated")
+    n0 = _normalized(w0, exp.s, "control")
+    return np.array([float(s @ n1) - float(s @ n0) for s in exp.s.T])
 
 
 def estimate_index(
@@ -237,7 +249,9 @@ def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     Queries are taken in blocks.  One GEMM per block screens every pool row
     by ``|p|^2 - 2 q.p``; a row stays a candidate when its screened value
     lies within twice a rounding bound of the block row's minimum, which
-    provably keeps every exact minimizer.  Only candidates are recomputed
+    provably keeps every exact minimizer.  The candidates are read off the
+    block's mask in one scan of its flat, row-major index, so they come out
+    grouped by query row in ascending order.  Only candidates are recomputed
     with the exact expression, so the GEMM's rounding (and hence the BLAS
     thread count) never decides a match.  Time is O(n_query * n_pool * d).
     Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
@@ -259,11 +273,11 @@ def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     out = np.empty(n_query, dtype=np.intp)
     for lo in range(0, n_query, block):
         q = queries[lo : lo + block]
-        screened = q @ pool_rows.T
-        screened *= -2.0
+        # scaling by -2 is exact, so this is -2 * (q @ p.T) without a pass over the block
+        screened = (q * -2.0) @ pool_rows.T
         screened += pool_sq
         bound = screened.min(axis=1) + 2.0 * tol[lo : lo + block]
-        rows, cols = np.nonzero(screened <= bound[:, None])
+        rows, cols = np.divmod(np.flatnonzero(screened <= bound[:, None]), n_pool)
         del screened
         # rows ascend and every row has a candidate, so segments start where rows change
         exact = ((q[rows] - pool_rows[cols]) ** 2).sum(axis=-1)

@@ -38,12 +38,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__ as _version
-from .data import ExperimentalSample, ObservationalSample, _freeze
+from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import estimate_index, estimate_score
 from .nuisance import ConstantScore, NuisanceFits, expit, fit_logistic
@@ -422,7 +421,9 @@ def run_study(
     The CSV carries one row per (grid point, estimator) with bias and
     standard deviation multiplied by 100 for readability; the manifest
     records every generating process, the seed contract, and the package
-    version.
+    version.  An ``out_path`` whose CSV or manifest cannot be written (an
+    existing directory, or a path under a regular file) raises
+    :class:`ConfigurationError` before any replication runs.
     """
     if study not in STUDY_NAMES:
         raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
@@ -444,6 +445,9 @@ def run_study(
                 f"the {study} grid must be a non-empty list of {cast.__name__} values, got {list(grid)!r}"
             )
         grid = cast_grid
+    if out_path is not None:
+        out_path = _check_output(out_path)
+        manifest_path = _check_output(out_path.with_suffix(out_path.suffix + ".manifest.json"))
 
     rows: list[dict] = []
     specs: list[DgpSpec] = []
@@ -465,9 +469,7 @@ def run_study(
             )
 
     if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(out_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_FIELDS)
             writer.writerows([row[f] for f in _CSV_FIELDS] for row in rows)
@@ -481,8 +483,7 @@ def run_study(
             "specs": [s.to_dict() for s in specs],
             "version": _version,
         }
-        manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        with _open_output(manifest_path) as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return rows

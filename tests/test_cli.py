@@ -195,6 +195,49 @@ def test_bad_trim_or_bootstrap_rejected_before_loading_or_fitting(
     assert not out.exists()
 
 
+_COMMANDS_WITH_OUT = {
+    "estimate": lambda pe, po: ["estimate", "--exp", pe, "--obs", po, "--method", "index"],
+    "diagnose": lambda pe, po: ["diagnose", "--exp", pe, "--obs", po, "--delta-s", "1", "--delta-c", "1"],
+    "bounds": lambda pe, po: ["bounds", "--exp", pe, "--obs", po],
+    "simulate": lambda pe, po: ["simulate", "--study", "samplesize", "--reps", "2", "--seed", "0", "--grid", "0.5"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "under_a_file"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS_WITH_OUT))
+def test_unwritable_out_exits_2_before_any_work(fixture_files, tmp_path, capsys, monkeypatch, command, target):
+    def reached(*args, **kwargs):
+        raise AssertionError("--out must be checked before any file is loaded or any work runs")
+
+    for name in ("load_experimental", "load_observational", "load_single", "fit_all", "run_study"):
+        monkeypatch.setattr(cli, name, reached)
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        (tmp_path / "plain").write_text("", encoding="utf-8")
+        out = tmp_path / "plain" / "r.json"
+    assert _run([*_COMMANDS_WITH_OUT[command](*fixture_files), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError: output path")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_input_csv_exits_2(fixture_files, tmp_path, capsys, case):
+    pe, po = fixture_files
+    if case == "directory":
+        bad = tmp_path / "inputs"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(pe.read_bytes().replace(b"\n1,", b"\n1,\xff", 1))
+    assert _run(["estimate", "--exp", bad, "--obs", po, "--method", "match"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError:")
+    assert err.count("\n") == 1
+
+
 def test_diagnose_zero_deltas(fixture_files, tmp_path):
     pe, po = fixture_files
     out = tmp_path / "diag.json"

@@ -75,6 +75,27 @@ def test_missing_file_is_schema_error(tmp_path):
         load_experimental(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("case, message", [
+    ("directory", "cannot read .*: Is a directory"),
+    ("under_a_file", "cannot read .*: Not a directory"),
+    ("not_utf8", "is not UTF-8 text: it holds the byte 0xff"),
+    ("huge_field", "is not a readable CSV file: field larger than field limit"),
+])
+def test_unreadable_file_is_schema_error(tmp_path, case, message):
+    path = tmp_path / "e.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "under_a_file":
+        _write(tmp_path / "plain", "w,s1\n")
+        path = tmp_path / "plain" / "e.csv"
+    elif case == "not_utf8":
+        path.write_bytes(b"w,s1\n0,0.5\n1,\xff\n")
+    else:
+        _write(path, "w,s1\n0," + "1" * 200_000 + "\n1,0.5\n")
+    with pytest.raises(SchemaError, match=message):
+        load_experimental(path)
+
+
 def test_covariates_detected_and_ordered(tmp_path):
     p = _write(tmp_path / "e.csv", "w,s2,s1,x1\n0,9.0,0.1,5.0\n1,8.0,0.2,6.0\n")
     sample = load_experimental(p)

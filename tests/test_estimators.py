@@ -33,7 +33,7 @@ from surrogate_ate import (
     make_spec,
     pool,
 )
-from surrogate_ate.estimators import MatchOptions
+from surrogate_ate.estimators import MatchOptions, _ipw_weights, _surrogate_contrasts
 
 
 def _fits(e=None, r=None, t=None, h=None):
@@ -198,6 +198,65 @@ def test_linear_shortcut_matches_direct_oracle():
     taus = estimate_tau_surrogates(exp, fits)
     report = estimate_linear_shortcut(exp, fits)
     assert report.tau_hat == pytest.approx(2.0 * taus.tau_s[0] - 1.0 * taus.tau_s[1], abs=1e-12)
+
+
+def _surrogate_contrasts_column_by_column(exp, w1, w0):
+    """The former per-column loop: each column's arms checked and normalized on their own."""
+    taus = []
+    for column in exp.s.T:
+        means = []
+        for weights, arm in ((w1, "treated"), (w0, "control")):
+            total = weights.sum()
+            if not np.isfinite(total) or not np.isfinite(column @ weights):
+                raise OverlapError(f"{arm} arm weights are not finite; a score reached its boundary")
+            if total <= 0.0:
+                raise DegenerateArmError(f"{arm} arm has zero total weight")
+            means.append(float(column @ (weights / total)))
+        taus.append(means[0] - means[1])
+    return np.array(taus)
+
+
+@pytest.mark.parametrize("trim", [None, 0.05])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_surrogate_contrasts_equal_the_column_by_column_loop(trim, seed):
+    rng = np.random.default_rng(seed)
+    n, m, k = 400, 6, 2
+    exp = ExperimentalSample(
+        w=(rng.random(n) < 0.4).astype(float), s=rng.normal(size=(n, m)) * [1, 10, 1e-3, 1, 5, 1],
+        x=rng.normal(size=(n, k)),
+    )
+    # scores this close to 0 and 1 make the 0.05 trim clip a share of the rows
+    e = rng.uniform(0.01, 0.99, n)
+    h = LinearModel(intercept=0.3, coef_s=rng.normal(size=m), coef_x=rng.normal(size=k))
+    fits = _fits(e=FixedScore(e), h=h)
+    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
+    assert (n_trimmed > 0) == (trim is not None)
+    oracle = _surrogate_contrasts_column_by_column(exp, w1, w0)
+    assert np.array_equal(_surrogate_contrasts(exp, w1, w0), oracle)
+    assert np.array_equal(estimate_tau_surrogates(exp, fits, trim).tau_s, oracle)
+    assert estimate_linear_shortcut(exp, fits, trim).tau_hat == float(h.coef_s @ oracle)
+
+
+@pytest.mark.parametrize("zero_arm", [0, 1])
+def test_surrogate_contrasts_zero_total_arm_is_degenerate(small_exp, zero_arm):
+    w1, w0 = small_exp.w * 2.0, (1.0 - small_exp.w) * 3.0
+    weights = (np.zeros(small_exp.n), w0) if zero_arm == 0 else (w1, np.zeros(small_exp.n))
+    arm = ("treated", "control")[zero_arm]
+    for contrasts in (_surrogate_contrasts_column_by_column, _surrogate_contrasts):
+        with pytest.raises(DegenerateArmError, match=f"^{arm} arm has zero total weight$"):
+            contrasts(small_exp, *weights)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad_arm", [0, 1])
+def test_surrogate_contrasts_non_finite_weights_are_an_overlap_error(small_exp, bad, bad_arm):
+    weights = [small_exp.w * 2.0, (1.0 - small_exp.w) * 3.0]
+    weights[bad_arm][bad_arm] = bad  # row 0 is treated, row 1 a control
+    arm = ("treated", "control")[bad_arm]
+    message = f"^{arm} arm weights are not finite; a score reached its boundary$"
+    for contrasts in (_surrogate_contrasts_column_by_column, _surrogate_contrasts):
+        with pytest.raises(OverlapError, match=message):
+            contrasts(small_exp, *weights)
 
 
 def test_linear_shortcut_rejects_nonlinear_index(small_exp):

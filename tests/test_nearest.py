@@ -86,6 +86,23 @@ def test_nearest_across_block_boundaries(monkeypatch, n_query, discrete):
     _assert_same_matches(draw(n_query), draw(n_pool))
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_nearest_bootstrap_resample_at_workload_shape(monkeypatch, block_rows):
+    # a bootstrap resample of 1000 rows with d = 13 (M = 10, K = 3): pool rows
+    # repeat, so most queries tie exactly, and small blocks start their tied
+    # segments in many different blocks
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(1000, 13))
+    queries, pool_rows = base[rng.integers(0, 1000, 1000)], base[rng.integers(0, 1000, 1000)]
+    monkeypatch.setattr(estimators, "_NEAREST_BLOCK_BYTES", _block_budget(block_rows, 13, 1000))
+    got = _nearest(queries, pool_rows)
+    # the oracle in chunks of queries, to keep its distance array small
+    want = np.concatenate([_nearest_broadcast(queries[i : i + 50], pool_rows) for i in range(0, 1000, 50)])
+    assert np.array_equal(got, want)
+    copies = [(pool_rows == pool_rows[j]).all(axis=1).sum() for j in got]
+    assert sum(c > 1 for c in copies) > 200
+
+
 @st.composite
 def _discrete_instance(draw):
     d = draw(st.integers(1, 4))

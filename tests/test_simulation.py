@@ -17,6 +17,7 @@ from surrogate_ate import (
     true_tau,
     true_tau_mc,
 )
+from surrogate_ate import simulation
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,24 @@ def test_run_study_rejects_bad_input(tmp_path):
         run_study("sample_size", reps=0, seed=1)
     with pytest.raises(ConfigurationError):
         run_study("unknown", reps=1, seed=1)
+
+
+@pytest.mark.parametrize("target", ["out", "manifest", "under_a_file"])
+def test_run_study_rejects_an_unwritable_out_path_before_any_replication(tmp_path, monkeypatch, target):
+    def reached(*args, **kwargs):
+        raise AssertionError("the output path must be checked before any replication runs")
+
+    monkeypatch.setattr(simulation, "run_monte_carlo", reached)
+    out = tmp_path / "study.csv"
+    if target == "out":
+        out.mkdir()
+    elif target == "manifest":
+        (tmp_path / "study.csv.manifest.json").mkdir()
+    else:
+        (tmp_path / "plain").write_text("", encoding="utf-8")
+        out = tmp_path / "plain" / "study.csv"
+    with pytest.raises(ConfigurationError, match="output path"):
+        run_study("sample_size", reps=2, seed=0, out_path=out, grid=[0.5])
 
 
 def test_run_monte_carlo_counts_failures_per_estimator():
