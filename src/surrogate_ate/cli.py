@@ -13,7 +13,8 @@ bounds
     surrogacy, or the two-sample bound (no covariates, constant sampling
     score).
 simulate
-    Monte Carlo study tables as CSV plus a JSON manifest.
+    Monte Carlo study tables as CSV plus a JSON manifest; ``--study`` takes
+    a name from ``simulation.STUDIES`` or the short ``misspec``/``samplesize``.
 
 ``estimate --method all`` with ``--interactions`` leaves out the linear
 shortcut, which needs an index without interaction terms.  With
@@ -27,14 +28,15 @@ Exit codes: 0 success, 2 invalid input or configuration (including a
 and a negative ``--seed``, all rejected before any file is read, a
 ``--ridge`` or ``--delta-*`` that is negative or not finite, an empty
 ``--grid`` or one with a value of the wrong type, an ``--out`` that names a
-directory or lies under a regular file, checked before any file is read,
+directory or lies under a regular file once ``..`` and symbolic links are
+resolved (``nope/..`` included), checked before any file is read,
 and an input CSV that is not a readable UTF-8 file), 3 estimation failure
 (overlap, degenerate arm, separation, ...).  Errors are written as
 a single machine-parseable line on stderr; so is the ``warning:`` line of
 ``bounds --variance-mode per-stratum`` when a stratum holds a single
-observation.  The ``SURROGATE_THREADS``
-environment variable caps worker parallelism; output is byte-identical for
-any value.
+observation.  The ``SURROGATE_THREADS`` environment variable caps worker
+parallelism, itself capped by the work items and the CPUs available to the
+process; output is byte-identical for any value.
 """
 
 from __future__ import annotations
@@ -63,18 +65,12 @@ from .estimators import (
     estimate_score,
 )
 from .nuisance import NuisanceOptions, fit_all
-from .simulation import GRID_PARAMETERS, run_study
+from .simulation import STUDIES, run_study
 
 _METHODS = ("index", "score", "linear", "match", "all")
 _FITTED = ("index", "score", "linear")  # the methods that read the nuisance fits
-_STUDY_ALIASES = {
-    "dimension": "dimension",
-    "misspec": "misspecification",
-    "misspecification": "misspecification",
-    "samplesize": "sample_size",
-    "sample_size": "sample_size",
-    "explanatory": "explanatory",
-}
+# every study by its own name, plus two short spellings
+_STUDY_ALIASES = {**{name: name for name in STUDIES}, "misspec": "misspecification", "samplesize": "sample_size"}
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -212,7 +208,7 @@ def run_simulate(args) -> int:
     study = _STUDY_ALIASES[args.study]
     grid = None
     if args.grid is not None:
-        _, cast = GRID_PARAMETERS[study]
+        _, cast, _ = STUDIES[study]
         try:
             grid = [cast(g) for g in args.grid.split(",") if g]
         except ValueError:

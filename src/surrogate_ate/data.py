@@ -28,6 +28,7 @@ naming convention.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -326,13 +327,16 @@ def _check_output(path) -> Path:
     """``path`` as a ``Path``, checked to name a file that can be created.
 
     Raises :class:`ConfigurationError` when it is an existing directory or
-    lies under an existing path that is not a directory.  Missing parent
-    directories are fine; :func:`_open_output` creates them.
+    lies under an existing path that is not a directory.  The path is judged
+    with ``..`` and symbolic links resolved, so ``nope/..`` is the directory
+    it names, but messages quote it as given.  Missing parent directories are
+    fine; :func:`_open_output` creates them.
     """
     path = Path(path)
-    if path.is_dir():
+    resolved = Path(os.path.realpath(path))
+    if resolved.is_dir():
         raise ConfigurationError(f"output path {path} is a directory")
-    ancestor = next((p for p in path.parents if p.exists()), None)
+    ancestor = next((p for p in resolved.parents if p.exists()), None)
     if ancestor is not None and not ancestor.is_dir():
         raise ConfigurationError(f"output path {path} lies under {ancestor}, which is not a directory")
     return path
@@ -361,7 +365,7 @@ def _write(sample: _Sample, path) -> None:
     header += [f"x{j + 1}" for j in range(sample.n_covariates)]
     cols = [[str(int(v)) if c == "w" else _fmt(v) for v in getattr(sample, c)] for c in sample.unit_columns]
     cols += [[_fmt(v) for v in col] for col in np.hstack([sample.s, sample.x]).T]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*cols):

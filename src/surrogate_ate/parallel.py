@@ -1,7 +1,9 @@
 """Deterministic worker-pool and seed-stream helpers.
 
 The ``SURROGATE_THREADS`` environment variable caps worker parallelism for
-bootstrap replicates and Monte Carlo replications.  Each work item is a pure
+bootstrap replicates and Monte Carlo replications.  A map never uses more
+worker threads than it has items or than there are CPUs available to the
+process, whatever the value.  Each work item is a pure
 function of its own seed stream (:func:`seed_sequence`), and results are
 collected in submission order, so output is bit-identical for any thread
 count.
@@ -29,19 +31,20 @@ def seed_sequence(seed: int, *stream: int) -> np.random.SeedSequence:
 
 
 def worker_count() -> int:
-    raw = os.environ.get("SURROGATE_THREADS", "1")
+    """``SURROGATE_THREADS`` (default 1), at least 1 and at most the CPUs available to the process."""
     try:
-        n = int(raw)
+        n = int(os.environ.get("SURROGATE_THREADS", "1"))
     except ValueError:
         return 1
-    return max(1, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(n, cpus))
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Apply ``fn`` to ``items``, preserving order regardless of worker count."""
     items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

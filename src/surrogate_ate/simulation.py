@@ -36,6 +36,7 @@ order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -50,22 +51,15 @@ from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
 
-STUDY_NAMES = ("dimension", "misspecification", "sample_size", "explanatory")
-
-# The make_spec keyword each study's grid values feed, and their type.
-GRID_PARAMETERS = {
-    "dimension": ("m", int),
-    "misspecification": ("k_used", int),
-    "sample_size": ("q", float),
-    "explanatory": ("design_row", int),
+# Each study: the make_spec keyword its grid values feed, their type, and its default grid.
+STUDIES = {
+    "dimension": ("m", int, (1, 10, 50, 100, 200)),
+    "misspecification": ("k_used", int, (1, 5, 25, 100, 250)),
+    "sample_size": ("q", float, (0.05, 0.25, 0.5, 0.75, 0.95)),
+    "explanatory": ("design_row", int, (1, 2, 3, 4)),
 }
-
-DEFAULT_GRIDS = {
-    "dimension": (1, 10, 50, 100, 200),
-    "misspecification": (1, 5, 25, 100, 250),
-    "sample_size": (0.05, 0.25, 0.5, 0.75, 0.95),
-    "explanatory": (1, 2, 3, 4),
-}
+STUDY_NAMES = tuple(STUDIES)
+DEFAULT_GRIDS = {name: grid for name, (_, _, grid) in STUDIES.items()}
 
 _EXPLANATORY_MULTIPLIERS = {1: (1.0, 1.0), 2: (2.0, 1.0), 3: (1.0, 2.0), 4: (2.0, 2.0)}
 
@@ -107,12 +101,11 @@ class DgpSpec:
         return {**asdict(self), "alpha": self.alpha.tolist(), "gamma": self.gamma.tolist()}
 
 
+@functools.cache
 def _hermite():
+    """The probabilists' Gauss-Hermite rule, weights normalized to sum to one; built on first use."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
     return nodes, weights / np.sqrt(2.0 * np.pi)
-
-
-_NODES, _WEIGHTS = _hermite()
 
 
 def _tau_from_moments(e_r: float, e_h: float, e_rh: float) -> float:
@@ -135,21 +128,22 @@ def true_tau(spec: DgpSpec) -> float:
     if na == 0.0:
         return 0.0  # constant score: arms are identical tilts
     cross = float(a @ g)
+    nodes, weights = _hermite()
     if abs(abs(cross) - na * ng) <= 1e-12 * na * ng:
-        u = na * _NODES
+        u = na * nodes
         r = expit(spec.alpha0 + u)
         h = expit(spec.gamma0 + (cross / na**2) * u)
-        e_r = float(_WEIGHTS @ r)
-        e_h = float(_WEIGHTS @ h)
-        e_rh = float(_WEIGHTS @ (r * h))
+        e_r = float(weights @ r)
+        e_h = float(weights @ h)
+        e_rh = float(weights @ (r * h))
         return _tau_from_moments(e_r, e_h, e_rh)
     cov = np.array([[na**2, cross], [cross, ng**2]])
     chol = np.linalg.cholesky(cov)
-    z1 = _NODES[:, None]
-    z2 = _NODES[None, :]
+    z1 = nodes[:, None]
+    z2 = nodes[None, :]
     u = chol[0, 0] * z1 + 0.0 * z2
     v = chol[1, 0] * z1 + chol[1, 1] * z2
-    wgrid = _WEIGHTS[:, None] * _WEIGHTS[None, :]
+    wgrid = weights[:, None] * weights[None, :]
     r = expit(spec.alpha0 + u)
     h = expit(spec.gamma0 + v)
     e_r = float(np.sum(wgrid * r))
@@ -249,29 +243,21 @@ def make_spec(
     design_row: int | None = None,
 ) -> DgpSpec:
     """Build the generating process for one grid point of a named study."""
+    n_exp = n_obs = 500
     if study == "dimension":
         if m is None or not 1 <= m <= 200:
             raise ConfigurationError("dimension study needs m in [1, 200]")
         rng = np.random.default_rng(seed_sequence(seed, 1, m))
-        alpha = rng.normal(0.0, np.sqrt(1.0 / m), m)
-        return DgpSpec(
-            study=study, m_surrogates=m, n_exp=500, n_obs=500,
-            alpha=alpha, gamma=alpha.copy(),
-            coef_rule="alpha ~ N(0, 1/M) drawn once; gamma = alpha", seed=seed,
-        )
-    if study == "misspecification":
+        alpha = gamma = rng.normal(0.0, np.sqrt(1.0 / m), m)
+        rule = "alpha ~ N(0, 1/M) drawn once; gamma = alpha"
+    elif study == "misspecification":
         m = 250
         if k_used is None or not 1 <= k_used <= m:
             raise ConfigurationError("misspecification study needs k_used in [1, 250]")
         k = np.arange(1, m + 1, dtype=float)
-        alpha = (1.0 / 3.0) * k**-0.5
-        return DgpSpec(
-            study=study, m_surrogates=m, n_exp=500, n_obs=500,
-            alpha=alpha, gamma=alpha.copy(), k_used=k_used,
-            coef_rule="alpha_k = gamma_k = (1/3) k^(-1/2); analyst uses first K columns",
-            seed=seed,
-        )
-    if study == "sample_size":
+        alpha = gamma = (1.0 / 3.0) * k**-0.5
+        rule = "alpha_k = gamma_k = (1/3) k^(-1/2); analyst uses first K columns"
+    elif study == "sample_size":
         if q is None or not 0.0 < q < 1.0:
             raise ConfigurationError("sample_size study needs q in (0, 1)")
         n_exp = round(q * _SAMPLE_SIZE_TOTAL)
@@ -281,29 +267,23 @@ def make_spec(
         m = 10
         rng = np.random.default_rng(seed_sequence(seed, 1, 0))
         direction = rng.normal(0.0, np.sqrt(1.0 / m), m)
-        alpha = calibrate_tau(_SAMPLE_SIZE_TAU, direction) * (direction / np.linalg.norm(direction))
-        return DgpSpec(
-            study=study, m_surrogates=m, n_exp=n_exp, n_obs=n_obs,
-            alpha=alpha, gamma=alpha.copy(),
-            coef_rule=f"shared direction drawn once, rescaled so the true effect is {_SAMPLE_SIZE_TAU}",
-            seed=seed,
-        )
-    if study == "explanatory":
+        alpha = gamma = calibrate_tau(_SAMPLE_SIZE_TAU, direction) * (direction / np.linalg.norm(direction))
+        rule = f"shared direction drawn once, rescaled so the true effect is {_SAMPLE_SIZE_TAU}"
+    elif study == "explanatory":
         if design_row not in _EXPLANATORY_MULTIPLIERS:
             raise ConfigurationError("explanatory study needs design_row in {1, 2, 3, 4}")
         m = 10
         rng = np.random.default_rng(seed_sequence(seed, 1, 0))
         z = rng.normal(0.0, np.sqrt(1.0 / m), m)
         am, gm = _EXPLANATORY_MULTIPLIERS[design_row]
-        return DgpSpec(
-            study=study, m_surrogates=m, n_exp=500, n_obs=500,
-            alpha=am * z, gamma=gm * z,
-            coef_rule=(
-                f"shared z ~ N(0, 1/M); alpha = {am} z (var {am**2}/M), gamma = {gm} z (var {gm**2}/M)"
-            ),
-            seed=seed,
-        )
-    raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
+        alpha, gamma = am * z, gm * z
+        rule = f"shared z ~ N(0, 1/M); alpha = {am} z (var {am**2}/M), gamma = {gm} z (var {gm**2}/M)"
+    else:
+        raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
+    return DgpSpec(
+        study=study, m_surrogates=m, n_exp=n_exp, n_obs=n_obs, alpha=alpha, gamma=gamma, coef_rule=rule,
+        k_used=k_used if study == "misspecification" else None, seed=seed,
+    )
 
 
 def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, ObservationalSample]:
@@ -425,15 +405,13 @@ def run_study(
     existing directory, or a path under a regular file) raises
     :class:`ConfigurationError` before any replication runs.
     """
-    if study not in STUDY_NAMES:
+    if study not in STUDIES:
         raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
-    if reps < 1:
-        raise ConfigurationError("reps must be at least 1")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    keyword, cast = GRID_PARAMETERS[study]
+    keyword, cast, default_grid = STUDIES[study]
     if grid is None:
-        grid = DEFAULT_GRIDS[study]
+        grid = default_grid
     else:
         grid = tuple(grid)
         try:

@@ -223,6 +223,38 @@ def test_unwritable_out_exits_2_before_any_work(fixture_files, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_dot_dot_out_exits_2_before_any_work(fixture_files, tmp_path, capsys, monkeypatch, command):
+    def reached(*args, **kwargs):
+        raise AssertionError("--out must be judged as the path it names before any work runs")
+
+    for name in ("load_experimental", "load_observational", "fit_all", "run_study"):
+        monkeypatch.setattr(cli, name, reached)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert _run([*_COMMANDS_WITH_OUT[command](*fixture_files), "--out", "nope/.."]) == 2
+    assert capsys.readouterr().err == "error: ConfigurationError: output path nope/.. is a directory\n"
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling, study", [
+    ("dimension", "dimension"),
+    ("misspec", "misspecification"),
+    ("misspecification", "misspecification"),
+    ("samplesize", "sample_size"),
+    ("sample_size", "sample_size"),
+    ("explanatory", "explanatory"),
+])
+def test_every_study_spelling_names_a_study_in_the_table(spelling, study):
+    from surrogate_ate import simulation
+
+    args = cli.build_parser().parse_args(["simulate", "--study", spelling, "--reps", "1", "--seed", "0", "--out", "x"])
+    assert cli._STUDY_ALIASES[args.study] == study
+    assert study in simulation.STUDIES
+    assert len(cli._STUDY_ALIASES) == 6
+
+
 @pytest.mark.parametrize("case", ["directory", "not_utf8"])
 def test_unreadable_input_csv_exits_2(fixture_files, tmp_path, capsys, case):
     pe, po = fixture_files

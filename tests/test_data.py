@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surrogate_ate import (
+    ConfigurationError,
     ExperimentalSample,
     ObservationalSample,
     PoolingError,
@@ -209,6 +210,20 @@ def test_write_then_load_is_identity(tmp_path_factory, columns):
         assert type(back) is cls
         for c in names:
             assert np.array_equal(getattr(sample, c), getattr(back, c)), (cls.__name__, c)
+
+
+@pytest.mark.parametrize("cls, unit_columns, write, load", LAYOUTS)
+def test_writers_create_missing_parents_and_reject_a_directory(tmp_path, cls, unit_columns, write, load):
+    columns = {"w": [0, 1], "y": [0.5, 1.5], "s": [[1.0], [2.0]]}
+    sample = cls(**{c: columns[c] for c in (*unit_columns, "s")})
+    path = tmp_path / "new" / "dir" / "sample.csv"
+    write(sample, path)
+    assert np.array_equal(load(path).s, sample.s)
+    with pytest.raises(ConfigurationError, match="cannot write"):
+        write(sample, tmp_path / "new")
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="cannot write"):
+        write(sample, tmp_path / "plain" / "sample.csv")
 
 
 def test_duplicate_header_column_is_schema_error(tmp_path):

@@ -1,5 +1,9 @@
+import hashlib
+import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -364,3 +368,96 @@ def test_replication_counts_a_non_converged_fit_as_a_failure(monkeypatch):
     assert None not in simulation._replicate(spec, seed)
     monkeypatch.setattr(simulation, "fit_logistic", partial(simulation.fit_logistic, max_iter=1))
     assert simulation._replicate(spec, seed) == (None, None)
+
+
+# sha256 of json.dumps(make_spec(study, seed=6, ...).to_dict(), sort_keys=True) for every
+# default grid point, recorded before the studies were described by one table
+_SEED6_SPEC_DIGESTS = {
+    ("dimension", 1): "e874d160822c82afbbe38ab9e65b1419f46af1bfd8c2b6bfb7cb1ae71d8c096d",
+    ("dimension", 10): "784a16720cd22b4d9c8716d33f0ab3647538e58b4c7c095b45b576641d2ef35b",
+    ("dimension", 50): "fe63bbc0bec7d3009ce2c4e3eac66536d11ba35dff06262420f78edbe98368d4",
+    ("dimension", 100): "a26f81eb2faf2e1e7abbc784a49d9ec591afd9d71f3dc89386278c4602eafdea",
+    ("dimension", 200): "1901fce85eabe58c54ea6492e0446618f2a47e185b0a6a8c6067d45693010b6d",
+    ("misspecification", 1): "d709968575e94da0091bf50020a226bcacfa5507868ec846f0cebe323bc7f767",
+    ("misspecification", 5): "1f6f4f84156c729f354a2f82e617247d0eff16deac69647a3683804ef4e91492",
+    ("misspecification", 25): "d74aa4bfc9068a9c901f584f8576c7c19aa5f600d1432cb314b8c0665f5c1015",
+    ("misspecification", 100): "1e48660eb0a0f870a1bb3bd23d37e777eaed129084033724e12bb805428ba03e",
+    ("misspecification", 250): "4963666b270c85113943b44282b8a9b3f210b200e8daac600ac09eb3a2266ac5",
+    ("sample_size", 0.05): "27eb1e3a31b381e1f95c60d4714903bfabe71ee07cb1c324aac25223f2dacbcb",
+    ("sample_size", 0.25): "42b2f52cca4037a80b46413c14dedab4d4e614d2fee7e111220483e3eae9efef",
+    ("sample_size", 0.5): "381816c5b7ba2de62fd1b5386d01ab4214a7f4ff404234e86953fc58a2ddfe51",
+    ("sample_size", 0.75): "6206a0e493b41b937b9ba5045c4352fa14031462cfa3d939480ada3fb81cb35d",
+    ("sample_size", 0.95): "e31fdabb5d68809ce9aa1c7e2de210b522a54f9cf47f0534c5dd711a2cd7fff9",
+    ("explanatory", 1): "bc3537444e82d13f5d396b1e37a5347dfbafd6bef3d3e1c290c30dc22221bf5d",
+    ("explanatory", 2): "675276624e5b37f8d54c09a2774b62cd5741a1205f83a58b874f7e60214a19f8",
+    ("explanatory", 3): "846a561b383086394642616aa6d1ef902d2619db1affbc6954812ccd46b5b47d",
+    ("explanatory", 4): "72112e18b23b1a6c530198699bff1522b735931a00c317653b0599c181ec89b9",
+}
+
+
+_SPEC_KEYWORDS = {"dimension": "m", "misspecification": "k_used", "sample_size": "q", "explanatory": "design_row"}
+
+
+@pytest.mark.parametrize("study, value", sorted(_SEED6_SPEC_DIGESTS, key=str))
+def test_default_grid_point_spec_is_pinned(study, value):
+    spec = make_spec(study, seed=6, **{_SPEC_KEYWORDS[study]: value})
+    digest = hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == _SEED6_SPEC_DIGESTS[study, value]
+
+
+def test_study_table_gives_names_and_default_grids():
+    from surrogate_ate import DEFAULT_GRIDS
+
+    assert simulation.STUDY_NAMES == tuple(simulation.STUDIES)
+    assert DEFAULT_GRIDS is simulation.DEFAULT_GRIDS
+    assert {(s, v) for s, grid in DEFAULT_GRIDS.items() for v in grid} == set(_SEED6_SPEC_DIGESTS)
+    for study, (keyword, cast, grid) in simulation.STUDIES.items():
+        assert DEFAULT_GRIDS[study] == grid
+        assert all(type(v) is cast for v in grid), study
+        assert keyword == _SPEC_KEYWORDS[study] and keyword in inspect.signature(make_spec).parameters
+
+
+def test_run_study_zero_reps_is_rejected_before_any_output(tmp_path):
+    out = tmp_path / "study.csv"
+    with pytest.raises(ConfigurationError, match="reps must be at least 1"):
+        run_study("explanatory", reps=0, seed=1, out_path=out, grid=[1])
+    assert not out.exists()
+
+
+def test_run_study_judges_a_dot_dot_out_path_before_any_work(tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("the output path must be checked before any work runs")
+
+    monkeypatch.setattr(simulation, "make_spec", reached)
+    monkeypatch.setattr(simulation, "run_monte_carlo", reached)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match=r"output path nope/\.\. is a directory"):
+        run_study("sample_size", reps=2, seed=0, out_path="nope/..", grid=[0.5])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_computes_no_quadrature_rule():
+    # the Gauss-Hermite rule is built on first use: importing the CLI must not call hermegauss,
+    # and the first true_tau must (so the stand-in below would have caught an import-time call)
+    code = (
+        "import numpy.polynomial.hermite_e as he\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('hermegauss called')\n"
+        "he.hermegauss = refuse\n"
+        "import surrogate_ate.cli\n"
+        "from surrogate_ate import make_spec, true_tau\n"
+        "try:\n"
+        "    true_tau(make_spec('dimension', seed=0, m=2))\n"
+        "except RuntimeError:\n"
+        "    print('lazy')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "lazy\n"
+
+
+def test_hermite_rule_is_built_once():
+    nodes, weights = np.polynomial.hermite_e.hermegauss(128)
+    first = simulation._hermite()
+    assert first is simulation._hermite()
+    assert np.array_equal(first[0], nodes) and np.array_equal(first[1], weights / np.sqrt(2.0 * np.pi))
