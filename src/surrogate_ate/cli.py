@@ -28,15 +28,18 @@ Exit codes: 0 success, 2 invalid input or configuration (including a
 and a negative ``--seed``, all rejected before any file is read, a
 ``--ridge`` or ``--delta-*`` that is negative or not finite, an empty
 ``--grid`` or one with a value of the wrong type, an ``--out`` that names a
-directory or lies under a regular file once ``..`` and symbolic links are
-resolved (``nope/..`` included), checked before any file is read,
+directory, lies under a regular file or runs into a symbolic-link loop once
+``..`` and symbolic links are resolved (``nope/..`` included), checked
+before any file is read,
 and an input CSV that is not a readable UTF-8 file), 3 estimation failure
 (overlap, degenerate arm, separation, ...).  Errors are written as
 a single machine-parseable line on stderr; so is the ``warning:`` line of
 ``bounds --variance-mode per-stratum`` when a stratum holds a single
-observation.  The ``SURROGATE_THREADS`` environment variable caps worker
-parallelism, itself capped by the work items and the CPUs available to the
-process; output is byte-identical for any value.
+observation.  Bootstrap replicates and study replications run in worker
+processes; the ``SURROGATE_THREADS`` environment variable sets how many
+(default: the CPUs available to the process), capped by the work items and
+those CPUs.  Where the ``fork`` start method is unavailable they run
+serially.  Output is byte-identical for any value.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ naming convention.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import re
 from dataclasses import dataclass, field
@@ -327,13 +328,20 @@ def _check_output(path) -> Path:
     """``path`` as a ``Path``, checked to name a file that can be created.
 
     Raises :class:`ConfigurationError` when it is an existing directory or
-    lies under an existing path that is not a directory.  The path is judged
-    with ``..`` and symbolic links resolved, so ``nope/..`` is the directory
-    it names, but messages quote it as given.  Missing parent directories are
-    fine; :func:`_open_output` creates them.
+    lies under an existing path that is not a directory, or when resolving it
+    runs into a symbolic-link loop.  The path is judged with ``..`` and
+    symbolic links resolved, so ``nope/..`` is the directory it names, but
+    messages quote it as given.  Missing parent directories are fine;
+    :func:`_open_output` creates them.
     """
     path = Path(path)
     resolved = Path(os.path.realpath(path))
+    try:
+        # the lenient realpath leaves a loop unresolved; the strict one raises on it
+        os.path.realpath(resolved, strict=True)
+    except OSError as err:
+        if err.errno == errno.ELOOP:
+            raise ConfigurationError(f"output path {path} runs into a symbolic-link loop") from None
     if resolved.is_dir():
         raise ConfigurationError(f"output path {path} is a directory")
     ancestor = next((p for p in resolved.parents if p.exists()), None)

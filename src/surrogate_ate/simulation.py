@@ -402,8 +402,9 @@ def run_study(
     standard deviation multiplied by 100 for readability; the manifest
     records every generating process, the seed contract, and the package
     version.  An ``out_path`` whose CSV or manifest cannot be written (an
-    existing directory, or a path under a regular file) raises
-    :class:`ConfigurationError` before any replication runs.
+    existing directory, a path under a regular file or one in a
+    symbolic-link loop) raises :class:`ConfigurationError` before any
+    replication runs.
     """
     if study not in STUDIES:
         raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")

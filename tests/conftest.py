@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -54,3 +57,32 @@ def small_single():
         s=[[1.0], [1.2], [1.4], [1.1], [0.2], [0.4], [0.1], [0.3]],
         x=None,
     )
+
+
+@pytest.fixture
+def serial_maps(monkeypatch):
+    """Every ``ordered_map`` runs in this process, in item order.
+
+    For tests that number replicates by counting calls: a counter in a
+    worker process counts only that worker's chunk.
+    """
+    monkeypatch.setenv("SURROGATE_THREADS", "1")
+
+
+@pytest.fixture
+def process_pools(monkeypatch):
+    """Worker counts of the process pools started during the test, with three CPUs available.
+
+    Three CPUs are reported whatever the machine has, so a determinism test
+    compares real worker processes with a serial run even on one CPU.
+    """
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    return sizes

@@ -299,10 +299,30 @@ def test_nuisance_solver_correctness():
         assert np.abs(np.array([model.intercept, *model.coef]) - oracle).max() < 1e-10
 
 
+# Runs the CLI as ``python -c _CLI_WITH_CPUS <cpus> <argv...>``: the process sees
+# ``cpus`` CPUs available whatever the machine has, and the last stderr line
+# lists the worker count of each process pool the command started.
+_CLI_WITH_CPUS = """
+import concurrent.futures, json, os, sys
+cpus = int(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+sizes = []
+class Recording(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, **kwargs):
+        sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+concurrent.futures.ProcessPoolExecutor = Recording
+from surrogate_ate.cli import main
+code = main(sys.argv[2:])
+print("pools " + json.dumps(sizes), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def test_seeded_entry_points_are_byte_deterministic(tmp_path):
     with criterion(
         "determinism: seeded CLI runs are byte-identical across repeats and across "
-        "1 and 8 worker threads"
+        "1, 2 (the default on two CPUs) and 3 worker processes"
     ):
         exp_csv = tmp_path / "e.csv"
         obs_csv = tmp_path / "o.csv"
@@ -323,8 +343,11 @@ def test_seeded_entry_points_are_byte_deterministic(tmp_path):
             + "\n"
         )
 
-        def run(threads, tag):
-            env = dict(os.environ, SURROGATE_THREADS=str(threads))
+        def run(threads, cpus, tag, pools):
+            env = dict(os.environ)
+            env.pop("SURROGATE_THREADS", None)
+            if threads is not None:
+                env["SURROGATE_THREADS"] = threads
             est_out = tmp_path / f"est_{tag}.json"
             sim_out = tmp_path / f"sim_{tag}.csv"
             for argv in (
@@ -334,16 +357,20 @@ def test_seeded_entry_points_are_byte_deterministic(tmp_path):
                  "--grid", "0.5", "--out", str(sim_out)],
             ):
                 proc = subprocess.run(
-                    [sys.executable, "-m", "surrogate_ate.cli", *argv],
+                    [sys.executable, "-c", _CLI_WITH_CPUS, str(cpus), *argv],
                     capture_output=True, text=True, env=env,
                 )
                 assert proc.returncode == 0, proc.stderr
+                # the worker count the command actually ran with
+                assert proc.stderr.splitlines()[-1] == f"pools {pools}", proc.stderr
             return est_out.read_bytes(), sim_out.read_bytes(), (
                 tmp_path / f"sim_{tag}.csv.manifest.json"
             ).read_bytes()
 
-        first = run(1, "a")
-        again = run(1, "b")
-        threaded = run(8, "c")
+        first = run("1", 3, "a", [])
+        again = run("1", 3, "b", [])
+        default = run(None, 2, "c", [2])
+        threaded = run("8", 3, "d", [3])
         assert first == again
+        assert first == default
         assert first == threaded

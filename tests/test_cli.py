@@ -238,6 +238,22 @@ def test_dot_dot_out_exits_2_before_any_work(fixture_files, tmp_path, capsys, mo
     assert list(work.iterdir()) == []
 
 
+def test_out_under_a_symbolic_link_loop_exits_2_before_any_replication(tmp_path, capsys, monkeypatch):
+    from surrogate_ate import simulation
+
+    def reached(*args, **kwargs):
+        raise AssertionError("--out must be checked before any replication runs")
+
+    monkeypatch.setattr(simulation, "run_monte_carlo", reached)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop").symlink_to("loop")
+    argv = ["simulate", "--study", "samplesize", "--reps", "3", "--seed", "0", "--grid", "0.5", "--out", "loop/x.csv"]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigurationError: output path loop/x.csv runs into a symbolic-link loop\n"
+    )
+
+
 @pytest.mark.parametrize("spelling, study", [
     ("dimension", "dimension"),
     ("misspec", "misspecification"),
@@ -547,8 +563,8 @@ def test_shared_bootstrap_matches_one_bootstrap_per_method(thousand_row_files, t
     assert _bootstrap_ses(pe, po, tmp_path, 20, 5) == _oracle_se(pe, po, 20, 5)
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_failed_fit_drops_the_replicate_for_fitted_methods_only(thousand_row_files, tmp_path, monkeypatch):
-    monkeypatch.setenv("SURROGATE_THREADS", "1")
     pe, po = thousand_row_files
     fail_on = {2, 7}
     intact = _oracle_se(pe, po, 20, 5)
@@ -561,6 +577,7 @@ def test_failed_fit_drops_the_replicate_for_fitted_methods_only(thousand_row_fil
     assert all(oracle[name] != intact[name] for name in ("index", "score", "linear_shortcut"))
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_estimate_all_fits_once_per_resample(fixture_files, tmp_path, monkeypatch):
     calls = []
 
@@ -575,7 +592,7 @@ def test_estimate_all_fits_once_per_resample(fixture_files, tmp_path, monkeypatc
     assert len(calls) == 6
 
 
-def test_shared_bootstrap_bytes_do_not_depend_on_threads(thousand_row_files, tmp_path, monkeypatch):
+def test_shared_bootstrap_bytes_do_not_depend_on_threads(thousand_row_files, tmp_path, monkeypatch, process_pools):
     pe, po = thousand_row_files
     outputs = []
     for threads in ("1", "2"):
@@ -584,6 +601,7 @@ def test_shared_bootstrap_bytes_do_not_depend_on_threads(thousand_row_files, tmp
         assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "all", "--bootstrap", "12",
                      "--seed", "3", "--out", out]) == 0
         outputs.append(out.read_bytes())
+    assert process_pools == [2]
     assert outputs[0] == outputs[1]
 
 

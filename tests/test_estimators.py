@@ -1,5 +1,4 @@
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -383,22 +382,18 @@ def test_bootstrap_deterministic(small_exp, small_obs):
     assert a != c
 
 
-def test_bootstrap_deterministic_across_thread_counts(small_exp, small_obs):
+def test_bootstrap_deterministic_across_thread_counts(small_exp, small_obs, process_pools, monkeypatch):
     def estimator(e, o):
         return float(o.y.mean() - e.s.mean())
 
-    old = os.environ.get("SURROGATE_THREADS")
-    try:
-        os.environ["SURROGATE_THREADS"] = "1"
-        a = bootstrap_se(estimator, (small_exp, small_obs), reps=64, seed=3)
-        os.environ["SURROGATE_THREADS"] = "8"
-        b = bootstrap_se(estimator, (small_exp, small_obs), reps=64, seed=3)
-    finally:
-        if old is None:
-            os.environ.pop("SURROGATE_THREADS", None)
-        else:
-            os.environ["SURROGATE_THREADS"] = old
-    assert a == b
+    monkeypatch.setenv("SURROGATE_THREADS", "1")
+    a = bootstrap_se(estimator, (small_exp, small_obs), reps=64, seed=3)
+    monkeypatch.setenv("SURROGATE_THREADS", "8")
+    b = bootstrap_se(estimator, (small_exp, small_obs), reps=64, seed=3)
+    monkeypatch.delenv("SURROGATE_THREADS")
+    c = bootstrap_se(estimator, (small_exp, small_obs), reps=64, seed=3)
+    assert process_pools == [3, 3]
+    assert a == b == c
 
 
 def test_bootstrap_matches_exhaustive_enumeration():
@@ -473,6 +468,7 @@ def test_bootstrap_accepts_the_failure_rate_end_points(small_single, rate):
     assert np.isfinite(se)
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_bootstrap_single_survivor_is_unstable(small_single):
     calls = itertools.count()
 
@@ -487,6 +483,7 @@ def test_bootstrap_single_survivor_is_unstable(small_single):
     assert exc.value.failures == 9
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_bootstrap_tuple_none_fails_only_its_own_statistic(small_single):
     calls, alone_calls = itertools.count(), itertools.count()
     dropped = {3, 17, 40, 41, 99}
@@ -507,6 +504,7 @@ def test_bootstrap_tuple_none_fails_only_its_own_statistic(small_single):
     assert ses[1] == bootstrap_se(second_alone, (small_single,), reps=100, seed=6)
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_bootstrap_tuple_first_unstable_statistic_raises(small_single):
     calls = itertools.count()
 
@@ -521,6 +519,7 @@ def test_bootstrap_tuple_first_unstable_statistic_raises(small_single):
     assert "25 of 100" in str(exc.value)
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_bootstrap_tuple_raising_fails_every_statistic(small_single):
     calls = itertools.count()
 

@@ -29,6 +29,7 @@ from surrogate_ate import (
     predict_index,
     predict_score,
 )
+from surrogate_ate.nuisance import _standardize
 from surrogate_ate.nuisance import expit as own_expit
 
 
@@ -602,3 +603,17 @@ def test_package_and_cli_import_no_scipy():
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("shape", [(1000, 14), (500, 251), (7, 3), (1, 1), (5, 0), (0, 3)])
+def test_standardize_is_bit_identical_to_the_two_pass_form(shape):
+    gen = np.random.default_rng(shape[0] + shape[1])
+    features = gen.normal(size=shape) * gen.uniform(0.1, 1e3, size=shape[1]) + 100 * gen.normal(size=shape[1])
+    if shape[0] > 1 and shape[1] > 1:
+        features[:, 1] = 2.5  # a constant column keeps its unit scale
+    z, mean, sd = _standardize(features)
+    ref_mean = features.mean(axis=0) if features.size else np.zeros(shape[1])
+    ref_sd = features.std(axis=0) if features.size else np.ones(shape[1])
+    ref_sd = np.where(ref_sd == 0.0, 1.0, ref_sd)
+    assert np.array_equal(mean, ref_mean) and np.array_equal(sd, ref_sd)
+    assert np.array_equal(z, (features - ref_mean) / ref_sd)

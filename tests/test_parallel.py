@@ -1,16 +1,25 @@
+import concurrent.futures
+import ctypes.util
+import inspect
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from surrogate_ate import parallel
+from surrogate_ate import errors, parallel
 
 
 class _RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records the pool size and maps in the calling thread."""
+    """Stands in for ProcessPoolExecutor: records the pool size and runs each chunk in this process."""
 
     sizes: list = []
+    chunks: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        assert mp_context.get_start_method() == "fork"
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -19,14 +28,18 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        self.chunks.append(args)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.fixture
 def recorder(monkeypatch):
     _RecordingExecutor.sizes = []
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _RecordingExecutor)
+    _RecordingExecutor.chunks = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     return _RecordingExecutor.sizes
 
 
@@ -46,6 +59,11 @@ def test_pool_never_exceeds_items_or_cpus(monkeypatch, recorder, threads, cpus, 
     _cpus(monkeypatch, cpus)
     assert parallel.ordered_map(lambda i: i * i, range(items)) == [i * i for i in range(items)]
     assert recorder == [size]
+    # one contiguous chunk per worker, covering every item once
+    bounds = _RecordingExecutor.chunks
+    assert len(bounds) == size and bounds[0][0] == 0 and bounds[-1][1] == items
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    assert max(b - a for a, b in bounds) - min(b - a for a, b in bounds) <= 1
 
 
 @pytest.mark.parametrize("threads, cpus, items", [
@@ -63,8 +81,19 @@ def test_one_worker_maps_without_a_pool(monkeypatch, recorder, threads, cpus, it
     assert recorder == []
 
 
+def test_without_fork_the_map_runs_serially(monkeypatch, recorder):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.delenv("SURROGATE_THREADS", raising=False)
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert parallel.ordered_map(lambda i: (i, os.getpid()), range(8)) == [(i, os.getpid()) for i in range(8)]
+    assert recorder == []
+
+
 @pytest.mark.parametrize("threads, cpus, expected", [
-    ("100000", 2, 2), ("2", 8, 2), ("1", 8, 1), ("0", 8, 1), ("x", 8, 1), (None, 8, 1),
+    ("100000", 2, 2), ("2", 8, 2), ("1", 8, 1), ("0", 8, 1), ("x", 8, 1), (None, 8, 8),
 ])
 def test_worker_count_is_capped_by_the_cpus(monkeypatch, threads, cpus, expected):
     if threads is None:
@@ -73,3 +102,159 @@ def test_worker_count_is_capped_by_the_cpus(monkeypatch, threads, cpus, expected
         monkeypatch.setenv("SURROGATE_THREADS", threads)
     _cpus(monkeypatch, cpus)
     assert parallel.worker_count() == expected
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """The default worker count, with two CPUs available whatever the machine has."""
+    monkeypatch.delenv("SURROGATE_THREADS", raising=False)
+    _cpus(monkeypatch, 2)
+
+
+def _slow_pid(i):
+    time.sleep(0.2)  # long enough that each worker takes one chunk
+    return i, os.getpid()
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_items_run_in_forked_workers_and_return_in_item_order():
+    unpicklable = lambda i: _slow_pid(i)  # noqa: E731 -- workers inherit it through fork
+    results = parallel.ordered_map(unpicklable, range(4))
+    assert [i for i, _ in results] == [0, 1, 2, 3]
+    pids = [pid for _, pid in results]
+    assert os.getpid() not in pids
+    assert pids[0] == pids[1] != pids[2] == pids[3]
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_a_map_inside_a_worker_runs_serially():
+    def inner(i):
+        return os.getpid(), parallel.ordered_map(lambda j: os.getpid(), range(4))
+
+    for pid, inner_pids in parallel.ordered_map(inner, range(2)):
+        assert inner_pids == [pid] * 4
+
+
+_SURROGATE_ERRORS = sorted(
+    (cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.SurrogateError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.usefixtures("two_workers")
+@pytest.mark.parametrize("error", _SURROGATE_ERRORS, ids=lambda cls: cls.__name__)
+def test_an_error_in_a_worker_reaches_the_caller_unchanged(error):
+    def item(i):
+        if i == 1:
+            raise error(f"item {i} failed")
+        return i
+
+    with pytest.raises(error) as info:
+        parallel.ordered_map(item, range(2))
+    assert type(info.value) is error
+    assert str(info.value) == "item 1 failed"
+    # raised in a worker, not in this process
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_an_unstable_bootstrap_error_keeps_its_counts_across_processes():
+    def item(i):
+        if i == 1:
+            raise errors.UnstableBootstrapError("7 of 20 bootstrap replicates failed", failures=7, reps=20)
+        return i
+
+    with pytest.raises(errors.UnstableBootstrapError) as info:
+        parallel.ordered_map(item, range(2))
+    assert (str(info.value), info.value.failures, info.value.reps) == ("7 of 20 bootstrap replicates failed", 7, 20)
+
+
+_DYING_WORKER = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(2))
+from concurrent.futures.process import BrokenProcessPool
+from surrogate_ate.parallel import ordered_map
+def item(i):
+    if i == 1:
+        os._exit(7)
+    return i
+try:
+    ordered_map(item, range(2))
+except BrokenProcessPool:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_a_worker_that_dies_makes_the_map_raise_promptly():
+    env = dict(os.environ)
+    env.pop("SURROGATE_THREADS", None)
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - started < 30
+
+
+def _openblas_thread_count():
+    return parallel._openblas_threads()[0]()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
+def test_items_run_at_one_openblas_thread(monkeypatch, threads):
+    if parallel._openblas_threads() is None:
+        pytest.skip("no OpenBLAS is loaded")
+    monkeypatch.setenv("SURROGATE_THREADS", threads)
+    _cpus(monkeypatch, 2)
+    before = _openblas_thread_count()
+    counts = parallel.ordered_map(lambda i: (os.getpid(), _openblas_thread_count()), range(2))
+    assert [count for _, count in counts] == [1, 1]
+    assert (os.getpid() in dict(counts)) == (threads == "1")
+    assert _openblas_thread_count() == before
+
+
+@pytest.mark.usefixtures("two_workers")
+@pytest.mark.parametrize("libraries", [
+    [],
+    ["/nonexistent/libopenblas.so"],
+    [ctypes.util.find_library("c")],
+], ids=["none-loaded", "unloadable", "no-symbol"])
+def test_without_openblas_the_pin_is_skipped(monkeypatch, libraries):
+    monkeypatch.setattr(parallel, "_openblas_libraries", lambda: libraries)
+    assert parallel._openblas_threads() is None
+    assert parallel.ordered_map(lambda i: (i, parallel._openblas_threads()), range(2)) == [(0, None), (1, None)]
+
+
+_KILLED_PARENT = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: set(range(2))
+from surrogate_ate.parallel import ordered_map
+def item(i):
+    os.write(1, f"{os.getpid()}\\n".encode())  # one write: the two workers share the pipe
+    time.sleep(60)
+ordered_map(item, range(2))
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ)
+    env.pop("SURROGATE_THREADS", None)
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT], stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_running(pid) for pid in workers)

@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import json
-import os
 import subprocess
 import sys
 
@@ -220,20 +219,16 @@ def test_run_monte_carlo_deterministic():
     assert a.score.failures == 0
 
 
-def test_run_monte_carlo_thread_invariant():
+def test_run_monte_carlo_thread_invariant(process_pools, monkeypatch):
     spec = make_spec("dimension", seed=8, m=2)
-    old = os.environ.get("SURROGATE_THREADS")
-    try:
-        os.environ["SURROGATE_THREADS"] = "1"
-        a = run_monte_carlo(spec, reps=8, seed=8)
-        os.environ["SURROGATE_THREADS"] = "8"
-        b = run_monte_carlo(spec, reps=8, seed=8)
-    finally:
-        if old is None:
-            os.environ.pop("SURROGATE_THREADS", None)
-        else:
-            os.environ["SURROGATE_THREADS"] = old
-    assert a == b
+    monkeypatch.setenv("SURROGATE_THREADS", "1")
+    a = run_monte_carlo(spec, reps=8, seed=8)
+    monkeypatch.setenv("SURROGATE_THREADS", "2")
+    b = run_monte_carlo(spec, reps=8, seed=8)
+    monkeypatch.delenv("SURROGATE_THREADS")
+    c = run_monte_carlo(spec, reps=8, seed=8)
+    assert process_pools == [2, 3]
+    assert a == b == c
 
 
 def test_run_monte_carlo_null_calibration():
@@ -434,6 +429,20 @@ def test_run_study_judges_a_dot_dot_out_path_before_any_work(tmp_path, monkeypat
     with pytest.raises(ConfigurationError, match=r"output path nope/\.\. is a directory"):
         run_study("sample_size", reps=2, seed=0, out_path="nope/..", grid=[0.5])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["loop", "loop/x.csv", "missing/../loop/x.csv"])
+def test_run_study_rejects_an_out_path_in_a_symbolic_link_loop_before_any_work(tmp_path, monkeypatch, out):
+    def reached(*args, **kwargs):
+        raise AssertionError("the output path must be checked before any work runs")
+
+    monkeypatch.setattr(simulation, "make_spec", reached)
+    monkeypatch.setattr(simulation, "run_monte_carlo", reached)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop").symlink_to("loop")
+    with pytest.raises(ConfigurationError, match="runs into a symbolic-link loop"):
+        run_study("sample_size", reps=2, seed=0, out_path=out, grid=[0.5])
+    assert list(tmp_path.iterdir()) == [tmp_path / "loop"]
 
 
 def test_import_computes_no_quadrature_rule():
