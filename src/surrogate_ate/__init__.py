@@ -62,7 +62,6 @@ from .errors import (
 from .estimators import (
     EstimateReport,
     MatchOptions,
-    TauSurrogates,
     WeightSummary,
     bootstrap_se,
     estimate_index,
@@ -84,7 +83,6 @@ from .nuisance import (
     fit_all,
     fit_least_squares,
     fit_logistic,
-    predict_index,
     predict_score,
 )
 from .simulation import (
@@ -109,10 +107,10 @@ __all__ = [
     "write_experimental", "write_observational", "write_single",
     # nuisance
     "LinearModel", "LogisticModel", "ConstantScore", "NuisanceFits", "NuisanceOptions",
-    "fit_least_squares", "fit_logistic", "fit_all", "predict_score", "predict_index",
+    "fit_least_squares", "fit_logistic", "fit_all", "predict_score",
     "build_design", "bernoulli_loglik", "bernoulli_loglik_gradient",
     # estimators
-    "EstimateReport", "TauSurrogates", "WeightSummary", "MatchOptions",
+    "EstimateReport", "WeightSummary", "MatchOptions",
     "estimate_index", "estimate_score", "estimate_tau_surrogates",
     "estimate_linear_shortcut", "estimate_matching", "estimate_single_sample",
     "bootstrap_se",

@@ -39,7 +39,9 @@ observation.  Bootstrap replicates and study replications run in worker
 processes; the ``SURROGATE_THREADS`` environment variable sets how many
 (default: the CPUs available to the process), capped by the work items and
 those CPUs.  Where the ``fork`` start method is unavailable they run
-serially.  Output is byte-identical for any value.
+serially.  Importing the package sets OpenBLAS to one thread for the whole
+process, workers included, so output is byte-identical for any value and
+any CPU count.
 """
 
 from __future__ import annotations

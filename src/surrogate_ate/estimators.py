@@ -79,16 +79,6 @@ class EstimateReport(_JsonRecord):
     n_used: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TauSurrogates:
-    """Estimated average treatment effect on each surrogate."""
-
-    tau_s: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_s", np.asarray(self.tau_s, dtype=float))
-
-
 def _trim_scores(p: np.ndarray, eps: float | None):
     """Clamp scores to [eps, 1-eps]; returns the clipped array and the clip count."""
     if eps is None or eps == 0.0:
@@ -176,10 +166,10 @@ def estimate_index(
 
 def estimate_tau_surrogates(
     exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM
-) -> TauSurrogates:
+) -> np.ndarray:
     """Per-surrogate normalized IPW contrasts, one component per column of ``s``."""
     w1, w0, _ = _ipw_weights(exp, fits, trim)
-    return TauSurrogates(tau_s=_surrogate_contrasts(exp, w1, w0))
+    return _surrogate_contrasts(exp, w1, w0)
 
 
 def estimate_linear_shortcut(

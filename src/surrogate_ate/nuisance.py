@@ -434,9 +434,6 @@ def predict_score(model: ScoreModel | IndexModel, row) -> float:
     return float(model.predict(row[:n_s].reshape(1, -1), row[n_s:].reshape(1, -1))[0])
 
 
-predict_index = predict_score
-
-
 @dataclass(frozen=True)
 class NuisanceOptions:
     """Fitting configuration for :func:`fit_all`.

@@ -11,10 +11,14 @@ byte-identical for any value.
 Workers are started with the ``fork`` method, so they inherit the imported
 package and the map's function and items instead of importing and
 unpickling them again; only chunk bounds go out and result lists come back.
-Items run with OpenBLAS pinned to one thread, in a worker or not: a worker
-per CPU with a BLAS pool per worker would oversubscribe the CPUs, and BLAS
-results can depend on its thread count.  Where ``fork`` is unavailable, and
-inside a worker, a map runs serially.
+Where ``fork`` is unavailable, and inside a worker, a map runs serially.
+
+Importing this module, which every import of the package does, sets
+OpenBLAS to one thread for the whole process, and forked workers inherit
+that setting.  BLAS results can depend on its thread count, so this keeps
+every result independent of the machine's CPU count, and a BLAS pool per
+worker would oversubscribe the CPUs.  A library user's own numpy work in
+the same process also runs at one BLAS thread.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import ctypes
 import os
 import signal
-from contextlib import contextmanager
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -88,27 +91,15 @@ def _openblas_threads():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """OpenBLAS at one thread inside the block, where an OpenBLAS is found; its count is restored after."""
+def _pin_one_blas_thread() -> None:
+    """Set the loaded OpenBLAS to one thread, where an OpenBLAS is found."""
     found = _openblas_threads()
-    if found is None:
-        yield
-        return
-    get, set_ = found
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    if found is not None:
+        _, set_threads = found
+        set_threads(1)
 
 
-def _apply(fn: Callable[[T], R], items: list[T]) -> list[R]:
-    # every item runs at one BLAS thread, in a worker or not: BLAS results can
-    # depend on its thread count, and output must not depend on the worker count
-    with _one_blas_thread():
-        return [fn(item) for item in items]
+_pin_one_blas_thread()
 
 
 def _fork_context():
@@ -136,7 +127,7 @@ def _start_worker(parent: int) -> None:
 
 def _run_chunk(start: int, stop: int) -> list:
     fn, items = _WORK
-    return _apply(fn, items[start:stop])
+    return [fn(item) for item in items[start:stop]]
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
@@ -150,7 +141,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     workers = min(worker_count(), len(items))
     context = _fork_context() if workers > 1 and not _IN_WORKER else None
     if context is None:
-        return _apply(fn, items)
+        return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [len(items) * k // workers for k in range(workers + 1)]

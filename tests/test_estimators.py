@@ -139,7 +139,7 @@ def test_score_sampling_overlap_error(small_obs):
 def test_tau_surrogates_constant_column_is_zero():
     exp = ExperimentalSample(w=[1, 0, 1, 0], s=np.column_stack([np.full(4, 2.0), [1.0, 2.0, 3.0, 4.0]]))
     taus = estimate_tau_surrogates(exp, _fits(e=ConstantScore(0.5)))
-    assert taus.tau_s[0] == pytest.approx(0.0, abs=1e-15)
+    assert taus[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tau_surrogates_constant_e_gives_mean_contrasts():
@@ -147,7 +147,7 @@ def test_tau_surrogates_constant_e_gives_mean_contrasts():
     taus = estimate_tau_surrogates(exp, _fits(e=ConstantScore(0.3)))
     for j in range(2):
         expected = exp.s[exp.w == 1, j].mean() - exp.s[exp.w == 0, j].mean()
-        assert taus.tau_s[j] == pytest.approx(expected, abs=1e-12)
+        assert taus[j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_tau_surrogates_matches_dgp_shift():
@@ -167,7 +167,7 @@ def test_tau_surrogates_matches_dgp_shift():
     e_ur = weights @ (u * r)
     shift = (spec.alpha / norm**2) * e_ur * (1 / p + 1 / (1 - p))
     se = np.sqrt(1.0 / (big.n_exp * p * (1 - p)))  # conservative scale for a mean contrast
-    assert np.abs(taus.tau_s - shift).max() < 3 * se
+    assert np.abs(taus - shift).max() < 3 * se
 
 
 def test_linear_shortcut_zero_coefficients(small_exp):
@@ -196,7 +196,7 @@ def test_linear_shortcut_matches_direct_oracle():
     fits = _fits(e=FixedScore(e), h=h)
     taus = estimate_tau_surrogates(exp, fits)
     report = estimate_linear_shortcut(exp, fits)
-    assert report.tau_hat == pytest.approx(2.0 * taus.tau_s[0] - 1.0 * taus.tau_s[1], abs=1e-12)
+    assert report.tau_hat == pytest.approx(2.0 * taus[0] - 1.0 * taus[1], abs=1e-12)
 
 
 def _surrogate_contrasts_column_by_column(exp, w1, w0):
@@ -232,7 +232,7 @@ def test_surrogate_contrasts_equal_the_column_by_column_loop(trim, seed):
     assert (n_trimmed > 0) == (trim is not None)
     oracle = _surrogate_contrasts_column_by_column(exp, w1, w0)
     assert np.array_equal(_surrogate_contrasts(exp, w1, w0), oracle)
-    assert np.array_equal(estimate_tau_surrogates(exp, fits, trim).tau_s, oracle)
+    assert np.array_equal(estimate_tau_surrogates(exp, fits, trim), oracle)
     assert estimate_linear_shortcut(exp, fits, trim).tau_hat == float(h.coef_s @ oracle)
 
 

@@ -26,7 +26,6 @@ from surrogate_ate import (
     fit_logistic,
     make_spec,
     pool,
-    predict_index,
     predict_score,
 )
 from surrogate_ate.nuisance import _standardize
@@ -241,7 +240,7 @@ def test_predict_score_and_index_trivial():
     assert predict_score(score, [0.0]) == pytest.approx(0.5)
     index = fit_least_squares(np.zeros((2, 1)), np.zeros(2), ridge=1.0)
     index = type(index)(intercept=0.0, coef_s=np.zeros(1), coef_x=np.zeros(0), residual_variance=0.0)
-    assert predict_index(index, [123.0]) == pytest.approx(0.0)
+    assert predict_score(index, [123.0]) == pytest.approx(0.0)
 
 
 def test_predict_direct_evaluation():
@@ -251,7 +250,7 @@ def test_predict_direct_evaluation():
     assert predict_score(score, [0.5]) == pytest.approx(expit(2.0), abs=1e-12)
     assert predict_score(score, [0.5]) == pytest.approx(0.8807970779778823, abs=1e-9)
     index = LinearModel(intercept=1.0, coef_s=np.array([2.0]), coef_x=np.zeros(0))
-    assert predict_index(index, [0.5]) == pytest.approx(2.0, abs=1e-12)
+    assert predict_score(index, [0.5]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_predict_wrong_length_raises():

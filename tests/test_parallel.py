@@ -1,6 +1,7 @@
 import concurrent.futures
 import ctypes.util
 import inspect
+import json
 import multiprocessing
 import os
 import subprocess
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from surrogate_ate import errors, parallel
+from surrogate_ate import draw_dataset, errors, make_spec, parallel, write_experimental, write_observational
 
 
 class _RecordingExecutor:
@@ -196,24 +197,92 @@ def test_a_worker_that_dies_makes_the_map_raise_promptly():
     assert time.perf_counter() - started < 30
 
 
-def _openblas_thread_count():
-    return parallel._openblas_threads()[0]()
+# Runs first in a fresh interpreter.  ``blas_threads()`` reads the OpenBLAS
+# thread count with the package's own lookup, whose source is run here without
+# the module's import-time pin, so the count can be read before the package is
+# imported; it is None where no OpenBLAS is found.
+_BLAS_PROBE = """
+import ast, ctypes, importlib.util, os, sys
+import numpy  # loads OpenBLAS
+_source = os.path.join(importlib.util.find_spec("surrogate_ate").submodule_search_locations[0], "parallel.py")
+_lookup = [node for node in ast.parse(open(_source).read()).body
+           if isinstance(node, ast.FunctionDef) and node.name in ("_openblas_libraries", "_openblas_threads")]
+_namespace = {"ctypes": ctypes}
+exec(compile(ast.Module(_lookup, []), _source, "exec"), _namespace)
+def blas_threads():
+    found = _namespace["_openblas_threads"]()
+    return None if found is None else found[0]()
+"""
+
+
+def _run_at_two_blas_threads(code, *argv):
+    """Run ``_BLAS_PROBE + code`` in a fresh interpreter started at ``OPENBLAS_NUM_THREADS=2``.
+
+    The child prints the count before ``import surrogate_ate`` as its first
+    stdout line; this skips where that count is not 2, since then the machine
+    cannot show what one thread changes.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE + "print(blas_threads())\n" + code, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, *rest = proc.stdout.splitlines()
+    if before != "2":
+        pytest.skip(f"OpenBLAS reads {before} threads at OPENBLAS_NUM_THREADS=2 on this machine")
+    return rest
+
+
+_ITEMS_AFTER_IMPORT = """
+import json, time
+os.sched_getaffinity = lambda pid: set(range(2))
+from surrogate_ate import parallel
+after = blas_threads()
+def item(i):
+    time.sleep(0.2)  # long enough that each worker takes one chunk
+    return os.getpid(), blas_threads()
+items = parallel.ordered_map(item, range(2))
+print(json.dumps({"pid": os.getpid(), "after": after, "items": items}))
+"""
 
 
 @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
 def test_items_run_at_one_openblas_thread(monkeypatch, threads):
-    if parallel._openblas_threads() is None:
-        pytest.skip("no OpenBLAS is loaded")
+    # set for the child, which starts at two OpenBLAS threads and pins to one on import
     monkeypatch.setenv("SURROGATE_THREADS", threads)
-    _cpus(monkeypatch, 2)
-    before = _openblas_thread_count()
-    counts = parallel.ordered_map(lambda i: (os.getpid(), _openblas_thread_count()), range(2))
-    assert [count for _, count in counts] == [1, 1]
-    assert (os.getpid() in dict(counts)) == (threads == "1")
-    assert _openblas_thread_count() == before
+    (line,) = _run_at_two_blas_threads(_ITEMS_AFTER_IMPORT)
+    report = json.loads(line)
+    assert report["after"] == 1
+    assert [count for _, count in report["items"]] == [1, 1]
+    pids = {pid for pid, _ in report["items"]}
+    if threads == "1":
+        assert pids == {report["pid"]}
+    else:
+        assert len(pids) == 2 and report["pid"] not in pids
 
 
-@pytest.mark.usefixtures("two_workers")
+_ESTIMATE_AFTER_IMPORT = """
+import surrogate_ate
+print(blas_threads())
+from surrogate_ate.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_estimates_do_not_depend_on_the_openblas_thread_count(tmp_path):
+    # 250 wide surrogates: a ridge score fit whose last digits move with the BLAS thread count
+    exp, obs = draw_dataset(make_spec("misspecification", seed=0, k_used=250), 3)
+    write_experimental(exp, tmp_path / "e.csv")
+    write_observational(obs, tmp_path / "o.csv")
+    argv = ["estimate", "--exp", str(tmp_path / "e.csv"), "--obs", str(tmp_path / "o.csv"),
+            "--method", "score", "--ridge", "1e-3", "--out"]
+    after, = _run_at_two_blas_threads(_ESTIMATE_AFTER_IMPORT, *argv, str(tmp_path / "two.json"))
+    assert after == "1"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "surrogate_ate.cli", *argv, str(tmp_path / "one.json")],
+                   check=True, env=env, timeout=300)
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
 @pytest.mark.parametrize("libraries", [
     [],
     ["/nonexistent/libopenblas.so"],
@@ -222,7 +291,7 @@ def test_items_run_at_one_openblas_thread(monkeypatch, threads):
 def test_without_openblas_the_pin_is_skipped(monkeypatch, libraries):
     monkeypatch.setattr(parallel, "_openblas_libraries", lambda: libraries)
     assert parallel._openblas_threads() is None
-    assert parallel.ordered_map(lambda i: (i, parallel._openblas_threads()), range(2)) == [(0, None), (1, None)]
+    assert parallel._pin_one_blas_thread() is None
 
 
 _KILLED_PARENT = """
