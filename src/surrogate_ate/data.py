@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -298,13 +299,57 @@ def _parse(rows, header, names):
         raise
 
 
+def _plain_body(path):
+    """``(header, text)`` of a CSV file whose body numpy's C reader reads as ``csv`` does, else ``None``.
+
+    ``text`` holds the file's bytes with CRLF line ends made LF.  The file
+    must decode as UTF-8 and hold at least one data row.  ``None`` also
+    answers for the features on which ``np.loadtxt`` and ``csv`` part: a
+    blank line (a row of no cells to ``csv``, skipped by ``loadtxt``), a
+    carriage return that does not end a line, a quote in the header line and,
+    in a file longer than ``csv.field_size_limit()``, a line longer than the
+    limit or a quote anywhere (a quoted field may span lines).
+    """
+    try:
+        text = Path(path).read_bytes()
+        text.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if b"\r" in text:
+        if text.count(b"\r") != text.count(b"\r\n"):
+            return None
+        text = text.replace(b"\r\n", b"\n")
+    lines = text.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    if len(lines) < 2 or b"" in lines[1:] or b'"' in lines[0]:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and (b'"' in text or max(map(len, lines)) > limit):
+        return None
+    return next(csv.reader([lines[0].decode("utf-8")])), text
+
+
+def _loadtxt(header, text, names):
+    """The ``names`` columns of :func:`_plain_body`'s rows, read by numpy's C reader; ``None`` if it raises."""
+    try:
+        return np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1, usecols=[header.index(c) for c in names],
+                          comments=None, quotechar='"', ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+
+
 def _load(cls, path, schema: Schema | None):
     schema = schema or Schema()
-    header, rows = _read_rows(path)
+    plain = _plain_body(path)
+    header, rows = (plain[0], None) if plain else _read_rows(path)
     need = cls.unit_columns
     surrogates, covariates = schema.resolve(header, need_treatment="w" in need, need_outcome="y" in need)
     units = [{"w": schema.treatment, "y": schema.outcome}[c] for c in need]
-    table = _parse(rows, header, units + surrogates + covariates)
+    names = units + surrogates + covariates
+    table = _loadtxt(header, plain[1], names) if plain else None
+    if table is None:
+        table = _parse(_read_rows(path)[1] if rows is None else rows, header, names)
     k, m = len(units), len(surrogates)
     return cls(**{c: table[:, i] for i, c in enumerate(need)}, s=table[:, k : k + m], x=table[:, k + m :])
 

@@ -226,16 +226,52 @@ class MatchOptions:
     both_directions: bool = False
 
 
-# Working memory of one query block in `_nearest`, sized for the worst case
+# Working memory of one query block in `_nearest_scan`, sized for the worst case
 # in which every pool row survives the screen (exact ties on discrete data).
 _NEAREST_BLOCK_BYTES = 16 * 2**20
+
+
+def _row_key(rows: np.ndarray) -> np.ndarray:
+    """One number per row, equal for identical rows: ``rows @ v`` for a fixed ``v``."""
+    return rows @ np.cos(np.arange(1.0, rows.shape[1] + 1.0))
+
+
+def _distinct_rows(rows: np.ndarray):
+    """``(first, group)``: the first of each set of identical rows, and each row's set.
+
+    ``first`` ascends and ``rows[first][group]`` equals ``rows``.  Rows are
+    grouped by :func:`_row_key` and the grouping is then checked row by row;
+    if two different rows share a key, every row is its own group.
+    """
+    n = len(rows)
+    _, first, inverse = np.unique(_row_key(rows), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # groups by first occurrence, so ties keep the lowest index
+    first, group = first[order], np.argsort(order)[inverse]
+    if not np.array_equal(rows[first][group], rows):
+        return np.arange(n), np.arange(n)
+    return first, group
 
 
 def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     """Index of the closest pool row for each query; ties go to the lowest index.
 
     The result is exactly ``argmin(((q - p) ** 2).sum(axis=-1))`` over the
-    pool for each query ``q``, without the ``(n_query, n_pool, d)`` array.
+    pool for each query ``q``.  Identical rows (a bootstrap resample repeats
+    about a third of its rows) are searched once: :func:`_nearest_scan` runs
+    over the first of each set of identical queries and pool rows, so time is
+    O(u_query * u_pool * d) for u distinct rows, and a pool row stands for
+    its copies at its own, lowest index.
+    """
+    if queries.shape[1] == 0:
+        return np.zeros(len(queries), dtype=int)
+    query_first, query_group = _distinct_rows(queries)
+    pool_first, _ = _distinct_rows(pool_rows)
+    return pool_first[_nearest_scan(queries[query_first], pool_rows[pool_first])][query_group]
+
+
+def _nearest_scan(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
+    """:func:`_nearest` over every row, without the ``(n_query, n_pool, d)`` array.
+
     Queries are taken in blocks.  One GEMM per block screens every pool row
     by ``|p|^2 - 2 q.p``; a row stays a candidate when its screened value
     lies within twice a rounding bound of the block row's minimum, which
@@ -249,8 +285,6 @@ def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     grows it, as O(n_pool * d).
     """
     n_query, d = queries.shape
-    if d == 0:
-        return np.zeros(n_query, dtype=int)
     n_pool = len(pool_rows)
     pool_sq = (pool_rows**2).sum(axis=1)
     # The screened value (plus |q|^2) and the exact expression each lie within
@@ -295,7 +329,8 @@ def estimate_matching(
     covariates the within-experimental match is degenerate: every
     opposite-arm unit ties at distance zero and the first one is used.
 
-    The search is exact and takes O(n_E * n_O * (M + K)) time; its memory is
+    The search is exact and runs over distinct rows, taking
+    O(u_E * u_O * (M + K)) time for u_E and u_O distinct rows; its memory is
     bounded by a fixed block budget instead of growing with n_E * n_O.
     """
     options = options or MatchOptions()

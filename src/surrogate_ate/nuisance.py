@@ -212,7 +212,15 @@ def _standardize(features: np.ndarray):
 
 
 def _check_rank(z: np.ndarray, n_rows: int) -> None:
-    """Rank check for an intercept-augmented standardized design (ridge = 0 path)."""
+    """Rank check for the design ``A = [1 | z]`` of a standardized fit (ridge = 0 path).
+
+    ``A`` is rank deficient when its SVD finds ``sigma_min <= 1e-10 * sigma_max``.
+    The eigenvalues of the Gram matrix ``A'A`` are tried first: rounding moves
+    them by at most about ``n * (d + 1) * eps * lambda_max``, under
+    ``1e-7 * lambda_max`` while ``A`` has fewer than 10**8 cells, so
+    ``lambda_min > 1e-6 * lambda_max`` proves ``sigma_min / sigma_max > ~1e-3``
+    and the SVD is skipped.  Every other design goes to the SVD, as before.
+    """
     d = z.shape[1]
     if n_rows < d + 1:
         raise SingularDesignError(
@@ -220,7 +228,12 @@ def _check_rank(z: np.ndarray, n_rows: int) -> None:
         )
     if d == 0:
         return
-    sv = np.linalg.svd(np.hstack([np.ones((n_rows, 1)), z]), compute_uv=False)
+    design = np.hstack([np.ones((n_rows, 1)), z])
+    if n_rows * (d + 1) < 10**8:
+        eig = np.linalg.eigvalsh(design.T @ design)
+        if eig[0] > 1e-6 * eig[-1]:
+            return
+    sv = np.linalg.svd(design, compute_uv=False)
     if sv[-1] <= sv[0] * 1e-10:
         raise SingularDesignError(
             "design matrix is rank deficient; a positive ridge penalty makes the fit well defined"

@@ -131,10 +131,13 @@ def _run_chunk(start: int, stop: int) -> list:
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Apply ``fn`` to ``items`` in worker processes, one contiguous chunk each; results in item order.
+    """Apply ``fn`` to ``items`` in worker processes; results in item order.
 
-    An exception raised by ``fn`` reaches the caller with its type and
-    message; a worker that dies raises ``BrokenProcessPool``.
+    The items are cut into one contiguous chunk per worker, but the pool
+    hands each chunk to whichever worker is free, so a worker is not tied to
+    one chunk: when items are quick, one worker may run every chunk while
+    the others idle.  An exception raised by ``fn`` reaches the caller with
+    its type and message; a worker that dies raises ``BrokenProcessPool``.
     """
     global _WORK
     items = list(items)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surrogate_ate import data
 from surrogate_ate import (
     ConfigurationError,
     ExperimentalSample,
@@ -11,6 +12,7 @@ from surrogate_ate import (
     Schema,
     SchemaError,
     SingleSample,
+    SurrogateError,
     ValidationError,
     load_experimental,
     load_observational,
@@ -273,3 +275,111 @@ def test_schema_reading_a_column_twice_is_schema_error(tmp_path, schema):
     p = _write(tmp_path / "e.csv", "w,s1,s2\n0,0.1,0.5\n1,0.2,0.7\n")
     with pytest.raises(SchemaError, match="reads more than once: s"):
         load_experimental(p, schema)
+
+
+# ingest behaviours of an experimental file, whichever reader parses its body:
+# (file bytes, the loaded (w, s) or the error type and its whole message)
+INGEST = {
+    "hash inside a field": (b"w,s1\n0,0.1\n1,0.2#c\n", ValidationError, "row 2, column s1: cannot parse '0.2#c'"),
+    "spaces around values": (b"w,s1\n 0 , 0.1\n1,\t0.2 \n", [0.0, 1.0], [0.1, 0.2]),
+    "UTF-8 byte-order mark": (b"\xef\xbb\xbfw,s1\n0,0.1\n1,0.2\n", SchemaError, "missing column(s): w"),
+    "CRLF line ends": (b"w,s1\r\n0,0.1\r\n1,0.2\r\n", [0.0, 1.0], [0.1, 0.2]),
+    "CR line ends": (b"w,s1\r0,0.1\r1,0.2\r", [0.0, 1.0], [0.1, 0.2]),
+    "mixed line ends": (b"w,s1\r0,0.1\n1,0.2\r\n", [0.0, 1.0], [0.1, 0.2]),
+    "no final line end": (b"w,s1\n0,0.1\n1,0.2", [0.0, 1.0], [0.1, 0.2]),
+    "trailing blank line": (b"w,s1\n0,0.1\n1,0.2\n\n", ValidationError, "row 3, column w: missing value"),
+    "trailing blank CRLF line": (b"w,s1\r\n0,0.1\r\n1,0.2\r\n\r\n", ValidationError, "row 3, column w: missing value"),
+    "line of spaces": (b"w,s1\n0,0.1\n  \n1,0.2\n", ValidationError, "row 2, column w: cannot parse '  '"),
+    "header only": (b"w,s1\n", ValidationError, "experimental sample must contain at least one row"),
+    "empty file": (b"", SchemaError, "empty file: {path}"),
+    "underscore in a number": (b"w,s1\n0,1_000\n1,0.2\n", [0.0, 1.0], [1000.0, 0.2]),
+    "leading plus": (b"w,s1\n0,+1.5\n1,0.2\n", [0.0, 1.0], [1.5, 0.2]),
+    "quoted cells": (b'w,s1\n"0","0.1"\n1," 0.2"\n', [0.0, 1.0], [0.1, 0.2]),
+    "unbalanced quote": (b'w,s1\n0,"0.1\n1,0.2\n', ValidationError, "row 1, column s1: cannot parse '0.1\\n1,0.2\\n'"),
+    "extra cells": (b"w,s1\n0,0.1,7\n1,0.2,,\n", [0.0, 1.0], [0.1, 0.2]),
+    "non-ASCII digit": (b"w,s1\n0,\xd9\xa1\n1,0.2\n", [0.0, 1.0], [1.0, 0.2]),
+    # a file the csv module cannot read is reported before a header the schema rejects
+    "non-UTF-8 body under a bad header": (b"w,t1\n0,\xff\n", SchemaError, "{path} is not UTF-8 text: it holds the byte 0xff"),
+    "oversized field under a bad header": (b"w,t1\n0," + b"1" * 140_000 + b"\n", SchemaError,
+                                           "{path} is not a readable CSV file: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST))
+def test_ingest_behaviour_is_pinned(tmp_path, case):
+    raw, *expected = INGEST[case]
+    path = tmp_path / "e.csv"
+    path.write_bytes(raw)
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as err:
+            load_experimental(path)
+        assert str(err.value) == expected[1].format(path=path)
+    else:
+        sample = load_experimental(path)
+        assert sample.w.tolist() == expected[0] and sample.s[:, 0].tolist() == expected[1]
+
+
+@pytest.mark.parametrize("spelling", ["nan", "NaN", "+nan", "-NAN", "inf", "-inf", "+Infinity", "iNfInItY"])
+def test_nan_and_inf_spellings_are_non_finite_values(tmp_path, spelling):
+    path = _write(tmp_path / "e.csv", f"w,s1\n0,0.1\n1,{spelling}\n")
+    with pytest.raises(ValidationError) as err:
+        load_experimental(path)
+    assert str(err.value) == "non-finite value in s column 1 at row 2"
+    path = _write(tmp_path / "e.csv", f"w,s1\n{spelling},0.1\n1,0.2\n")
+    with pytest.raises(ValidationError) as err:
+        load_experimental(path)
+    assert str(err.value) == "non-finite value in w at row 1"
+
+
+def test_plain_file_is_read_by_numpys_c_reader(tmp_path, monkeypatch):
+    path = _write(tmp_path / "e.csv", "w,s1,x1\r\n0,0.1,5\r\n1,\"0.2\",6\r\n")
+    monkeypatch.setattr(data, "_read_rows", None)  # the csv rescan must not run
+    sample = load_experimental(path)
+    assert sample.s[:, 0].tolist() == [0.1, 0.2] and sample.x[:, 0].tolist() == [5.0, 6.0]
+
+
+@pytest.mark.parametrize("text", [
+    "w,s1\n0,0.1\n\n1,0.2\n",          # blank line
+    "w,s1\n\n0,0.1\n1,0.2\n",          # blank first data line
+    "w,s1\r0,0.1\r1,0.2\r",             # carriage returns alone
+    "w,s1\r0,0.1\n1,0.2\n",             # one carriage return alone, in the header line
+    '"w",s1\n0,0.1\n1,0.2\n',           # quote in the header line
+    "w,s1\n",                           # no data row
+    "w,s1\n0," + "1" * 140_000 + "\n",   # a line over the csv field limit
+    "w,s1\n" + "0,0.5\n" * 30_000 + '1,"0.2"\n',  # a quote in a file over the limit
+])
+def test_features_the_readers_part_on_take_the_csv_rescan(tmp_path, text):
+    assert data._plain_body(_write(tmp_path / "e.csv", text)) is None
+
+
+_CELLS = ["0", "1", "0.5", "-2.5e-3", "+1", "1_0", "nan", "", " 1 ", '"1"', '" 2 "', '"1"2', '1"', '""',
+          "abc", "1#", "\x00", "\xa01", "1e400", "0x1"]
+
+
+@st.composite
+def _csv_text(draw):
+    header = draw(st.sampled_from(["w,s1,x1", "w,s1", "s1,w,x1", "w,s1,x1,"]))
+    ncols = header.count(",") + 1
+    row = st.lists(st.sampled_from(_CELLS), min_size=ncols - 1, max_size=ncols + 1).map(",".join)
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n"])
+    lines = draw(st.lists(st.tuples(row, ends), max_size=5))
+    return header + "\n" + "".join(line + end for line, end in lines)
+
+
+def _outcome(path):
+    try:
+        sample = load_experimental(path)
+    except SurrogateError as err:
+        return type(err), str(err)
+    return tuple(getattr(sample, c).tobytes() + bytes(str(getattr(sample, c).shape), "ascii") for c in "wsx")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_text())
+def test_c_reader_loads_what_the_csv_rescan_loads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "e.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    fast = _outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_plain_body", lambda path: None)
+        assert _outcome(path) == fast

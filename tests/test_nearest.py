@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from surrogate_ate import ExperimentalSample, ObservationalSample, ValidationError, estimate_matching
 from surrogate_ate import estimators
-from surrogate_ate.estimators import _nearest
+from surrogate_ate.estimators import _distinct_rows, _nearest, _nearest_scan
 
 
 def _nearest_broadcast(queries, pool_rows):
@@ -22,8 +22,9 @@ def _nearest_broadcast(queries, pool_rows):
 
 
 def _assert_same_matches(queries, pool_rows):
-    got = _nearest(queries, pool_rows)
-    assert np.array_equal(got, _nearest_broadcast(queries, pool_rows))
+    want = _nearest_broadcast(queries, pool_rows)
+    assert np.array_equal(_nearest(queries, pool_rows), want)
+    assert np.array_equal(_nearest_scan(queries, pool_rows), want)
 
 
 def _block_budget(rows, d, n_pool):
@@ -122,6 +123,81 @@ def test_nearest_matches_broadcast_on_small_discrete_inputs(instance):
         _assert_same_matches(queries, pool_rows)
 
 
+def _nearest_brute_force(queries, pool_rows):
+    """Per query, the lowest pool index at the smallest exact squared distance."""
+    d2 = np.array([((pool_rows - q) ** 2).sum(axis=1) for q in queries]).reshape(len(queries), len(pool_rows))
+    return np.array([int(np.flatnonzero(row == row.min())[0]) for row in d2], dtype=int)
+
+
+def _bench_shaped(seed, n=1000, d=13):
+    """Two bootstrap resamples of standardized continuous rows, as matching sees them."""
+    rng = np.random.default_rng(seed)
+    base_q, base_p = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    return base_q[rng.integers(0, n, n)], base_p[rng.integers(0, n, n)]
+
+
+DISTINCT_CASES = {
+    "bootstrap resamples": lambda rng: _bench_shaped(int(rng.integers(1000)), n=400),
+    "discrete grid": lambda rng: (rng.choice([0.0, 0.7, 1.4], size=(300, 3)),
+                                  rng.choice([0.0, 0.7, 1.4], size=(350, 3))),
+    "all rows identical": lambda rng: (np.full((40, 5), 0.25), np.full((60, 5), 0.25)),
+    "identical pool, continuous queries": lambda rng: (rng.normal(size=(30, 2)), np.ones((25, 2))),
+    "no duplicates": lambda rng: (rng.normal(size=(120, 6)), rng.normal(size=(150, 6))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
+def test_distinct_row_search_matches_brute_force(case):
+    queries, pool_rows = DISTINCT_CASES[case](np.random.default_rng(21))
+    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+
+
+def test_distinct_rows_groups_copies_in_first_occurrence_order():
+    rows = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [-0.0, 3.0]])
+    first, group = _distinct_rows(rows)
+    assert first.tolist() == [0, 1, 3]
+    assert group.tolist() == [0, 1, 0, 2, 1, 2]
+    queries, pool_rows = _bench_shaped(22)
+    for rows in (queries, pool_rows):
+        first, group = _distinct_rows(rows)
+        assert np.array_equal(rows[first][group], rows)
+        assert np.all(np.diff(first) > 0)
+        assert len(first) < 0.7 * len(rows)  # a resample repeats about a third of its rows
+
+
+def test_distinct_row_search_at_bench_shape_matches_brute_force():
+    queries, pool_rows = _bench_shaped(23)
+    want = np.concatenate([_nearest_broadcast(queries[i : i + 50], pool_rows) for i in range(0, 1000, 50)])
+    assert np.array_equal(_nearest(queries, pool_rows), want)
+
+
+def test_key_collision_falls_back_to_every_row(monkeypatch):
+    # a key shared by different rows must not merge them
+    monkeypatch.setattr(estimators, "_row_key", lambda rows: np.zeros(len(rows)))
+    rng = np.random.default_rng(24)
+    base = rng.normal(size=(30, 3))
+    queries, pool_rows = base[rng.integers(0, 30, 50)], base[rng.integers(0, 30, 60)]
+    first, group = _distinct_rows(pool_rows)
+    assert first.tolist() == list(range(60)) and group.tolist() == list(range(60))
+    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+
+
+@st.composite
+def _integer_instance_with_copies(draw):
+    d = draw(st.integers(1, 3))
+    values = st.integers(-2, 2).map(float)
+    base = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=values))
+    picks = st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=15)
+    return base[draw(picks)], base[draw(picks)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_instance_with_copies())
+def test_distinct_row_search_on_small_integer_inputs_with_copies(instance):
+    queries, pool_rows = instance
+    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_matching_rejects_columns_too_large_to_standardize():
     # the column mean overflows, so the standardized distances would be NaN
@@ -153,6 +229,12 @@ def test_nearest_memory_is_bounded_when_every_row_ties():
     # every pool row survives the screen; the full array would be about 230 MB
     rows = np.zeros((1500, 13))
     assert _traced_peak_mb(_nearest, rows, rows) < 32
+
+
+def test_nearest_scan_memory_is_bounded_when_every_row_ties():
+    # _nearest groups the copies away, so the blocked scan gets the tied rows itself
+    rows = np.zeros((1500, 13))
+    assert _traced_peak_mb(_nearest_scan, rows, rows) < 32
 
 
 def test_matching_rejects_a_column_whose_spread_overflows():

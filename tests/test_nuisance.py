@@ -28,7 +28,7 @@ from surrogate_ate import (
     pool,
     predict_score,
 )
-from surrogate_ate.nuisance import _standardize
+from surrogate_ate.nuisance import _check_rank, _standardize
 from surrogate_ate.nuisance import expit as own_expit
 
 
@@ -616,3 +616,79 @@ def test_standardize_is_bit_identical_to_the_two_pass_form(shape):
     ref_sd = np.where(ref_sd == 0.0, 1.0, ref_sd)
     assert np.array_equal(mean, ref_mean) and np.array_equal(sd, ref_sd)
     assert np.array_equal(z, (features - ref_mean) / ref_sd)
+
+
+# ---------------------------------------------------------------------------
+# rank check: the Gram-eigenvalue certificate and the SVD behind it
+
+RANK_DEFICIENT = "design matrix is rank deficient; a positive ridge penalty makes the fit well defined"
+
+
+def _design_with_ratio(ratio, n=200, seed=0):
+    """Standardized columns ``[u, u + 2 * ratio * v]``: ``[1 | z]`` has sigma_min / sigma_max close to ``ratio``.
+
+    ``u`` and ``v`` are orthogonal to each other and to the intercept, each of
+    norm sqrt(n), so the singular values are sqrt(2n), sqrt(n) and about
+    ratio * sqrt(2n).
+    """
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), gen.normal(size=(n, 2))]))
+    u, v = q[:, 1] * np.sqrt(n), q[:, 2] * np.sqrt(n)
+    return np.column_stack([u, u + 2.0 * ratio * v])
+
+
+def _svd_ratio(z):
+    sv = np.linalg.svd(np.column_stack([np.ones(len(z)), z]), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+def test_rank_check_cut_at_1e_10_is_unchanged(factor):
+    z = _design_with_ratio(1e-10 * factor)
+    deficient = _svd_ratio(z) <= 1e-10
+    assert deficient == (factor < 1.0)  # the design lands on the intended side of the cut
+    if deficient:
+        with pytest.raises(SingularDesignError) as err:
+            _check_rank(z, len(z))
+        assert str(err.value) == RANK_DEFICIENT
+    else:
+        _check_rank(z, len(z))
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1e-4, 5e-4])
+def test_rank_check_between_the_cut_and_the_certificate_takes_the_svd(monkeypatch, ratio):
+    z = _design_with_ratio(ratio)
+    calls = _count_svd_calls(monkeypatch)
+    _check_rank(z, len(z))
+    assert len(calls) == 1
+
+
+def test_rank_check_certifies_well_conditioned_designs_without_an_svd(monkeypatch, rng):
+    designs = [_design_with_ratio(1e-2), _standardize(rng.normal(size=(1000, 13)))[0],
+               _standardize(rng.normal(size=(30, 1)))[0]]
+    calls = _count_svd_calls(monkeypatch)
+    for z in designs:
+        _check_rank(z, len(z))
+    fit_least_squares(rng.normal(size=(500, 4)), rng.normal(size=500))
+    assert calls == []
+
+
+def test_rank_check_exactly_deficient_design_reaches_the_svd_and_raises(monkeypatch, rng):
+    z = _standardize(rng.normal(size=(50, 3)))[0]
+    z = np.column_stack([z, z[:, 0]])
+    calls = _count_svd_calls(monkeypatch)
+    with pytest.raises(SingularDesignError) as err:
+        _check_rank(z, len(z))
+    assert str(err.value) == RANK_DEFICIENT and len(calls) == 1
