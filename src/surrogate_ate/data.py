@@ -54,11 +54,12 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        row, *col = (int(i) + 1 for i in bad[0])
-        where = f"{name} column {col[0]}" if col else name
-        raise ValidationError(f"non-finite value in {where} at row {row}")
+    finite = np.isfinite(arr)
+    if finite.all():
+        return
+    row, *col = (int(i) + 1 for i in np.argwhere(~finite)[0])
+    where = f"{name} column {col[0]}" if col else name
+    raise ValidationError(f"non-finite value in {where} at row {row}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -88,10 +89,11 @@ class _Sample:
             _check_finite(arr, c)
         w = cols.get("w")
         if w is not None:
-            bad = np.flatnonzero(~np.isin(w, (0.0, 1.0)))
-            if bad.size:
-                raise ValidationError(f"treatment must be 0 or 1; row {bad[0] + 1} has w={w[bad[0]]}")
-            if w.sum() == 0 or w.sum() == n:
+            binary = (w == 0.0) | (w == 1.0)
+            if not binary.all():
+                bad = int(np.argmin(binary))
+                raise ValidationError(f"treatment must be 0 or 1; row {bad + 1} has w={w[bad]}")
+            if w.sum() in (0, n):
                 raise ValidationError(f"{self._kind} sample needs at least one treated and one control unit")
         for c, arr in cols.items():
             object.__setattr__(self, c, _freeze(arr))

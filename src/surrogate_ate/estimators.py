@@ -245,6 +245,8 @@ def _distinct_rows(rows: np.ndarray):
     """
     n = len(rows)
     _, first, inverse = np.unique(_row_key(rows), return_index=True, return_inverse=True)
+    if len(first) == n:  # identical rows share a key, so n keys mean n distinct rows
+        return np.arange(n), np.arange(n)
     order = np.argsort(first)  # groups by first occurrence, so ties keep the lowest index
     first, group = first[order], np.argsort(order)[inverse]
     if not np.array_equal(rows[first][group], rows):
@@ -342,8 +344,8 @@ def estimate_matching(
     if len(treated_idx) == 0 or len(control_idx) == 0 or obs.n == 0:
         raise DegenerateArmError("matching needs both experimental arms and a non-empty observational sample")
 
-    x_std, _, _ = _standardize(exp.x)
-    sx_std, _, _ = _standardize(np.vstack([np.hstack([exp.s, exp.x]), np.hstack([obs.s, obs.x])]))
+    x_std = _standardize(exp.x)[0][:, 1:]
+    sx_std = _standardize(np.vstack([np.hstack([exp.s, exp.x]), np.hstack([obs.s, obs.x])]))[0][:, 1:]
     sx_exp_std, sx_obs_std = sx_std[: exp.n], sx_std[exp.n :]
 
     obs_match = _nearest(sx_exp_std, sx_obs_std)  # i -> i' for every experimental unit

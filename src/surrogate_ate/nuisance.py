@@ -18,12 +18,23 @@ ridge penalty applies to the coefficients on the original scale and the
 intercept is never penalized.  Fitting is deterministic: identical inputs
 produce bit-identical models.
 
-The IRLS kernel is numpy alone.  Each Newton step builds the weighted
-Hessian ``z1' diag(p(1-p)) z1`` as the symmetric product ``zw' zw`` of the
-square-root-weighted design, which BLAS computes as a rank-k update at half
-the flops of a general product, and solves the penalized system by LU
-(``np.linalg.solve``).  The linear predictor of the accepted line-search
-candidate is carried into the next step rather than recomputed.  The
+Every fit is set up in one pass: the checks on the inputs, then the
+standardized columns written straight into a preallocated design
+``z1 = [1 | z]``, which least squares, the logistic fit, the rank check and
+matching's distances all start from.
+
+The IRLS kernel is numpy alone and allocates its working arrays once per
+fit.  Each Newton step computes the probability, residual, weights and
+objective terms with ufuncs writing into reused n-vectors.  It builds the
+weighted Hessian ``z1' diag(p(1-p)) z1`` as the symmetric product
+``zwt zwt'``, where ``zwt`` is a contiguous ``(d + 1) x n`` transposed copy
+of the design scaled row by row by ``sqrt(p(1-p))``; BLAS computes it as a
+rank-k update at half the flops of a general product.  The penalized
+system is solved by LU (``np.linalg.solve``).  The line-search candidate's
+linear predictor is written into a second buffer and swapped in when the
+candidate is accepted.  Coefficients, intercepts and iteration counts are
+bit-identical to the earlier form of the kernel, which made one temporary
+per operation (a frozen copy of it is the reference in the tests).  The
 logistic link is this module's own :func:`expit`.
 """
 
@@ -85,6 +96,9 @@ def _interaction_columns(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
     """Assemble ``[s | x | s*x]`` and return the block widths.
 
+    When only one block has columns, ``features`` is that block, as a
+    C-contiguous array that may share memory with the argument.
+
     Returns
     -------
     (features, n_s, n_x, n_sx)
@@ -97,7 +111,9 @@ def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
         sx = _interaction_columns(s, x)
         blocks.append(sx)
         n_sx = sx.shape[1]
-    return np.hstack(blocks), s.shape[1], x.shape[1], n_sx
+    filled = [block for block in blocks if block.shape[1]]
+    features = np.ascontiguousarray(filled[0]) if len(filled) == 1 else np.hstack(blocks)
+    return features, s.shape[1], x.shape[1], n_sx
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,7 @@ class _LinearPredictor:
         x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
         features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
         if n_s != len(self.coef_s) or n_x != len(self.coef_x):
-            raise ValueError(
+            raise ValidationError(
                 f"feature dimensions (s={n_s}, x={n_x}) do not match model "
                 f"(s={len(self.coef_s)}, x={len(self.coef_x)})"
             )
@@ -199,20 +215,30 @@ IndexModel = Union[LinearModel, LogisticModel]
 
 
 def _standardize(features: np.ndarray):
-    """Center and scale each column; a column whose mean or spread overflows is a ``ValidationError``."""
+    """``(z1, mean, sd)``: the design ``z1 = [1 | z]`` of the centered and scaled columns ``z``.
+
+    ``z1[:, 1:]`` is ``(features - mean) / sd``, written straight into the
+    preallocated design.  A column whose mean or spread overflows is a
+    ``ValidationError``; a constant column keeps unit scale.
+    """
+    n, d = features.shape
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one typed error, not as warnings
-        mean = features.mean(axis=0) if features.size else np.zeros(features.shape[1])
+        mean = features.mean(axis=0) if features.size else np.zeros(d)
+        # contiguous, not in z1: a ufunc over a strided view loops row by row
         centered = features - mean
-        # the steps of ndarray.std, reusing ``centered``: bit-identical to features.std(axis=0)
-        sd = np.sqrt((centered * centered).mean(axis=0)) if features.size else np.ones(features.shape[1])
+        # the steps of ndarray.std on the centered columns: bit-identical to features.std(axis=0)
+        sd = np.sqrt((centered * centered).mean(axis=0)) if features.size else np.ones(d)
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
         raise ValidationError("a surrogate or covariate column is too large in magnitude to standardize")
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return centered / sd, mean, sd
+    sd[sd == 0.0] = 1.0
+    z1 = np.empty((n, d + 1))
+    z1[:, 0] = 1.0
+    np.divide(centered, sd, out=z1[:, 1:])
+    return z1, mean, sd
 
 
-def _check_rank(z: np.ndarray, n_rows: int) -> None:
-    """Rank check for the design ``A = [1 | z]`` of a standardized fit (ridge = 0 path).
+def _check_rank(z1: np.ndarray) -> None:
+    """Rank check for the standardized design ``A = z1 = [1 | z]`` of a fit (ridge = 0 path).
 
     ``A`` is rank deficient when its SVD finds ``sigma_min <= 1e-10 * sigma_max``.
     The eigenvalues of the Gram matrix ``A'A`` are tried first: rounding moves
@@ -221,19 +247,18 @@ def _check_rank(z: np.ndarray, n_rows: int) -> None:
     ``lambda_min > 1e-6 * lambda_max`` proves ``sigma_min / sigma_max > ~1e-3``
     and the SVD is skipped.  Every other design goes to the SVD, as before.
     """
-    d = z.shape[1]
+    n_rows, d = z1.shape[0], z1.shape[1] - 1
     if n_rows < d + 1:
         raise SingularDesignError(
             f"{n_rows} rows cannot identify {d + 1} coefficients; add rows or use a positive ridge"
         )
     if d == 0:
         return
-    design = np.hstack([np.ones((n_rows, 1)), z])
     if n_rows * (d + 1) < 10**8:
-        eig = np.linalg.eigvalsh(design.T @ design)
+        eig = np.linalg.eigvalsh(z1.T @ z1)
         if eig[0] > 1e-6 * eig[-1]:
             return
-    sv = np.linalg.svd(design, compute_uv=False)
+    sv = np.linalg.svd(z1, compute_uv=False)
     if sv[-1] <= sv[0] * 1e-10:
         raise SingularDesignError(
             "design matrix is rank deficient; a positive ridge penalty makes the fit well defined"
@@ -243,11 +268,14 @@ def _check_rank(z: np.ndarray, n_rows: int) -> None:
 def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: bool = False) -> np.ndarray:
     """Solve ``(matrix + diag(penalty)) x = rhs``, adding ``penalty`` to the diagonal in place.
 
+    ``matrix`` must be C-contiguous, as a fresh matrix product is, so that
+    ``ravel()`` is a view of it.
+
     A singular system raises :class:`SingularDesignError`, or
     :class:`SeparationError` when ``separation`` says that a singular matrix
     is an unpenalized logistic Hessian, flat at the boundary.
     """
-    matrix.flat[:: len(matrix) + 1] += penalty
+    matrix.ravel()[:: len(matrix) + 1] += penalty
     try:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
@@ -262,9 +290,9 @@ def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: b
 def _prepare(features, targets, ridge: float, binary: bool):
     """Coerce and check one fit's inputs, then standardize the design.
 
-    Returns ``(features, targets, z, mean, sd)``.  ``binary`` fits also need
-    0/1 labels of both classes.  With ``ridge == 0`` the design must have
-    full rank.
+    Returns ``(features, targets, z1, mean, sd)`` with ``z1 = [1 | z]`` from
+    :func:`_standardize`.  ``binary`` fits also need 0/1 labels of both
+    classes.  With ``ridge == 0`` the design must have full rank.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -272,18 +300,20 @@ def _prepare(features, targets, ridge: float, binary: bool):
         raise ValidationError(f"features and {'labels' if binary else 'targets'} have different row counts")
     if not (np.isfinite(features).all() and np.isfinite(y).all()):
         raise ValidationError("non-finite values in the training data")
-    if binary and not np.isin(y, (0.0, 1.0)).all():
+    if binary and not ((y == 0.0) | (y == 1.0)).all():
         raise ValidationError("labels must be 0 or 1")
     if not 0.0 <= ridge < np.inf:
         raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
-    if binary and (y.sum() == 0 or y.sum() == len(y)):
-        raise DegenerateLabelsError("labels contain a single class; no model can be fit")
+    if binary:
+        n_positive = y.sum()
+        if n_positive == 0 or n_positive == len(y):
+            raise DegenerateLabelsError("labels contain a single class; no model can be fit")
     if len(y) == 0:
         raise ValidationError("cannot fit on an empty sample")
-    z, mean, sd = _standardize(features)
+    z1, mean, sd = _standardize(features)
     if ridge == 0.0:
-        _check_rank(z, len(y))
-    return features, y, z, mean, sd
+        _check_rank(z1)
+    return features, y, z1, mean, sd
 
 
 def fit_least_squares(
@@ -306,7 +336,9 @@ def fit_least_squares(
         If ``ridge == 0`` and the design is rank deficient, or if the
         penalized normal equations are singular.
     """
-    features, y, z, mean, sd = _prepare(features, targets, ridge, binary=False)
+    features, y, z1, mean, sd = _prepare(features, targets, ridge, binary=False)
+    # a contiguous copy: numpy's matrix-vector product of a strided view can round differently
+    z = np.ascontiguousarray(z1[:, 1:])
     y_bar = y.mean()
     # ridge * S^-2 in standardized space == ridge * I on the original scale
     b = _penalized_solve(z.T @ z, ridge / sd**2, z.T @ (y - y_bar)) / sd
@@ -332,16 +364,6 @@ def bernoulli_loglik_gradient(
     return np.concatenate([[resid.sum()], features.T @ resid])
 
 
-def _weighted_gram(z1: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``z1' diag(p(1-p)) z1`` as ``zw' zw`` with ``zw = z1 * sqrt(p(1-p))``.
-
-    numpy hands ``a.T @ a`` to BLAS ``syrk``.  The scaled copy ``zw`` lives
-    only inside this call, so it is freed before the solve.
-    """
-    zw = z1 * np.sqrt(p * (1.0 - p))[:, None]
-    return zw.T @ zw
-
-
 def fit_logistic(
     features: np.ndarray,
     labels: np.ndarray,
@@ -358,6 +380,20 @@ def fit_logistic(
     max-norm of the penalized score falls below ``tol``.  A returned model
     has always converged.
 
+    Each Newton step works in buffers allocated once per fit: n-vectors for
+    the linear predictor, the line-search candidate's predictor (swapped in
+    when the candidate is accepted), the probability, the residual and
+    weights, and the objective's terms; and a contiguous ``(d + 1) x n``
+    transposed copy of the design, scaled by the square-root weights into a
+    second buffer of that shape so that the Hessian is the symmetric product
+    ``zwt zwt'`` (BLAS ``syrk``).  The linear predictor and the gradient are
+    products with the row-major design.  The log-likelihood term
+    ``logaddexp(0, eta)`` is evaluated as ``max(eta, 0) + log1p(exp(-|eta|))``;
+    the objective decides only step-halving and the final separation check.
+    Coefficients, intercept and iteration count are bit-identical to those
+    of the earlier kernel, which made one temporary per operation; the
+    tests pin them against a frozen copy of it.
+
     Raises
     ------
     DegenerateLabelsError
@@ -371,40 +407,63 @@ def fit_logistic(
     ConvergenceError
         If the score is still above ``tol`` after ``max_iter`` Newton steps.
     """
-    features, y, z, mean, sd = _prepare(features, labels, ridge, binary=True)
+    features, y, z1, mean, sd = _prepare(features, labels, ridge, binary=True)
     n, d = features.shape
-    z1 = np.hstack([np.ones((n, 1)), z])
     penalty = np.concatenate([[0.0], ridge / sd**2])
+    zt = np.ascontiguousarray(z1.T)
+    zwt = np.empty_like(zt)
+    # r holds the residual, then the square-root weights; u and v hold the objective's terms
+    eta, cand_eta, p, r, u, v = (np.empty(n) for _ in range(6))
 
-    def objective(beta):
-        eta = z1 @ beta
-        loglik = float((y * eta - np.logaddexp(0.0, eta)).sum())
-        return loglik - 0.5 * float(penalty @ beta**2), eta
+    def objective(beta, eta):
+        """The penalized log-likelihood at ``beta``; writes ``z1 @ beta`` into ``eta``."""
+        np.matmul(z1, beta, out=eta)
+        np.abs(eta, out=u)
+        np.negative(u, out=u)
+        np.exp(u, out=u)
+        np.log1p(u, out=u)
+        np.maximum(eta, 0.0, out=v)
+        np.add(u, v, out=u)  # logaddexp(0, eta)
+        np.multiply(y, eta, out=v)
+        np.subtract(v, u, out=v)
+        return float(v.sum()) - 0.5 * float(penalty @ beta**2)
 
     beta = np.zeros(d + 1)
-    obj, eta = objective(beta)
+    obj = objective(beta, eta)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        p = _probability(eta)
-        grad = z1.T @ (y - p) - penalty * beta
+        # _probability in place; on the clipped predictor expit's -708 floor is a no-op
+        np.maximum(eta, -_ETA_MAX, out=p)
+        np.minimum(p, _ETA_MAX, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        np.subtract(y, p, out=r)
+        grad = z1.T @ r - penalty * beta
         if np.abs(grad).max() < tol:
             converged = True
             iterations -= 1
             break
-        step = _penalized_solve(_weighted_gram(z1, p), penalty, grad, separation=ridge == 0.0)
+        np.subtract(1.0, p, out=r)
+        r *= p
+        np.sqrt(r, out=r)
+        np.multiply(zt, r, out=zwt)
+        step = _penalized_solve(zwt @ zwt.T, penalty, grad, separation=ridge == 0.0)
         scale = 1.0
         candidate = beta + step
-        cand_obj, cand_eta = objective(candidate)
+        cand_obj = objective(candidate, cand_eta)
         halvings = 0
         # accept float-noise ties; only genuine decreases trigger halving
         floor = obj - 1e-12 * (1.0 + abs(obj))
         while cand_obj < floor and halvings < 30:
             scale *= 0.5
             candidate = beta + scale * step
-            cand_obj, cand_eta = objective(candidate)
+            cand_obj = objective(candidate, cand_eta)
             halvings += 1
-        beta, obj, eta = candidate, cand_obj, cand_eta
+        beta, obj = candidate, cand_obj
+        eta, cand_eta = cand_eta, eta
         if ridge == 0.0 and np.linalg.norm(beta[1:]) > _SEPARATION_NORM:
             raise SeparationError(
                 "coefficient norm diverged: data are (quasi-)separated and the "
@@ -443,7 +502,7 @@ def predict_score(model: ScoreModel | IndexModel, row) -> float:
     n_s = len(model.coef_s)
     n_x = len(model.coef_x)
     if len(row) != n_s + n_x:
-        raise ValueError(f"expected a row of length {n_s + n_x}, got {len(row)}")
+        raise ValidationError(f"expected a row of length {n_s + n_x}, got {len(row)}")
     return float(model.predict(row[:n_s].reshape(1, -1), row[n_s:].reshape(1, -1))[0])
 
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from surrogate_ate import (
@@ -257,8 +260,10 @@ def test_predict_wrong_length_raises():
     from surrogate_ate import LogisticModel
 
     score = LogisticModel(intercept=0.0, coef_s=np.array([1.0]), coef_x=np.zeros(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="expected a row of length 1, got 2"):
         predict_score(score, [1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"feature dimensions \(s=2, x=0\) do not match model"):
+        score.predict(np.zeros((3, 2)))
 
 
 def test_predictions_strictly_inside_unit_interval():
@@ -448,9 +453,8 @@ def _gemm_kernel_fit(features, labels, ridge=0.0, tol=1e-8, max_iter=100):
     Returns ``(intercept, coef, iterations)``; raises what the kernel raised.
     """
     from surrogate_ate.errors import ConvergenceError
-    from surrogate_ate.nuisance import _prepare
 
-    features, y, z, mean, sd = _prepare(features, labels, ridge, binary=True)
+    features, y, z, mean, sd = _frozen_prepare(features, labels, ridge)
     n, d = features.shape
     z1 = np.hstack([np.ones((n, 1)), z])
     penalty = np.concatenate([[0.0], ridge / sd**2])
@@ -553,6 +557,269 @@ def test_logistic_kernel_fails_like_the_gemm_kernel(case):
 
 
 # ---------------------------------------------------------------------------
+# the IRLS kernel's bits, pinned against a frozen copy of an earlier kernel
+
+def _frozen_prepare(features, labels, ridge):
+    """Checks and standardized design of the earlier kernel, frozen: ``(features, y, z, mean, sd)``."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(labels, dtype=float).ravel()
+    if features.shape[0] != len(y):
+        raise ValidationError("features and labels have different row counts")
+    if not (np.isfinite(features).all() and np.isfinite(y).all()):
+        raise ValidationError("non-finite values in the training data")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValidationError("labels must be 0 or 1")
+    if not 0.0 <= ridge < np.inf:
+        raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
+    if y.sum() == 0 or y.sum() == len(y):
+        raise DegenerateLabelsError("labels contain a single class; no model can be fit")
+    if len(y) == 0:
+        raise ValidationError("cannot fit on an empty sample")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=0) if features.size else np.zeros(features.shape[1])
+        centered = features - mean
+        sd = np.sqrt((centered * centered).mean(axis=0)) if features.size else np.ones(features.shape[1])
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValidationError("a surrogate or covariate column is too large in magnitude to standardize")
+    sd = np.where(sd == 0.0, 1.0, sd)
+    z = centered / sd
+    n, d = z.shape
+    if ridge == 0.0:
+        if n < d + 1:
+            raise SingularDesignError(
+                f"{n} rows cannot identify {d + 1} coefficients; add rows or use a positive ridge"
+            )
+        if d > 0:
+            design = np.hstack([np.ones((n, 1)), z])
+            eig = np.linalg.eigvalsh(design.T @ design)
+            if not eig[0] > 1e-6 * eig[-1]:
+                sv = np.linalg.svd(design, compute_uv=False)
+                if sv[-1] <= sv[0] * 1e-10:
+                    raise SingularDesignError(
+                        "design matrix is rank deficient; a positive ridge penalty makes the fit well defined"
+                    )
+    return features, y, z, mean, sd
+
+
+def _frozen_kernel_fit(features, labels, ridge=0.0, tol=1e-8, max_iter=100):
+    """The earlier IRLS kernel, frozen: ``(intercept, coef, iterations)``, or its exception.
+
+    One allocation per temporary: ``hstack`` design, ``logaddexp``
+    objective, ``expit`` of the clipped predictor, and the Hessian as
+    ``zw' zw`` of a row-major scaled copy.
+    """
+    from surrogate_ate.errors import ConvergenceError
+
+    features, y, z, mean, sd = _frozen_prepare(features, labels, ridge)
+    n, d = features.shape
+    z1 = np.hstack([np.ones((n, 1)), z])
+    penalty = np.concatenate([[0.0], ridge / sd**2])
+
+    def objective(beta):
+        eta = z1 @ beta
+        return float((y * eta - np.logaddexp(0.0, eta)).sum()) - 0.5 * float(penalty @ beta**2), eta
+
+    beta = np.zeros(d + 1)
+    obj, eta = objective(beta)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        p = 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(np.maximum(eta, -36.0), 36.0), -708.0)))
+        grad = z1.T @ (y - p) - penalty * beta
+        if np.abs(grad).max() < tol:
+            converged = True
+            iterations -= 1
+            break
+        zw = z1 * np.sqrt(p * (1.0 - p))[:, None]
+        hessian = zw.T @ zw
+        hessian.flat[:: d + 2] += penalty
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            if ridge == 0.0:
+                raise SeparationError(
+                    "logistic likelihood is flat at the boundary; data may be separated, "
+                    "consider a positive ridge penalty"
+                ) from None
+            raise SingularDesignError(
+                "the penalized normal equations are singular; use a larger ridge penalty"
+            ) from None
+        scale = 1.0
+        candidate = beta + step
+        cand_obj, cand_eta = objective(candidate)
+        halvings = 0
+        floor = obj - 1e-12 * (1.0 + abs(obj))
+        while cand_obj < floor and halvings < 30:
+            scale *= 0.5
+            candidate = beta + scale * step
+            cand_obj, cand_eta = objective(candidate)
+            halvings += 1
+        beta, obj, eta = candidate, cand_obj, cand_eta
+        if ridge == 0.0 and np.linalg.norm(beta[1:]) > 30.0:
+            raise SeparationError(
+                "coefficient norm diverged: data are (quasi-)separated and the "
+                "unpenalized MLE does not exist; use a positive ridge penalty"
+            )
+    if ridge == 0.0 and d > 0 and obj > -1e-6:
+        raise SeparationError(
+            "data are perfectly separated and the unpenalized MLE does not exist; "
+            "use a positive ridge penalty"
+        )
+    if not converged:
+        raise ConvergenceError(
+            f"IRLS did not reach a score max-norm below {tol:g} in {max_iter} iterations; "
+            "a larger ridge penalty may help"
+        )
+    return float(beta[0] - np.sum(beta[1:] * mean / sd)), beta[1:] / sd, iterations
+
+
+def _bench_shaped(seed, n=500):
+    """Rows shaped like the CLI benchmark's: 10 surrogates, 3 covariates, logistic treatment and outcome."""
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, 3))
+    w = (gen.random(n) < expit(x @ np.array([0.4, 0.0, -0.4]))).astype(float)
+    loading = 0.3 * np.cos(np.add.outer(np.arange(3), np.arange(10)))
+    s = w[:, None] * np.linspace(0.6, 0.1, 10) + x @ loading + gen.standard_normal((n, 10))
+    return w, s, x
+
+
+def _pinned_cases():
+    """``(name, features, labels, ridge)`` of each fit whose bits are pinned."""
+    for study, grid in (("sample_size", {"q": 0.05}), ("sample_size", {"q": 0.95}),
+                        ("explanatory", {"design_row": 4})):
+        s_e, w, s_o, y = _harness_draw(study, **grid)
+        tag = "-".join(f"{study}-{value}" for value in grid.values())
+        yield f"{tag}-score", s_e, w, 1e-6
+        yield f"{tag}-index", s_o, y, 1e-6
+    s_e, w, _, _ = _harness_draw("dimension", m=200)
+    yield "dimension-200-score", s_e, w, 1e-6
+    s_e, w, _, _ = _harness_draw("misspecification", k_used=250)
+    yield "misspecification-250-score", s_e, w, 1e-6
+    w, s, x = _bench_shaped(0)
+    yield "bench-e", x, w, 0.0
+    yield "bench-r", np.hstack([s, x]), w, 0.0
+    _, s_obs, x_obs = _bench_shaped(1)
+    membership = np.repeat([1.0, 0.0], [len(s), len(s_obs)])
+    yield "bench-t", np.vstack([np.hstack([s, x]), np.hstack([s_obs, x_obs])]), membership, 0.0
+    features, *_ = build_design(s[:, :3], x, interactions=True)
+    yield "interactions", features, w, 0.0
+    # heavy-tailed columns: the first Newton step overshoots and is halved once
+    gen = np.random.default_rng(166)
+    n, d = int(gen.integers(8, 40)), int(gen.integers(1, 4))
+    s = gen.standard_cauchy(size=(n, d))
+    yield "halved-step", s, (gen.random(n) < expit(s @ gen.normal(scale=3, size=d))).astype(float), 1e-3
+
+
+def _bits(intercept, coef):
+    """``float.hex`` of the intercept and of each coefficient; a digest of the hex when there are many."""
+    hexes = [float(c).hex() for c in coef]
+    if len(hexes) > 20:
+        return float(intercept).hex(), hashlib.sha256(" ".join(hexes).encode()).hexdigest()
+    return float(intercept).hex(), tuple(hexes)
+
+
+PINNED_BITS = {
+    "sample_size-0.05-score": ("0x1.1d2429481e2e6p-4", (
+        "-0x1.c850d1730ffe6p-4", "-0x1.af68b3d9ff1e1p-1", "0x1.f54b4f01c61ddp-5", "-0x1.a8d5138a7a4cep-1",
+        "-0x1.7cd20dfb3c81ep+0", "0x1.304d2fda0bae6p+0", "0x1.c41db8da6acd8p-3", "-0x1.f0844d1a4aafcp-2",
+        "-0x1.4daed295281cap+1", "0x1.bb32ee6769dcbp+0",
+    ), 7),
+    "sample_size-0.05-index": ("0x1.05541a4930026p-3", (
+        "-0x1.034c1a92e02dbp-4", "-0x1.2c9db1a7e48e3p-1", "-0x1.416e02a1316f1p-1", "-0x1.32498fcd25f2dp-1",
+        "-0x1.c932751e3b02bp-2", "0x1.7143cba43f5bep+0", "0x1.4dd46c1ae88f6p-2", "-0x1.04706c1961ad7p-3",
+        "-0x1.b876a3bf293a5p+0", "0x1.3e97874edb8fdp+0",
+    ), 7),
+    "sample_size-0.95-score": ("-0x1.009c8e75fd0eap-3", (
+        "0x1.197a1800cee17p-4", "-0x1.3cd717755b4f0p-1", "-0x1.7f418c3b3f279p-2", "-0x1.5256b19c4beeep-1",
+        "-0x1.a10bc5c75f4d7p-2", "0x1.5fc4972c54d4fp+0", "0x1.c3b4b3046bf64p-2", "-0x1.d454996d10c2fp-4",
+        "-0x1.b91f0a18512d8p+0", "0x1.29c9432b39bccp+0",
+    ), 6),
+    "sample_size-0.95-index": ("-0x1.433bc5c5522e4p+2", (
+        "0x1.1f03b267ff566p+2", "-0x1.7ab11329a9534p+0", "-0x1.78a78e39bf2e9p+2", "-0x1.64c236de7a315p-1",
+        "-0x1.fcbe9f9c87b2dp-1", "0x1.b0bcbef4f563ap+3", "-0x1.9c2386118537cp+2", "-0x1.1aab6c5fbfae6p+1",
+        "-0x1.064c880b5c6aap+3", "0x1.a22707595b20cp+3",
+    ), 11),
+    "explanatory-4-score": ("0x1.d22942d03819ep-4", (
+        "0x1.2437cf92483e3p-5", "-0x1.faf91d5643655p-2", "-0x1.5dc6df453efdap-2", "-0x1.67ee6290d6505p-1",
+        "-0x1.8aaaf0df7c2d3p-2", "0x1.6a80bfcbe92dcp+0", "0x1.061d202e4ad55p-2", "0x1.14d710d11837fp-3",
+        "-0x1.82a2a477c3178p+0", "0x1.5ea0fd7737ca7p+0",
+    ), 6),
+    "explanatory-4-index": ("0x1.386c6dfdfbc23p-4", (
+        "-0x1.098c0f0ee841dp-6", "-0x1.c8ef19fb0af74p-1", "-0x1.418923a3822e8p-1", "-0x1.e83a6e55e055bp-1",
+        "-0x1.1ab23c890d4e9p-1", "0x1.407c3f9d0a261p+0", "0x1.1b4a5d2a2f15ap-3", "0x1.2f27cebd31daep-4",
+        "-0x1.06e1807a4754bp+1", "0x1.8cb660fcca673p+0",
+    ), 7),
+    "dimension-200-score": ("-0x1.02640f6f1c785p-1", "26658d3b7c7ea206f806bd373d173508e1ef894865cf25ce38fd0d18f9fe9cd2", 9),
+    "misspecification-250-score": ("0x1.5ec061e7fca84p+0", "79930912aee44759ad955637184ac510820341e4c68ea943d29a4e26b15421e8", 24),
+    "bench-e": ("0x1.942bfd168f86fp-3", (
+        "0x1.bc221c90f8b04p-2", "-0x1.aaf2ca5a9454ap-5", "-0x1.7bdce15aeaafcp-2",
+    ), 4),
+    "bench-r": ("-0x1.49fbd75ca5501p-1", (
+        "0x1.4d3fa924805c4p-1", "0x1.fccab303c821bp-2", "0x1.f69818b56b237p-2", "0x1.f56eb76b565abp-2",
+        "0x1.7870cf97a2464p-2", "0x1.7e189725b524cp-2", "0x1.41ee7673af978p-2", "0x1.39366730808dap-3",
+        "0x1.00eca0cc98fb2p-2", "0x1.48eb6ccdc2ce1p-3", "0x1.003db7463fd38p-2", "-0x1.1c2c46f3cab21p-5",
+        "-0x1.e8cae73540750p-3",
+    ), 5),
+    "bench-t": ("-0x1.5ace3b51970a1p-5", (
+        "-0x1.1f93a2ef6d73ap-5", "0x1.4150e623b50bep-5", "0x1.0ecb20ca181a0p-5", "0x1.8b07e70b98126p-5",
+        "-0x1.637021e12ba8fp-5", "0x1.0b864af6537e7p-4", "0x1.6c6ef842c6ce0p-3", "-0x1.5c23cd6063565p-4",
+        "0x1.183597eb7a0a0p-5", "-0x1.20f761b302376p-6", "-0x1.5d6be68c6883ap-3", "0x1.1646aae02bfaap-4",
+        "0x1.e530a1a5e6806p-4",
+    ), 3),
+    "interactions": ("-0x1.e240d8b98be9cp-3", (
+        "0x1.3265afa9a31b2p-1", "0x1.fd399912f505fp-2", "0x1.0f52965ebc766p-1", "0x1.91f614740d1dbp-3",
+        "0x1.0db4dfb6205efp-4", "-0x1.ff7160fd4395bp-4", "-0x1.138b63c758adbp-3", "-0x1.05cde4fa89b6ap-4",
+        "-0x1.64c0a9ffb5fd3p-6", "0x1.37cd18c84a9d4p-11", "0x1.31043a8f7de5ep-6", "0x1.5887caf6f73a4p-5",
+        "-0x1.f3a7e1b9e82f3p-4", "-0x1.7459bebeecbafp-5", "0x1.28d4f30d08a72p-5",
+    ), 5),
+    "halved-step": ("0x1.2ff97a680cd80p+1", (
+        "-0x1.a1da3e6796e81p+2", "0x1.dc05332fc05dbp-4", "0x1.ced058aa51105p+3",
+    ), 17),
+}
+
+
+@pytest.mark.parametrize("case", list(_pinned_cases()), ids=lambda case: case[0])
+def test_logistic_kernel_bits_are_pinned(case):
+    name, features, labels, ridge = case
+    model = fit_logistic(features, labels, ridge=ridge)
+    assert (*_bits(model.intercept, model.coef), model.iterations) == PINNED_BITS[name]
+    intercept, coef, iterations = _frozen_kernel_fit(features, labels, ridge)
+    assert (*_bits(intercept, coef), iterations) == PINNED_BITS[name]
+
+
+@st.composite
+def _small_fits(draw):
+    """A small logistic design: Gaussian or heavy-tailed columns, sometimes a duplicate column."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(3, 60))
+    d = draw(st.integers(0, 4))
+    gen = np.random.default_rng(seed)
+    features = gen.standard_cauchy((n, d)) if draw(st.booleans()) else gen.normal(size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        features[:, -1] = features[:, 0]
+    slope = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    labels = (gen.random(n) < expit(slope * features.sum(axis=1) + gen.normal())).astype(float)
+    return features, labels, draw(st.sampled_from([0.0, 1e-6, 0.1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_fits())
+def test_logistic_kernel_matches_the_frozen_kernel_bit_for_bit(case):
+    features, labels, ridge = case
+    try:
+        expected = _frozen_kernel_fit(features, labels, ridge)
+    except Exception as exc:  # the kernel must fail the same way
+        with pytest.raises(type(exc)) as raised:
+            fit_logistic(features, labels, ridge=ridge)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    model = fit_logistic(features, labels, ridge=ridge)
+    intercept, coef, iterations = expected
+    assert model.intercept == intercept and model.iterations == iterations
+    assert np.array_equal(model.coef, coef)
+
+
+# ---------------------------------------------------------------------------
 # the package's own expit
 
 def test_expit_within_two_ulp_of_scipy():
@@ -610,12 +877,12 @@ def test_standardize_is_bit_identical_to_the_two_pass_form(shape):
     features = gen.normal(size=shape) * gen.uniform(0.1, 1e3, size=shape[1]) + 100 * gen.normal(size=shape[1])
     if shape[0] > 1 and shape[1] > 1:
         features[:, 1] = 2.5  # a constant column keeps its unit scale
-    z, mean, sd = _standardize(features)
+    z1, mean, sd = _standardize(features)
     ref_mean = features.mean(axis=0) if features.size else np.zeros(shape[1])
     ref_sd = features.std(axis=0) if features.size else np.ones(shape[1])
     ref_sd = np.where(ref_sd == 0.0, 1.0, ref_sd)
     assert np.array_equal(mean, ref_mean) and np.array_equal(sd, ref_sd)
-    assert np.array_equal(z, (features - ref_mean) / ref_sd)
+    assert (z1[:, 0] == 1.0).all() and np.array_equal(z1[:, 1:], (features - ref_mean) / ref_sd)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +892,7 @@ RANK_DEFICIENT = "design matrix is rank deficient; a positive ridge penalty make
 
 
 def _design_with_ratio(ratio, n=200, seed=0):
-    """Standardized columns ``[u, u + 2 * ratio * v]``: ``[1 | z]`` has sigma_min / sigma_max close to ``ratio``.
+    """The design ``[1 | u | u + 2 * ratio * v]``, whose sigma_min / sigma_max is close to ``ratio``.
 
     ``u`` and ``v`` are orthogonal to each other and to the intercept, each of
     norm sqrt(n), so the singular values are sqrt(2n), sqrt(n) and about
@@ -634,11 +901,11 @@ def _design_with_ratio(ratio, n=200, seed=0):
     gen = np.random.default_rng(seed)
     q, _ = np.linalg.qr(np.column_stack([np.ones(n), gen.normal(size=(n, 2))]))
     u, v = q[:, 1] * np.sqrt(n), q[:, 2] * np.sqrt(n)
-    return np.column_stack([u, u + 2.0 * ratio * v])
+    return np.column_stack([np.ones(n), u, u + 2.0 * ratio * v])
 
 
-def _svd_ratio(z):
-    sv = np.linalg.svd(np.column_stack([np.ones(len(z)), z]), compute_uv=False)
+def _svd_ratio(z1):
+    sv = np.linalg.svd(z1, compute_uv=False)
     return sv[-1] / sv[0]
 
 
@@ -649,10 +916,10 @@ def test_rank_check_cut_at_1e_10_is_unchanged(factor):
     assert deficient == (factor < 1.0)  # the design lands on the intended side of the cut
     if deficient:
         with pytest.raises(SingularDesignError) as err:
-            _check_rank(z, len(z))
+            _check_rank(z)
         assert str(err.value) == RANK_DEFICIENT
     else:
-        _check_rank(z, len(z))
+        _check_rank(z)
 
 
 def _count_svd_calls(monkeypatch):
@@ -671,7 +938,7 @@ def _count_svd_calls(monkeypatch):
 def test_rank_check_between_the_cut_and_the_certificate_takes_the_svd(monkeypatch, ratio):
     z = _design_with_ratio(ratio)
     calls = _count_svd_calls(monkeypatch)
-    _check_rank(z, len(z))
+    _check_rank(z)
     assert len(calls) == 1
 
 
@@ -680,15 +947,15 @@ def test_rank_check_certifies_well_conditioned_designs_without_an_svd(monkeypatc
                _standardize(rng.normal(size=(30, 1)))[0]]
     calls = _count_svd_calls(monkeypatch)
     for z in designs:
-        _check_rank(z, len(z))
+        _check_rank(z)
     fit_least_squares(rng.normal(size=(500, 4)), rng.normal(size=500))
     assert calls == []
 
 
 def test_rank_check_exactly_deficient_design_reaches_the_svd_and_raises(monkeypatch, rng):
     z = _standardize(rng.normal(size=(50, 3)))[0]
-    z = np.column_stack([z, z[:, 0]])
+    z = np.column_stack([z, z[:, 1]])
     calls = _count_svd_calls(monkeypatch)
     with pytest.raises(SingularDesignError) as err:
-        _check_rank(z, len(z))
+        _check_rank(z)
     assert str(err.value) == RANK_DEFICIENT and len(calls) == 1
