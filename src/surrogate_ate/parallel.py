@@ -1,4 +1,4 @@
-"""Deterministic worker-pool and seed-stream helpers.
+"""Deterministic worker-process and seed-stream helpers.
 
 Bootstrap replicates and Monte Carlo replications run in worker processes.
 The ``SURROGATE_THREADS`` environment variable sets how many; unset, it
@@ -8,10 +8,12 @@ Each work item is a pure function of its own seed stream
 (:func:`seed_sequence`), and results come back in item order, so output is
 byte-identical for any value.
 
-Workers are started with the ``fork`` method, so they inherit the imported
+Workers are plain ``os.fork`` children, so they inherit the imported
 package and the map's function and items instead of importing and
-unpickling them again; only chunk bounds go out and result lists come back.
-Where ``fork`` is unavailable, and inside a worker, a map runs serially.
+unpickling them again.  There is no executor: each worker claims ranges of
+items from a pipe that the parent filled before forking, runs them and
+sends its results back once; the parent runs no item.  Where ``os.fork``
+is unavailable, and inside a worker, a map runs serially.
 
 Importing this module, which every import of the package does, sets
 OpenBLAS to one thread for the whole process, and forked workers inherit
@@ -25,8 +27,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
 import signal
-from typing import Callable, Iterable, TypeVar
+import sys
+from typing import Callable, Iterable, NoReturn, TypeVar
 
 import numpy as np
 
@@ -35,12 +39,16 @@ from .errors import ValidationError
 T = TypeVar("T")
 R = TypeVar("R")
 
-# ``(fn, items)`` of the map being run; forked workers inherit it.
-_WORK: tuple[Callable, list] | None = None
 # True in a worker process, whose maps run serially.
 _IN_WORKER = False
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+# A claim is the 4-byte start index of a range of items.  At most 1024 of
+# them fill one 4 KiB page, the least a Linux pipe holds, so the parent's
+# single write of every claim never blocks.
+_CLAIM_BYTES = 4
+_MAX_CLAIMS = 1024
 
 
 def seed_sequence(seed: int, *stream: int) -> np.random.SeedSequence:
@@ -102,57 +110,144 @@ def _pin_one_blas_thread() -> None:
 _pin_one_blas_thread()
 
 
-def _fork_context():
-    """The ``fork`` start method's context, or ``None`` where the platform has none."""
-    from multiprocessing import get_context
-
-    try:
-        return get_context("fork")
-    except ValueError:
-        return None
+class _RemoteTraceback(Exception):
+    """The cause attached to an exception raised in a worker: the worker's formatted traceback."""
 
 
-def _start_worker(parent: int) -> None:
+def _work(parent: int, fn: Callable, items: list, step: int, claims: int, out: int) -> NoReturn:
+    """A forked worker: run claims until the claim pipe is empty, send the results on ``out``, exit."""
     global _IN_WORKER
     _IN_WORKER = True
-    # A worker whose parent is killed would wait for work forever, since it
-    # holds the work queue open itself; on Linux, ask for SIGTERM instead.
+    code = 0
     try:
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGTERM))
-    except (AttributeError, OSError):
-        pass
-    if os.getppid() != parent:  # the parent died before prctl took effect
-        os._exit(1)
+        # The parent ends its workers itself on an interrupt or an error.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        # A worker whose parent is killed would run its claims for no one;
+        # on Linux, ask for SIGTERM instead.
+        try:
+            ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGTERM))
+        except (AttributeError, OSError):
+            pass
+        if os.getppid() != parent:  # the parent died before prctl took effect
+            code = 1
+            return
+        index, done = -1, []
+        try:
+            while claim := os.read(claims, _CLAIM_BYTES):
+                start = int.from_bytes(claim, "little")
+                for index in range(start, min(start + step, len(items))):
+                    done.append((index, fn(items[index])))
+        except BaseException as error:
+            # Take every claim left: the other workers stop after their
+            # current claim, and the parent raises the lowest failing item.
+            while os.read(claims, 4096):
+                pass
+            import traceback
 
+            done = (index, error, "".join(traceback.format_exception(error)))
+        payload = pickle.dumps(done)
+        with open(out, "wb") as stream:
+            stream.write(payload)
+    except BaseException:
+        # The parent sees an empty result pipe; say why here.
+        code = 1
+        import traceback
 
-def _run_chunk(start: int, stop: int) -> list:
-    fn, items = _WORK
-    return [fn(item) for item in items[start:stop]]
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, OSError, ValueError):
+                pass
+        os._exit(code)
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Apply ``fn`` to ``items`` in worker processes; results in item order.
+    """Apply ``fn`` to ``items`` in forked worker processes; results in item order.
 
-    The items are cut into one contiguous chunk per worker, but the pool
-    hands each chunk to whichever worker is free, so a worker is not tied to
-    one chunk: when items are quick, one worker may run every chunk while
-    the others idle.  An exception raised by ``fn`` reaches the caller with
-    its type and message; a worker that dies raises ``BrokenProcessPool``.
+    There is no executor.  The items are cut into at most 1024 claims,
+    contiguous ranges of equal length, which the parent writes into a pipe
+    as 4-byte start indices before it forks the workers.  Each worker reads
+    one claim at a time until the pipe is empty, so a worker that is free
+    takes the next range, and sends all its results back once, over its own
+    pipe.  The parent runs no item: it places the results by index as the
+    pipes become readable and reaps every worker before it returns.
+
+    An exception raised by ``fn`` reaches the caller with its type and
+    message, and the worker's traceback as its cause; when several items
+    raise, the one of lowest index is raised, as in a serial map.  A worker
+    that ends without sending its results raises ``BrokenProcessPool`` at
+    once, and the other workers are ended.
     """
-    global _WORK
     items = list(items)
     workers = min(worker_count(), len(items))
-    context = _fork_context() if workers > 1 and not _IN_WORKER else None
-    if context is None:
+    if workers < 2 or _IN_WORKER or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    import select
 
-    bounds = [len(items) * k // workers for k in range(workers + 1)]
-    _WORK = (fn, items)
+    step = -(-len(items) // _MAX_CLAIMS)
+    claims, claims_in = os.pipe()
     try:
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker,
-                                 initargs=(os.getpid(),)) as pool:
-            chunks = [pool.submit(_run_chunk, a, b) for a, b in zip(bounds, bounds[1:])]
-            return [result for chunk in chunks for result in chunk.result()]
+        # at most 4 KiB: one write that a pipe takes whole, before any reader starts
+        os.write(claims_in, b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(0, len(items), step)))
     finally:
-        _WORK = None
+        os.close(claims_in)
+    # A child flushes its copy of these buffers when it exits; empty them first.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    parent, pids, received, failures = os.getpid(), [], {}, []
+    results, finished = [None] * len(items), False
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            received[read] = []
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    for fd in received:
+                        os.close(fd)
+                    _work(parent, fn, items, step, claims, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        poller = select.poll()
+        for fd in received:
+            poller.register(fd, select.POLLIN)
+        while received:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    received[fd].append(chunk)
+                    continue
+                poller.unregister(fd)
+                os.close(fd)
+                payload = b"".join(received.pop(fd))
+                if not payload:
+                    from concurrent.futures.process import BrokenProcessPool
+
+                    raise BrokenProcessPool("a worker process ended without sending its results")
+                sent = pickle.loads(payload)
+                if isinstance(sent, list):
+                    for index, result in sent:
+                        results[index] = result
+                else:
+                    failures.append(sent)
+        if failures:
+            _, error, text = min(failures, key=lambda failure: failure[0])
+            raise error from _RemoteTraceback(f'\n"""\n{text}"""')
+        finished = True
+        return results
+    finally:
+        for fd in received:
+            os.close(fd)
+        os.close(claims)
+        for pid in pids:
+            try:
+                if not finished:
+                    os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already, as under SIGCHLD=SIG_IGN
+                pass

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 
 import numpy as np
@@ -71,18 +70,31 @@ def serial_maps(monkeypatch):
 
 @pytest.fixture
 def process_pools(monkeypatch):
-    """Worker counts of the process pools started during the test, with three CPUs available.
+    """Worker counts of the maps that forked workers during the test, with three CPUs available.
 
     Three CPUs are reported whatever the machine has, so a determinism test
-    compares real worker processes with a serial run even on one CPU.
+    compares real worker processes with a serial run even on one CPU.  A
+    worker is counted here when ``os.fork`` returns its pid; since a map
+    reaps all its workers before it returns, a fork while no counted child
+    is left unreaped starts the next map.
     """
-    sizes = []
+    sizes, unreaped = [], set()
+    fork, waitpid = os.fork, os.waitpid
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            if not unreaped:
+                sizes.append(0)
+            unreaped.add(pid)
+            sizes[-1] += 1
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    def recording_waitpid(pid, options):
+        unreaped.discard(pid)
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     return sizes

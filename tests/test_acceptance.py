@@ -301,17 +301,26 @@ def test_nuisance_solver_correctness():
 
 # Runs the CLI as ``python -c _CLI_WITH_CPUS <cpus> <argv...>``: the process sees
 # ``cpus`` CPUs available whatever the machine has, and the last stderr line
-# lists the worker count of each process pool the command started.
+# lists the worker count of each map that forked workers, counted as in the
+# ``process_pools`` fixture.
 _CLI_WITH_CPUS = """
-import concurrent.futures, json, os, sys
+import json, os, sys
 cpus = int(sys.argv[1])
 os.sched_getaffinity = lambda pid: set(range(cpus))
-sizes = []
-class Recording(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers, **kwargs):
-        sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-concurrent.futures.ProcessPoolExecutor = Recording
+sizes, unreaped = [], set()
+fork, waitpid = os.fork, os.waitpid
+def recording_fork():
+    pid = fork()
+    if pid:
+        if not unreaped:
+            sizes.append(0)
+        unreaped.add(pid)
+        sizes[-1] += 1
+    return pid
+def recording_waitpid(pid, options):
+    unreaped.discard(pid)
+    return waitpid(pid, options)
+os.fork, os.waitpid = recording_fork, recording_waitpid
 from surrogate_ate.cli import main
 code = main(sys.argv[2:])
 print("pools " + json.dumps(sizes), file=sys.stderr)

@@ -422,6 +422,7 @@ def test_bootstrap_two_point_sample_is_degenerate():
     assert se == 0.0
 
 
+@pytest.mark.usefixtures("serial_maps")
 def test_bootstrap_failure_threshold(small_single):
     calls = {"n": 0}
 

@@ -1,8 +1,6 @@
-import concurrent.futures
 import ctypes.util
 import inspect
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,37 +9,6 @@ import time
 import pytest
 
 from surrogate_ate import draw_dataset, errors, make_spec, parallel, write_experimental, write_observational
-
-
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the pool size and runs each chunk in this process."""
-
-    sizes: list = []
-    chunks: list = []
-
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        assert mp_context.get_start_method() == "fork"
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.chunks.append(args)
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.fixture
-def recorder(monkeypatch):
-    _RecordingExecutor.sizes = []
-    _RecordingExecutor.chunks = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    return _RecordingExecutor.sizes
 
 
 def _cpus(monkeypatch, n):
@@ -55,16 +22,17 @@ def _cpus(monkeypatch, n):
     ("3", 64, 16, 3),
     ("100000", 4, 3, 3),
 ])
-def test_pool_never_exceeds_items_or_cpus(monkeypatch, recorder, threads, cpus, items, size):
+def test_pool_never_exceeds_items_or_cpus(monkeypatch, process_pools, threads, cpus, items, size):
     monkeypatch.setenv("SURROGATE_THREADS", threads)
     _cpus(monkeypatch, cpus)
-    assert parallel.ordered_map(lambda i: i * i, range(items)) == [i * i for i in range(items)]
-    assert recorder == [size]
-    # one contiguous chunk per worker, covering every item once
-    bounds = _RecordingExecutor.chunks
-    assert len(bounds) == size and bounds[0][0] == 0 and bounds[-1][1] == items
-    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-    assert max(b - a for a, b in bounds) - min(b - a for a, b in bounds) <= 1
+    results = parallel.ordered_map(lambda i: (i * i, os.getpid()), range(items))
+    assert [square for square, _ in results] == [i * i for i in range(items)]
+    assert process_pools == [size]
+    pids = [pid for _, pid in results]
+    assert os.getpid() not in pids
+    # a claim is a contiguous range of ceil(items / 1024) items, run by one worker
+    step = -(-items // 1024)
+    assert all(len(set(pids[start:start + step])) == 1 for start in range(0, items, step))
 
 
 @pytest.mark.parametrize("threads, cpus, items", [
@@ -75,22 +43,19 @@ def test_pool_never_exceeds_items_or_cpus(monkeypatch, recorder, threads, cpus, 
     ("-4", 8, 16),
     ("many", 8, 16),
 ])
-def test_one_worker_maps_without_a_pool(monkeypatch, recorder, threads, cpus, items):
+def test_one_worker_maps_without_a_pool(monkeypatch, process_pools, threads, cpus, items):
     monkeypatch.setenv("SURROGATE_THREADS", threads)
     _cpus(monkeypatch, cpus)
     assert parallel.ordered_map(str, range(items)) == [str(i) for i in range(items)]
-    assert recorder == []
+    assert process_pools == []
 
 
-def test_without_fork_the_map_runs_serially(monkeypatch, recorder):
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
+def test_without_fork_the_map_runs_serially(monkeypatch, process_pools):
     monkeypatch.delenv("SURROGATE_THREADS", raising=False)
     _cpus(monkeypatch, 4)
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.delattr(os, "fork")
     assert parallel.ordered_map(lambda i: (i, os.getpid()), range(8)) == [(i, os.getpid()) for i in range(8)]
-    assert recorder == []
+    assert process_pools == []
 
 
 @pytest.mark.parametrize("threads, cpus, expected", [
@@ -113,7 +78,7 @@ def two_workers(monkeypatch):
 
 
 def _slow_pid(i):
-    time.sleep(0.2)  # long enough that each worker takes one chunk
+    time.sleep(0.2)  # long enough that both workers claim items
     return i, os.getpid()
 
 
@@ -122,9 +87,19 @@ def test_items_run_in_forked_workers_and_return_in_item_order():
     unpicklable = lambda i: _slow_pid(i)  # noqa: E731 -- workers inherit it through fork
     results = parallel.ordered_map(unpicklable, range(4))
     assert [i for i, _ in results] == [0, 1, 2, 3]
-    pids = [pid for _, pid in results]
-    assert os.getpid() not in pids
-    assert pids[0] == pids[1] != pids[2] == pids[3]
+    pids = {pid for _, pid in results}
+    assert len(pids) == 2 and os.getpid() not in pids
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_a_free_worker_claims_the_next_item():
+    def item(i):
+        time.sleep(0.5 if i == 0 else 0.05)
+        return os.getpid()
+
+    pids = parallel.ordered_map(item, range(6))
+    # one fixed chunk per worker would give item 0's worker items 0-2
+    assert pids.count(pids[0]) <= 2
 
 
 @pytest.mark.usefixtures("two_workers")
@@ -159,6 +134,19 @@ def test_an_error_in_a_worker_reaches_the_caller_unchanged(error):
 
 
 @pytest.mark.usefixtures("two_workers")
+def test_the_failing_item_of_lowest_index_is_raised():
+    def item(i):
+        if i == 1:
+            time.sleep(0.3)  # item 3 fails first, in the other worker
+        if i in (1, 3):
+            raise ValueError(f"item {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match="item 1 failed"):
+        parallel.ordered_map(item, range(6))
+
+
+@pytest.mark.usefixtures("two_workers")
 def test_an_unstable_bootstrap_error_keeps_its_counts_across_processes():
     def item(i):
         if i == 1:
@@ -170,31 +158,91 @@ def test_an_unstable_bootstrap_error_keeps_its_counts_across_processes():
     assert (str(info.value), info.value.failures, info.value.reps) == ("7 of 20 bootstrap replicates failed", 7, 20)
 
 
-_DYING_WORKER = """
-import os, sys
+# Prelude of the fresh interpreters below: two CPUs whatever the machine has,
+# and ``no_children()``, true when this process has no child left, running or
+# unreaped.
+_TWO_CPUS = """
+import json, os, signal, sys, time
 os.sched_getaffinity = lambda pid: set(range(2))
 from concurrent.futures.process import BrokenProcessPool
 from surrogate_ate.parallel import ordered_map
+def no_children():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def _run_with_two_cpus(code):
+    """Run ``_TWO_CPUS + code`` in a fresh interpreter with stdout to a block-buffered pipe; its stdout."""
+    env = dict(os.environ)
+    env.pop("SURROGATE_THREADS", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", _TWO_CPUS + code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_DYING_WORKER = """
 def item(i):
     if i == 1:
         os._exit(7)
-    return i
+    time.sleep(20)
+started = time.monotonic()
 try:
     ordered_map(item, range(2))
 except BrokenProcessPool:
-    sys.exit(0)
-sys.exit(1)
+    print(json.dumps({"seconds": time.monotonic() - started, "no_children": no_children()}))
 """
 
 
 def test_a_worker_that_dies_makes_the_map_raise_promptly():
-    env = dict(os.environ)
-    env.pop("SURROGATE_THREADS", None)
-    started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert time.perf_counter() - started < 30
+    report = json.loads(_run_with_two_cpus(_DYING_WORKER))
+    assert report["seconds"] < 5
+    assert report["no_children"]
+
+
+_THREE_MAPS = """
+def fails(i):
+    if i == 1:
+        raise ValueError("item 1 failed")
+    return i
+def sleeps(i):
+    time.sleep(20)
+signal.signal(signal.SIGALRM, lambda signum, frame: os.kill(os.getpid(), signal.SIGINT))
+report = {"returns": ordered_map(abs, range(4)) == [0, 1, 2, 3] and no_children()}
+try:
+    ordered_map(fails, range(4))
+except ValueError:
+    report["raises"] = no_children()
+signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the workers
+started = time.monotonic()
+try:
+    ordered_map(sleeps, range(2))
+except KeyboardInterrupt:
+    report["interrupted"] = no_children()
+    report["seconds"] = time.monotonic() - started
+print(json.dumps(report))
+"""
+
+
+def test_no_worker_outlives_a_map():
+    report = json.loads(_run_with_two_cpus(_THREE_MAPS))
+    assert report == {"returns": True, "raises": True, "interrupted": True, "seconds": report["seconds"]}
+    assert report["seconds"] < 5
+
+
+_UNFLUSHED_LINE = """
+print("before the map")  # stdout is a pipe, so this waits in the buffer
+ordered_map(abs, range(4))
+"""
+
+
+def test_output_buffered_before_a_map_is_written_once():
+    assert _run_with_two_cpus(_UNFLUSHED_LINE) == "before the map\n"
 
 
 # Runs first in a fresh interpreter.  ``blas_threads()`` reads the OpenBLAS
@@ -238,7 +286,7 @@ os.sched_getaffinity = lambda pid: set(range(2))
 from surrogate_ate import parallel
 after = blas_threads()
 def item(i):
-    time.sleep(0.2)  # long enough that each worker takes one chunk
+    time.sleep(0.2)  # long enough that both workers claim an item
     return os.getpid(), blas_threads()
 items = parallel.ordered_map(item, range(2))
 print(json.dumps({"pid": os.getpid(), "after": after, "items": items}))
