@@ -9,6 +9,8 @@ diagnostics, exact finite-population verifiers for the identifying
 identities, and a reproducible Monte Carlo study harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .data import (
     ExperimentalSample,
@@ -58,6 +60,7 @@ from .errors import (
     UnstableBootstrapError,
     UnsupportedConfigurationError,
     ValidationError,
+    WorkerError,
 )
 from .estimators import (
     EstimateReport,
@@ -99,34 +102,5 @@ from .simulation import (
     true_tau_mc,
 )
 
-__all__ = [
-    "__version__",
-    # data
-    "ExperimentalSample", "ObservationalSample", "SingleSample", "PooledDataset",
-    "Schema", "load_experimental", "load_observational", "load_single", "pool",
-    "write_experimental", "write_observational", "write_single",
-    # nuisance
-    "LinearModel", "LogisticModel", "ConstantScore", "NuisanceFits", "NuisanceOptions",
-    "fit_least_squares", "fit_logistic", "fit_all", "predict_score",
-    "build_design", "bernoulli_loglik", "bernoulli_loglik_gradient",
-    # estimators
-    "EstimateReport", "WeightSummary", "MatchOptions",
-    "estimate_index", "estimate_score", "estimate_tau_surrogates",
-    "estimate_linear_shortcut", "estimate_matching", "estimate_single_sample",
-    "bootstrap_se",
-    # diagnostics
-    "BiasBound", "EfficiencyBounds", "DiscretePopulation", "IdentificationReport",
-    "BiasIdentityReport", "bias_bound", "verify_identification", "verify_bias_identity",
-    "random_population", "efficiency_bounds_single_sample", "efficiency_gain_homoskedastic",
-    "efficiency_bound_two_sample", "two_sample_bound_value", "v_ns_covariate_form",
-    # simulation
-    "DgpSpec", "McResult", "EstimatorStats", "DEFAULT_GRIDS", "make_spec",
-    "draw_dataset", "true_tau", "true_tau_mc", "calibrate_tau",
-    "run_monte_carlo", "run_study",
-    # errors
-    "SurrogateError", "ConfigurationError", "SchemaError", "ValidationError",
-    "PoolingError", "UnsupportedConfigurationError", "FitError",
-    "DegenerateLabelsError", "SeparationError", "SingularDesignError", "ConvergenceError",
-    "EstimationError", "OverlapError", "DegenerateArmError",
-    "UnstableBootstrapError", "CalibrationError", "StudyError",
-]
+# every public name imported above, the submodules left out
+__all__ = ["__version__", *(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))]

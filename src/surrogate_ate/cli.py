@@ -32,7 +32,9 @@ directory, lies under a regular file or runs into a symbolic-link loop once
 ``..`` and symbolic links are resolved (``nope/..`` included), checked
 before any file is read,
 and an input CSV that is not a readable UTF-8 file), 3 estimation failure
-(overlap, degenerate arm, separation, ...).  Errors are written as
+(overlap, degenerate arm, separation, ...) or a lost worker process (a
+``WorkerError``: a worker that died, as under the out-of-memory killer, or
+a result it could not pickle).  Errors are written as
 a single machine-parseable line on stderr; so is the ``warning:`` line of
 ``bounds --variance-mode per-stratum`` when a stratum holds a single
 observation.  Bootstrap replicates and study replications run in worker
@@ -61,14 +63,7 @@ from .diagnostics import (
     efficiency_bounds_single_sample,
 )
 from .errors import ConfigurationError, SurrogateError
-from .estimators import (
-    DEFAULT_TRIM,
-    bootstrap_se,
-    estimate_index,
-    estimate_linear_shortcut,
-    estimate_matching,
-    estimate_score,
-)
+from .estimators import DEFAULT_TRIM, _match, bootstrap_se, estimate_index, estimate_linear_shortcut, estimate_score
 from .nuisance import NuisanceOptions, fit_all
 from .simulation import STUDIES, run_study
 
@@ -87,14 +82,10 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _options(args) -> NuisanceOptions:
-    return NuisanceOptions(
-        ridge_propensity=args.ridge,
-        ridge_surrogate_score=args.ridge,
-        ridge_sampling_score=args.ridge,
-        ridge_index=args.ridge,
-        constant_sampling_score=args.constant_t,
-        interactions=args.interactions,
-    )
+    """``--ridge`` for all four fits, ``--constant-t`` and ``--interactions``."""
+    ridges = dict.fromkeys(("ridge_propensity", "ridge_surrogate_score", "ridge_sampling_score", "ridge_index"),
+                           args.ridge)
+    return NuisanceOptions(**ridges, constant_sampling_score=args.constant_t, interactions=args.interactions)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -111,14 +102,15 @@ def _trim_value(args) -> float | None:
     return None if args.trim == 0.0 else args.trim
 
 
-def _estimate(method, exp, obs, pooled, fits, trim):
+def _estimate(method, pooled, fits, trim):
     if method == "index":
-        return estimate_index(exp, fits, trim)
+        return estimate_index(pooled.exp, fits, trim)
     if method == "score":
-        return estimate_score(obs, fits, pooled.q, trim)
+        return estimate_score(pooled.obs, fits, pooled.q, trim)
     if method == "linear":
-        return estimate_linear_shortcut(exp, fits, trim)
-    return estimate_matching(exp, obs)
+        return estimate_linear_shortcut(pooled.exp, fits, trim)
+    # matching reads the standardized designs that fit_all built on the same pooled dataset
+    return _match(pooled)
 
 
 def run_estimate(args) -> int:
@@ -133,23 +125,20 @@ def run_estimate(args) -> int:
         methods = ("index", "score", "match")
     else:
         methods = ("index", "score", "linear", "match")
-    exp = load_experimental(args.exp)
-    obs = load_observational(args.obs)
-    pooled = pool(exp, obs)
+    pooled = pool(load_experimental(args.exp), load_observational(args.obs))
     options = _options(args)
     needs_fits = any(m in _FITTED for m in methods)
     fits = fit_all(pooled, options) if needs_fits else None
-    reports = [_estimate(m, exp, obs, pooled, fits, trim) for m in methods]
+    reports = [_estimate(m, pooled, fits, trim) for m in methods]
 
     if args.bootstrap > 0:
 
         def replicate(e, o):
             # one pool and one fit_all per resample serve every method; when
-            # they fail, only the methods that read the fits lose the replicate
-            p = f = None
+            # the fit fails, only the methods that read it lose the replicate
+            p, f = pool(e, o), None
             if needs_fits:
                 try:
-                    p = pool(e, o)
                     f = fit_all(p, options)
                 except SurrogateError:
                     pass
@@ -158,13 +147,13 @@ def run_estimate(args) -> int:
                 tau = None
                 if method not in _FITTED or f is not None:
                     try:
-                        tau = _estimate(method, e, o, p, f, trim).tau_hat
+                        tau = _estimate(method, p, f, trim).tau_hat
                     except SurrogateError:
                         pass
                 taus.append(tau)
             return tuple(taus)
 
-        ses = bootstrap_se(replicate, (exp, obs), reps=args.bootstrap, seed=args.seed)
+        ses = bootstrap_se(replicate, (pooled.exp, pooled.obs), reps=args.bootstrap, seed=args.seed)
         reports = [replace(r, se_bootstrap=se) for r, se in zip(reports, ses)]
     payload = {r.method: json.loads(r.to_json()) for r in reports}
     if len(payload) == 1:

@@ -33,6 +33,7 @@ import io
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -62,10 +63,36 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
     raise ValidationError(f"non-finite value in {where} at row {row}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float, copy=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    return _read_only(np.array(arr, dtype=float, copy=True))
+
+
+def _standardize(features: np.ndarray):
+    """``(z1, mean, sd)``: the design ``z1 = [1 | z]`` of the centered and scaled columns ``z``.
+
+    ``z1[:, 1:]`` is ``(features - mean) / sd``, written straight into the
+    preallocated design.  A column whose mean or spread overflows is a
+    ``ValidationError``; a constant column keeps unit scale.
+    """
+    n, d = features.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one typed error, not as warnings
+        mean = features.mean(axis=0) if features.size else np.zeros(d)
+        # contiguous, not in z1: a ufunc over a strided view loops row by row
+        centered = features - mean
+        # the steps of ndarray.std on the centered columns: bit-identical to features.std(axis=0)
+        sd = np.sqrt((centered * centered).mean(axis=0)) if features.size else np.ones(d)
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValidationError("a surrogate or covariate column is too large in magnitude to standardize")
+    sd[sd == 0.0] = 1.0
+    z1 = np.empty((n, d + 1))
+    z1[:, 0] = 1.0
+    np.divide(centered, sd, out=z1[:, 1:])
+    return z1, mean, sd
 
 
 class _Sample:
@@ -172,7 +199,10 @@ class PooledDataset:
 
     ``q`` is always the realized experimental fraction N_E / (N_E + N_O);
     it is never user-supplied.  Pooled rows put the experimental sample
-    first; ``is_experimental`` marks those rows.
+    first; ``is_experimental`` marks those rows.  The dataset owns the
+    designs that the fits and matching share: the stacked ``sx`` and the
+    standardized ``(z1, mean, sd)`` of ``sx`` and of the experimental ``x``,
+    each built once.
     """
 
     exp: ExperimentalSample
@@ -197,16 +227,23 @@ class PooledDataset:
         return self.exp.n + self.obs.n
 
     @property
-    def s_pooled(self) -> np.ndarray:
-        return np.vstack([self.exp.s, self.obs.s])
-
-    @property
-    def x_pooled(self) -> np.ndarray:
-        return np.vstack([self.exp.x, self.obs.x])
-
-    @property
     def is_experimental(self) -> np.ndarray:
         return np.arange(self.n_total) < self.exp.n
+
+    @cached_property
+    def sx(self) -> np.ndarray:
+        """The pooled design ``[s | x]``, experimental rows first; built once, read-only."""
+        return _read_only(np.vstack([np.hstack([sample.s, sample.x]) for sample in (self.exp, self.obs)]))
+
+    @cached_property
+    def standardized_sx(self) -> tuple:
+        """``(z1, mean, sd)`` of :attr:`sx` (:func:`_standardize`), for the sampling score and matching; read-only."""
+        return tuple(map(_read_only, _standardize(self.sx)))
+
+    @cached_property
+    def standardized_x(self) -> tuple:
+        """``(z1, mean, sd)`` of the experimental ``x``, for the propensity and matching; read-only."""
+        return tuple(map(_read_only, _standardize(self.exp.x)))
 
 
 def pool(exp: ExperimentalSample, obs: ObservationalSample) -> PooledDataset:
@@ -304,13 +341,14 @@ def _parse(rows, header, names):
 def _plain_body(path):
     """``(header, text)`` of a CSV file whose body numpy's C reader reads as ``csv`` does, else ``None``.
 
-    ``text`` holds the file's bytes with CRLF line ends made LF.  The file
-    must decode as UTF-8 and hold at least one data row.  ``None`` also
-    answers for the features on which ``np.loadtxt`` and ``csv`` part: a
-    blank line (a row of no cells to ``csv``, skipped by ``loadtxt``), a
-    carriage return that does not end a line, a quote in the header line and,
-    in a file longer than ``csv.field_size_limit()``, a line longer than the
-    limit or a quote anywhere (a quoted field may span lines).
+    ``text`` holds the file's bytes, LF or CRLF line ends alike: the C reader
+    ends a line at either, as ``csv`` does.  The file must decode as UTF-8
+    and hold at least one data row.  ``None`` also answers for the features
+    on which ``np.loadtxt`` and ``csv`` part: a blank line (a row of no cells
+    to ``csv``, skipped by ``loadtxt``), a carriage return that does not end
+    a line, a quote in the header line and, in a file longer than
+    ``csv.field_size_limit()``, a line longer than the limit or a quote
+    anywhere (a quoted field may span lines).
     """
     try:
         text = Path(path).read_bytes()
@@ -318,12 +356,14 @@ def _plain_body(path):
     except (OSError, UnicodeDecodeError):
         return None
     if b"\r" in text:
-        if text.count(b"\r") != text.count(b"\r\n"):
+        # the lines without their CRLF ends; splitlines also ends one at a lone carriage return
+        lines = text.splitlines()
+        if len(lines) != text.count(b"\n") + (not text.endswith(b"\n")) or text.endswith(b"\r"):
             return None
-        text = text.replace(b"\r\n", b"\n")
-    lines = text.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
+    else:
+        lines = text.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
     if len(lines) < 2 or b"" in lines[1:] or b'"' in lines[0]:
         return None
     limit = csv.field_size_limit()

@@ -551,8 +551,7 @@ def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> Ef
     resid = obs.y - fits.surrogate_index(obs.s, obs.x)
     sigma2 = float(np.mean(resid**2))
 
-    s_pooled = pooled.s_pooled
-    x_pooled = pooled.x_pooled
+    s_pooled, x_pooled = np.hsplit(pooled.sx, [exp.n_surrogates])
     r = fits.surrogate_score(s_pooled, x_pooled)
     mu = fits.surrogate_index(s_pooled, x_pooled)
 

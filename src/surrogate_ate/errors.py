@@ -78,3 +78,7 @@ class CalibrationError(SurrogateError):
 
 class StudyError(SurrogateError):
     """All replications of a Monte Carlo study failed."""
+
+
+class WorkerError(SurrogateError):
+    """A worker process died, or could not send its results back."""

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ExperimentalSample, ObservationalSample, SingleSample
+from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample
 from .errors import (
     DegenerateArmError,
     OverlapError,
@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .nuisance import LinearModel, NuisanceFits, _standardize, fit_least_squares
+from .nuisance import LinearModel, NuisanceFits, fit_least_squares
 from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
@@ -279,10 +279,11 @@ def _nearest_scan(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     lies within twice a rounding bound of the block row's minimum, which
     provably keeps every exact minimizer.  The candidates are read off the
     block's mask in one scan of its flat, row-major index, so they come out
-    grouped by query row in ascending order.  Only candidates are recomputed
-    with the exact expression, so the GEMM's rounding (and hence the BLAS
-    thread count) never decides a match.  Time is O(n_query * n_pool * d).
-    Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
+    grouped by query row in ascending order.  A row with one candidate gets
+    it, since the screen kept every exact minimizer; only the candidates of
+    rows with several are recomputed with the exact expression, so the
+    GEMM's rounding (and hence the BLAS thread count) never decides a match.
+    Time is O(n_query * n_pool * d).  Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
     is; only a pool too large for one query's worst case within that budget
     grows it, as O(n_pool * d).
     """
@@ -302,14 +303,22 @@ def _nearest_scan(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
         # scaling by -2 is exact, so this is -2 * (q @ p.T) without a pass over the block
         screened = (q * -2.0) @ pool_rows.T
         screened += pool_sq
-        bound = screened.min(axis=1) + 2.0 * tol[lo : lo + block]
-        rows, cols = np.divmod(np.flatnonzero(screened <= bound[:, None]), n_pool)
+        best = screened.argmin(axis=1)
+        out[lo : lo + block] = best
+        candidates = screened <= (screened[np.arange(len(q)), best] + 2.0 * tol[lo : lo + block])[:, None]
         del screened
-        # rows ascend and every row has a candidate, so segments start where rows change
+        if np.count_nonzero(candidates) == len(q):  # every row has a candidate, so each has exactly one
+            continue
+        rows, cols = np.divmod(np.flatnonzero(candidates), n_pool)
+        several = np.bincount(rows, minlength=len(q))[rows] > 1
+        rows, cols = rows[several], cols[several]
+        # rows ascend, so each row's candidates form one segment, starting where rows change
+        starts = np.diff(rows, prepend=-1) != 0
         exact = ((q[rows] - pool_rows[cols]) ** 2).sum(axis=-1)
-        row_min = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
-        hits = np.flatnonzero(exact == row_min[rows])
-        out[lo : lo + block] = cols[hits[np.diff(rows[hits], prepend=-1) != 0]]
+        row_min = np.minimum.reduceat(exact, np.flatnonzero(starts))
+        hits = np.flatnonzero(exact == row_min[np.cumsum(starts) - 1])
+        first = hits[np.diff(rows[hits], prepend=-1) != 0]
+        out[lo + rows[first]] = cols[first]
     return out
 
 
@@ -325,30 +334,34 @@ def estimate_matching(
     nearest observational neighbor by (surrogate, covariate) distance; the
     difference of those two observational outcomes is the unit-level effect,
     and the estimate averages it over treated units.  Distances are
-    Euclidean on per-column standardized values (statistics taken over the
-    pool being matched into, together with the query sample); all matching
-    is with replacement, and ties go to the lowest row index.  With no
-    covariates the within-experimental match is degenerate: every
-    opposite-arm unit ties at distance zero and the first one is used.
+    Euclidean on per-column standardized values: ``x`` standardized over the
+    experimental sample and ``[s | x]`` over the pooled sample, as
+    :class:`PooledDataset` builds them.  All matching is with replacement,
+    and ties go to the lowest row index.  With no covariates the
+    within-experimental match is degenerate: every opposite-arm unit ties
+    at distance zero and the first one is used.
 
     The search is exact and runs over distinct rows, taking
     O(u_E * u_O * (M + K)) time for u_E and u_O distinct rows; its memory is
     bounded by a fixed block budget instead of growing with n_E * n_O.
     """
-    options = options or MatchOptions()
     if exp.n_surrogates != obs.n_surrogates or exp.n_covariates != obs.n_covariates:
         raise ValidationError("experimental and observational samples have mismatched dimensions")
+    return _match(PooledDataset(exp, obs), options)
 
+
+def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> EstimateReport:
+    """:func:`estimate_matching` on ``pooled``'s standardized designs, which its fits may have built already."""
+    options = options or MatchOptions()
+    exp, obs = pooled.exp, pooled.obs
     treated_idx = np.flatnonzero(exp.w == 1.0)
     control_idx = np.flatnonzero(exp.w == 0.0)
     if len(treated_idx) == 0 or len(control_idx) == 0 or obs.n == 0:
         raise DegenerateArmError("matching needs both experimental arms and a non-empty observational sample")
 
-    x_std = _standardize(exp.x)[0][:, 1:]
-    sx_std = _standardize(np.vstack([np.hstack([exp.s, exp.x]), np.hstack([obs.s, obs.x])]))[0][:, 1:]
-    sx_exp_std, sx_obs_std = sx_std[: exp.n], sx_std[exp.n :]
-
-    obs_match = _nearest(sx_exp_std, sx_obs_std)  # i -> i' for every experimental unit
+    x_std = pooled.standardized_x[0][:, 1:]
+    sx_std = pooled.standardized_sx[0][:, 1:]
+    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :])  # i -> i' for every experimental unit
 
     def _contrasts(own_idx, opposite_idx):
         within = _nearest(x_std[own_idx], x_std[opposite_idx])

@@ -20,8 +20,12 @@ produce bit-identical models.
 
 Every fit is set up in one pass: the checks on the inputs, then the
 standardized columns written straight into a preallocated design
-``z1 = [1 | z]``, which least squares, the logistic fit, the rank check and
-matching's distances all start from.
+``z1 = [1 | z]``, which least squares, the logistic fit and the rank check
+all start from.  :func:`fit_all` takes ``z1`` for the propensity and the
+sampling score from the :class:`PooledDataset`, which standardizes the
+experimental ``x`` and the pooled ``[s | x]`` once each
+(``data._standardize``) and hands the same arrays to matching's distances;
+the other fits standardize their own designs.
 
 The IRLS kernel is numpy alone and allocates its working arrays once per
 fit.  Each Newton step computes the probability, residual, weights and
@@ -47,7 +51,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .data import PooledDataset
+from .data import PooledDataset, _standardize
 from .errors import (
     ConvergenceError,
     DegenerateLabelsError,
@@ -214,29 +218,6 @@ ScoreModel = Union[LogisticModel, ConstantScore]
 IndexModel = Union[LinearModel, LogisticModel]
 
 
-def _standardize(features: np.ndarray):
-    """``(z1, mean, sd)``: the design ``z1 = [1 | z]`` of the centered and scaled columns ``z``.
-
-    ``z1[:, 1:]`` is ``(features - mean) / sd``, written straight into the
-    preallocated design.  A column whose mean or spread overflows is a
-    ``ValidationError``; a constant column keeps unit scale.
-    """
-    n, d = features.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one typed error, not as warnings
-        mean = features.mean(axis=0) if features.size else np.zeros(d)
-        # contiguous, not in z1: a ufunc over a strided view loops row by row
-        centered = features - mean
-        # the steps of ndarray.std on the centered columns: bit-identical to features.std(axis=0)
-        sd = np.sqrt((centered * centered).mean(axis=0)) if features.size else np.ones(d)
-    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
-        raise ValidationError("a surrogate or covariate column is too large in magnitude to standardize")
-    sd[sd == 0.0] = 1.0
-    z1 = np.empty((n, d + 1))
-    z1[:, 0] = 1.0
-    np.divide(centered, sd, out=z1[:, 1:])
-    return z1, mean, sd
-
-
 def _check_rank(z1: np.ndarray) -> None:
     """Rank check for the standardized design ``A = z1 = [1 | z]`` of a fit (ridge = 0 path).
 
@@ -287,12 +268,14 @@ def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: b
         raise SingularDesignError("the penalized normal equations are singular; use a larger ridge penalty") from None
 
 
-def _prepare(features, targets, ridge: float, binary: bool):
+def _prepare(features, targets, ridge: float, binary: bool, standardized=None):
     """Coerce and check one fit's inputs, then standardize the design.
 
     Returns ``(features, targets, z1, mean, sd)`` with ``z1 = [1 | z]`` from
-    :func:`_standardize`.  ``binary`` fits also need 0/1 labels of both
-    classes.  With ``ridge == 0`` the design must have full rank.
+    :func:`_standardize`, or from ``standardized()``, which returns the
+    same triple for ``features`` that a :class:`PooledDataset` has built
+    already.  ``binary`` fits also need 0/1 labels of both classes.  With
+    ``ridge == 0`` the design must have full rank.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -310,7 +293,7 @@ def _prepare(features, targets, ridge: float, binary: bool):
             raise DegenerateLabelsError("labels contain a single class; no model can be fit")
     if len(y) == 0:
         raise ValidationError("cannot fit on an empty sample")
-    z1, mean, sd = _standardize(features)
+    z1, mean, sd = _standardize(features) if standardized is None else standardized()
     if ridge == 0.0:
         _check_rank(z1)
     return features, y, z1, mean, sd
@@ -322,6 +305,7 @@ def fit_least_squares(
     ridge: float = 0.0,
     n_surrogates: int | None = None,
     n_interactions: int = 0,
+    _standardized=None,
 ) -> LinearModel:
     """Least squares with an unpenalized intercept and optional ridge penalty.
 
@@ -336,7 +320,7 @@ def fit_least_squares(
         If ``ridge == 0`` and the design is rank deficient, or if the
         penalized normal equations are singular.
     """
-    features, y, z1, mean, sd = _prepare(features, targets, ridge, binary=False)
+    features, y, z1, mean, sd = _prepare(features, targets, ridge, False, _standardized)
     # a contiguous copy: numpy's matrix-vector product of a strided view can round differently
     z = np.ascontiguousarray(z1[:, 1:])
     y_bar = y.mean()
@@ -372,6 +356,7 @@ def fit_logistic(
     n_interactions: int = 0,
     tol: float = _GRAD_TOL,
     max_iter: int = _MAX_ITER,
+    _standardized=None,
 ) -> LogisticModel:
     """Penalized Bernoulli maximum likelihood by IRLS with step-halving.
 
@@ -407,7 +392,7 @@ def fit_logistic(
     ConvergenceError
         If the score is still above ``tol`` after ``max_iter`` Newton steps.
     """
-    features, y, z1, mean, sd = _prepare(features, labels, ridge, binary=True)
+    features, y, z1, mean, sd = _prepare(features, labels, ridge, True, _standardized)
     n, d = features.shape
     penalty = np.concatenate([[0.0], ridge / sd**2])
     zt = np.ascontiguousarray(z1.T)
@@ -603,34 +588,39 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     """Fit propensity, surrogate score, sampling score, and surrogate index.
 
     With no covariates the propensity collapses to the treated fraction,
-    and the model is stored as an exact :class:`ConstantScore`.
+    and the model is stored as an exact :class:`ConstantScore`.  The fits
+    read ``pooled``'s designs: ``r`` and ``h`` its experimental and
+    observational rows of ``sx``, and the propensity and sampling score its
+    standardized ``x`` and ``sx`` (with ``interactions``, the sampling score
+    standardizes its own wider design).
     """
     options = options or NuisanceOptions()
-    exp, obs = pooled.exp, pooled.obs
+    exp, obs, sx = pooled.exp, pooled.obs, pooled.sx
 
-    def fit(label, fitter, s, x, target, ridge):
-        design, n_s, _, n_sx = build_design(s, x, options.interactions)
+    def fit(label, fitter, rows, target, ridge, standardized=None, n_s=exp.n_surrogates):
+        n_sx = 0
+        if options.interactions and n_s:
+            rows, _, _, n_sx = build_design(rows[:, :n_s], rows[:, n_s:], True)
+            standardized = None
         with _tagged(label):
-            return fitter(design, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx)
+            return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx, _standardized=standardized)
 
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
     elif exp.n_covariates == 0:
         e_model = ConstantScore(float(exp.w.mean()))
     else:
-        e_model = fit("propensity score", fit_logistic, np.empty((exp.n, 0)), exp.x, exp.w, options.ridge_propensity)
+        e_model = fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity,
+                      lambda: pooled.standardized_x, n_s=0)
 
-    r_model = fit("surrogate score", fit_logistic, exp.s, exp.x, exp.w, options.ridge_surrogate_score)
+    r_model = fit("surrogate score", fit_logistic, sx[: exp.n], exp.w, options.ridge_surrogate_score)
 
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)
     else:
-        t_model = fit(
-            "sampling score", fit_logistic, pooled.s_pooled, pooled.x_pooled,
-            pooled.is_experimental.astype(float), options.ridge_sampling_score,
-        )
+        t_model = fit("sampling score", fit_logistic, sx, pooled.is_experimental.astype(float),
+                      options.ridge_sampling_score, lambda: pooled.standardized_sx)
 
-    h_model = fit("surrogate index", fit_least_squares, obs.s, obs.x, obs.y, options.ridge_index)
+    h_model = fit("surrogate index", fit_least_squares, sx[exp.n :], obs.y, options.ridge_index)
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)
-

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NoReturn, TypeVar
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -146,11 +146,15 @@ def _work(parent: int, fn: Callable, items: list, step: int, claims: int, out: i
             import traceback
 
             done = (index, error, "".join(traceback.format_exception(error)))
-        payload = pickle.dumps(done)
+        try:
+            payload = pickle.dumps(done)
+        except Exception as error:  # a result or an error that pickle cannot send
+            error = WorkerError(f"a worker process cannot send its results: {type(error).__name__}: {error}")
+            payload = pickle.dumps((done[0] if isinstance(done, tuple) else done[0][0], error, ""))
         with open(out, "wb") as stream:
             stream.write(payload)
     except BaseException:
-        # The parent sees an empty result pipe; say why here.
+        # The parent reports the exit status; say why here.
         code = 1
         import traceback
 
@@ -178,8 +182,11 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     An exception raised by ``fn`` reaches the caller with its type and
     message, and the worker's traceback as its cause; when several items
     raise, the one of lowest index is raised, as in a serial map.  A worker
-    that ends without sending its results raises ``BrokenProcessPool`` at
-    once, and the other workers are ended.
+    that dies (as under the kernel's out-of-memory killer), or a result that
+    pickle cannot send, raises :class:`WorkerError` at once, and the other
+    workers are ended.  When ``os.fork`` fails (``EAGAIN``, say), the
+    workers started already run every item, and with none the map runs
+    serially; the results are the same either way.
     """
     items = list(items)
     workers = min(worker_count(), len(items))
@@ -198,21 +205,26 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
-    parent, pids, received, failures = os.getpid(), [], {}, []
+    # pids and received are keyed by each worker's result pipe
+    parent, pids, received, failures = os.getpid(), {}, {}, []
     results, finished = [None] * len(items), False
     try:
         for _ in range(workers):
             read, write = os.pipe()
-            received[read] = []
             try:
                 pid = os.fork()
-                if pid == 0:
-                    for fd in received:
-                        os.close(fd)
-                    _work(parent, fn, items, step, claims, write)
-            finally:
-                os.close(write)
-            pids.append(pid)
+            except OSError:  # EAGAIN, say: the workers started already take every claim
+                for fd in (read, write):
+                    os.close(fd)
+                break
+            if pid == 0:
+                for fd in (*received, read):
+                    os.close(fd)
+                _work(parent, fn, items, step, claims, write)
+            os.close(write)
+            received[read], pids[read] = [], pid
+        if not pids:
+            return [fn(item) for item in items]
         poller = select.poll()
         for fd in received:
             poller.register(fd, select.POLLIN)
@@ -224,12 +236,12 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
                     continue
                 poller.unregister(fd)
                 os.close(fd)
-                payload = b"".join(received.pop(fd))
-                if not payload:
-                    from concurrent.futures.process import BrokenProcessPool
-
-                    raise BrokenProcessPool("a worker process ended without sending its results")
-                sent = pickle.loads(payload)
+                try:
+                    sent = pickle.loads(b"".join(received.pop(fd)))
+                except (EOFError, pickle.UnpicklingError):  # the worker died before it sent all its results
+                    pid = pids.pop(fd)
+                    message = f"worker process {pid} ended without sending its results: {_ended(pid)}"
+                    raise WorkerError(message) from None
                 if isinstance(sent, list):
                     for index, result in sent:
                         results[index] = result
@@ -244,10 +256,20 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         for fd in received:
             os.close(fd)
         os.close(claims)
-        for pid in pids:
+        for pid in pids.values():
             try:
                 if not finished:
                     os.kill(pid, signal.SIGTERM)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped already, as under SIGCHLD=SIG_IGN
                 pass
+
+
+def _ended(pid: int) -> str:
+    """How the worker ``pid`` ended, from the status that reaping it returns."""
+    try:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # reaped already, as under SIGCHLD=SIG_IGN
+        return "its exit status is lost"
+    oom = ", which usually means the machine ran out of memory" if code == -signal.SIGKILL else ""
+    return f"it exited with status {code}" if code >= 0 else f"it was killed by {signal.Signals(-code).name}{oom}"

@@ -179,6 +179,34 @@ def test_pool_does_not_mutate_inputs():
     assert not exp.s.flags.writeable  # immutable after construction
 
 
+def test_pooled_designs_are_built_once_and_read_only(rng):
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 20), s=rng.normal(size=(40, 3)), x=rng.normal(size=(40, 2)))
+    obs = ObservationalSample(y=rng.normal(size=30), s=rng.normal(size=(30, 3)), x=rng.normal(size=(30, 2)))
+    pooled = pool(exp, obs)
+    stacked = np.hstack([np.vstack([exp.s, obs.s]), np.vstack([exp.x, obs.x])])
+    assert np.array_equal(pooled.sx, stacked) and pooled.sx.flags.c_contiguous
+    for name, features in (("standardized_sx", stacked), ("standardized_x", exp.x)):
+        designs = getattr(pooled, name)
+        assert getattr(pooled, name) is designs  # built on first use, then cached
+        for got, want in zip(designs, data._standardize(features)):
+            assert got.tobytes() == want.tobytes()
+    for array in (pooled.sx, *pooled.standardized_sx, *pooled.standardized_x):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_crlf_bytes_reach_the_c_reader_unchanged(tmp_path):
+    raw = b"w,s1,x1\r\n0,0.1,5\r\n1,0.2,6\r\n"
+    path = tmp_path / "e.csv"
+    path.write_bytes(raw)
+    assert data._plain_body(path) == (["w", "s1", "x1"], raw)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(raw.replace(b"\r\n", b"\n"))
+    for c in "wsx":
+        assert getattr(load_experimental(path), c).tobytes() == getattr(load_experimental(lf), c).tobytes()
+
+
 # each layout with its per-unit columns, writer and loader
 LAYOUTS = (
     (ExperimentalSample, ("w",), write_experimental, load_experimental),
@@ -343,6 +371,9 @@ def test_plain_file_is_read_by_numpys_c_reader(tmp_path, monkeypatch):
     "w,s1\n\n0,0.1\n1,0.2\n",          # blank first data line
     "w,s1\r0,0.1\r1,0.2\r",             # carriage returns alone
     "w,s1\r0,0.1\n1,0.2\n",             # one carriage return alone, in the header line
+    "w,s1\r\n0,0.1\r1,0.2\r\n",         # one carriage return alone, among CRLF line ends
+    "w,s1\r\n0,0.1\r\n1,0.2\r",         # a final carriage return alone
+    "w,s1\r\n0,0.1\r\n\r\n1,0.2\r\n",   # blank CRLF line
     '"w",s1\n0,0.1\n1,0.2\n',           # quote in the header line
     "w,s1\n",                           # no data row
     "w,s1\n0," + "1" * 140_000 + "\n",   # a line over the csv field limit

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from surrogate_ate import ExperimentalSample, ObservationalSample, ValidationError, estimate_matching
+from surrogate_ate import (
+    ExperimentalSample,
+    MatchOptions,
+    ObservationalSample,
+    ValidationError,
+    estimate_matching,
+    fit_all,
+    pool,
+)
 from surrogate_ate import estimators
 from surrogate_ate.estimators import _distinct_rows, _nearest, _nearest_scan
 
@@ -245,3 +253,45 @@ def test_matching_rejects_a_column_whose_spread_overflows():
     obs = ObservationalSample(y=rng.normal(size=30), s=rng.normal(size=(30, 1)), x=rng.normal(size=(30, 1)))
     with pytest.raises(ValidationError, match="too large in magnitude to standardize"):
         estimate_matching(exp, obs)
+
+
+@st.composite
+def _scan_instance(draw):
+    """Queries and pool rows: on a discrete grid, continuous with exact copies, or continuous."""
+    kind = draw(st.sampled_from(["discrete", "tied", "continuous"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n_query, n_pool = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if kind == "discrete":
+        queries, pool_rows = (gen.choice([0.0, 0.7, 1.4], size=(n, d)) for n in (n_query, n_pool))
+    elif kind == "tied":
+        # every query has copies among the pool rows, and pool rows repeat
+        base = gen.normal(size=(draw(st.integers(1, 8)), d))
+        queries, pool_rows = base[gen.integers(0, len(base), n_query)], base[gen.integers(0, len(base), n_pool)]
+        pool_rows = np.vstack([pool_rows, base])
+    else:
+        queries, pool_rows = gen.normal(size=(n_query, d)), gen.normal(size=(n_pool, d))
+    return queries, pool_rows, draw(st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_instance())
+def test_scan_matches_broadcast_with_single_and_several_candidates(instance):
+    queries, pool_rows, block_rows = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_NEAREST_BLOCK_BYTES", _block_budget(block_rows, queries.shape[1], len(pool_rows)))
+        assert np.array_equal(_nearest_scan(queries, pool_rows), _nearest_broadcast(queries, pool_rows))
+
+
+def test_matching_on_the_pooled_designs_equals_estimate_matching():
+    rng = np.random.default_rng(31)
+    n_e, n_o = 300, 350
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], n_e // 2), s=rng.normal(size=(n_e, 4)), x=rng.normal(size=(n_e, 2)))
+    obs = ObservationalSample(y=rng.normal(size=n_o), s=rng.normal(size=(n_o, 4)), x=rng.normal(size=(n_o, 2)))
+    for options in (None, MatchOptions(both_directions=True)):
+        want = estimate_matching(exp, obs, options)
+        fresh = pool(exp, obs)
+        assert estimators._match(fresh, options) == want
+        # after fit_all, matching reads the standardized designs the fits built
+        fitted = pool(exp, obs)
+        fit_all(fitted)
+        assert estimators._match(fitted, options) == want

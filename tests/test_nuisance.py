@@ -871,6 +871,34 @@ def test_package_and_cli_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# the package's public names: the 77 that __all__ listed by hand, and WorkerError
+PUBLIC_NAMES = """
+    __version__
+    ExperimentalSample ObservationalSample SingleSample PooledDataset Schema load_experimental load_observational
+    load_single pool write_experimental write_observational write_single
+    LinearModel LogisticModel ConstantScore NuisanceFits NuisanceOptions fit_least_squares fit_logistic fit_all
+    predict_score build_design bernoulli_loglik bernoulli_loglik_gradient
+    EstimateReport WeightSummary MatchOptions estimate_index estimate_score estimate_tau_surrogates
+    estimate_linear_shortcut estimate_matching estimate_single_sample bootstrap_se
+    BiasBound EfficiencyBounds DiscretePopulation IdentificationReport BiasIdentityReport bias_bound
+    verify_identification verify_bias_identity random_population efficiency_bounds_single_sample
+    efficiency_gain_homoskedastic efficiency_bound_two_sample two_sample_bound_value v_ns_covariate_form
+    DgpSpec McResult EstimatorStats DEFAULT_GRIDS make_spec draw_dataset true_tau true_tau_mc calibrate_tau
+    run_monte_carlo run_study
+    SurrogateError ConfigurationError SchemaError ValidationError PoolingError UnsupportedConfigurationError FitError
+    DegenerateLabelsError SeparationError SingularDesignError ConvergenceError EstimationError OverlapError
+    DegenerateArmError UnstableBootstrapError CalibrationError StudyError WorkerError
+""".split()
+
+
+def test_package_exports_its_public_names():
+    import surrogate_ate
+
+    assert len(PUBLIC_NAMES) == 78
+    assert sorted(surrogate_ate.__all__) == sorted(PUBLIC_NAMES)
+    assert all(hasattr(surrogate_ate, name) for name in PUBLIC_NAMES)
+
+
 @pytest.mark.parametrize("shape", [(1000, 14), (500, 251), (7, 3), (1, 1), (5, 0), (0, 3)])
 def test_standardize_is_bit_identical_to_the_two_pass_form(shape):
     gen = np.random.default_rng(shape[0] + shape[1])
@@ -959,3 +987,53 @@ def test_rank_check_exactly_deficient_design_reaches_the_svd_and_raises(monkeypa
     with pytest.raises(SingularDesignError) as err:
         _check_rank(z)
     assert str(err.value) == RANK_DEFICIENT and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# fit_all on the pooled dataset's shared designs
+
+
+def _fit_all_pooled(covariates):
+    w, s, x = _bench_shaped(2, n=400)
+    _, s_obs, x_obs = _bench_shaped(3, n=600)
+    gen = np.random.default_rng(4)
+    y = s_obs @ np.linspace(0.5, -0.2, 10) + x_obs @ np.array([-0.3, 0.0, 0.3]) + gen.standard_normal(600)
+    exp = ExperimentalSample(w=w, s=s, x=x if covariates else None)
+    return pool(exp, ObservationalSample(y=y, s=s_obs, x=x_obs if covariates else None))
+
+
+def _fits_digest(fits):
+    """sha256 of the ``float.hex`` of every fitted number of the four models, with each logistic fit's iterations."""
+    parts = []
+    for slot in ("e_model", "r_model", "t_model", "h_model"):
+        model = getattr(fits, slot)
+        if isinstance(model, ConstantScore):
+            parts.append(float(model.p).hex())
+            continue
+        numbers = (model.intercept, *model.coef, getattr(model, "residual_variance", 0.0))
+        parts += [float(v).hex() for v in numbers] + [str(getattr(model, "iterations", ""))]
+    return hashlib.sha256(" ".join(parts).encode()).hexdigest()
+
+
+# the digests of the models fit_all returned when every fit stacked and standardized its own design
+FIT_ALL_BITS = {
+    "covariates": (True, {}, "e24951f9a6dac16cdea815599313aaf2e4d6bc84e50af6043c72ece377ee050d"),
+    "no covariates": (False, {}, "286a88d27fa381a083a937ac9ea50eb805e8303192d3a406b4562d507bc8a223"),
+    "interactions": (True, {"interactions": True},
+                     "70ee410e5d5d120a1bf62f1f8db30192dde54c254a9aaf10d905a18f94e7365f"),
+    "constant sampling score": (True, {"constant_sampling_score": True},
+                                "9e10b6978d8cadec5f944fc73a3b95f99a4d3fb9295aae64934207ba7797aefe"),
+    "constant propensity": (True, {"constant_propensity": 0.4},
+                            "c9e7b23bd59259f48de2759bdfe0de29c29b2a383bd44165306963b2893aed93"),
+    "ridge": (True, {"ridge_propensity": 0.3, "ridge_surrogate_score": 0.1, "ridge_sampling_score": 0.2,
+                     "ridge_index": 0.5}, "c602f6ed81b287f7820c33148fd5fc6293fc4f65c156d6526b15de14046e59d6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_ALL_BITS))
+def test_fit_all_on_the_shared_designs_keeps_its_bits(case):
+    covariates, options, digest = FIT_ALL_BITS[case]
+    pooled = _fit_all_pooled(covariates)
+    assert _fits_digest(fit_all(pooled, NuisanceOptions(**options))) == digest
+    # a second fit reads the designs the first one built
+    assert _fits_digest(fit_all(pooled, NuisanceOptions(**options))) == digest

@@ -1,14 +1,16 @@
 import ctypes.util
+import errno
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from surrogate_ate import draw_dataset, errors, make_spec, parallel, write_experimental, write_observational
+from surrogate_ate import cli, draw_dataset, errors, make_spec, parallel, write_experimental, write_observational
 
 
 def _cpus(monkeypatch, n):
@@ -164,7 +166,7 @@ def test_an_unstable_bootstrap_error_keeps_its_counts_across_processes():
 _TWO_CPUS = """
 import json, os, signal, sys, time
 os.sched_getaffinity = lambda pid: set(range(2))
-from concurrent.futures.process import BrokenProcessPool
+from surrogate_ate.errors import WorkerError
 from surrogate_ate.parallel import ordered_map
 def no_children():
     try:
@@ -194,8 +196,8 @@ def item(i):
 started = time.monotonic()
 try:
     ordered_map(item, range(2))
-except BrokenProcessPool:
-    print(json.dumps({"seconds": time.monotonic() - started, "no_children": no_children()}))
+except WorkerError as error:
+    print(json.dumps({"seconds": time.monotonic() - started, "no_children": no_children(), "error": str(error)}))
 """
 
 
@@ -203,6 +205,109 @@ def test_a_worker_that_dies_makes_the_map_raise_promptly():
     report = json.loads(_run_with_two_cpus(_DYING_WORKER))
     assert report["seconds"] < 5
     assert report["no_children"]
+    assert re.fullmatch(r"worker process \d+ ended without sending its results: it exited with status 7",
+                        report["error"])
+
+
+_SIGCHLD_IGNORED = """
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # children are reaped by the kernel, with their status
+report = {"returns": ordered_map(abs, range(4)) == [0, 1, 2, 3]}
+def item(i):
+    if i == 1:
+        os._exit(7)
+    time.sleep(20)
+try:
+    ordered_map(item, range(2))
+except WorkerError as error:
+    report["error"] = str(error)
+print(json.dumps(report))
+"""
+
+
+def test_maps_run_with_sigchld_ignored():
+    report = json.loads(_run_with_two_cpus(_SIGCHLD_IGNORED))
+    assert report["returns"]
+    assert re.fullmatch(r"worker process \d+ ended without sending its results: its exit status is lost",
+                        report["error"])
+
+
+@pytest.mark.usefixtures("two_workers")
+def test_a_result_that_cannot_be_pickled_is_a_worker_error():
+    with pytest.raises(errors.WorkerError, match="a worker process cannot send its results: .*lambda"):
+        parallel.ordered_map(lambda i: lambda: i, range(2))
+
+
+def _failing_fork(monkeypatch, call):
+    """Make the ``call``-th ``os.fork`` raise ``EAGAIN``; returns the list of pids forked."""
+    fork, forked = os.fork, []
+
+    def flaky_fork():
+        if len(forked) + 1 == call:
+            forked.append(None)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", flaky_fork)
+    return forked
+
+
+@pytest.mark.parametrize("call, workers", [(1, 0), (2, 1)])
+def test_a_failed_fork_still_gives_the_serial_bytes(monkeypatch, tmp_path, call, workers):
+    exp, obs = draw_dataset(make_spec("sample_size", seed=1, q=0.5), 0)
+    write_experimental(exp, tmp_path / "e.csv")
+    write_observational(obs, tmp_path / "o.csv")
+    argv = ["estimate", "--exp", str(tmp_path / "e.csv"), "--obs", str(tmp_path / "o.csv"), "--bootstrap", "6"]
+    monkeypatch.setenv("SURROGATE_THREADS", "1")
+    assert cli.main(argv + ["--out", str(tmp_path / "serial.json")]) == 0
+    monkeypatch.delenv("SURROGATE_THREADS")
+    _cpus(monkeypatch, 2)
+    forked = _failing_fork(monkeypatch, call)
+    assert cli.main(argv + ["--out", str(tmp_path / "forked.json")]) == 0
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+    assert len([pid for pid in forked if pid]) == workers
+
+
+# An estimate whose bootstrap loses a worker: fit_all, run in the workers,
+# kills its own process or raises an error that pickle cannot send.
+_LOST_WORKER = """
+import surrogate_ate.cli as cli
+from surrogate_ate import parallel
+fit_all = cli.fit_all
+def failing_fit_all(pooled, options):
+    if parallel._IN_WORKER:
+        if sys.argv[1] == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        error = RuntimeError("no pickle")
+        error.hook = lambda: None
+        raise error
+    return fit_all(pooled, options)
+cli.fit_all = failing_fit_all
+code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "no_children": no_children()}))
+"""
+
+
+@pytest.mark.parametrize("how, message", [
+    ("kill", r"worker process \d+ ended without sending its results: it was killed by SIGKILL, "
+             r"which usually means the machine ran out of memory"),
+    ("unpicklable", r"a worker process cannot send its results: \w+Error: .*"),
+], ids=["killed", "unpicklable"])
+def test_a_lost_worker_ends_the_cli_with_one_error_line_and_exit_3(tmp_path, how, message):
+    exp, obs = draw_dataset(make_spec("sample_size", seed=1, q=0.5), 0)
+    write_experimental(exp, tmp_path / "e.csv")
+    write_observational(obs, tmp_path / "o.csv")
+    env = dict(os.environ)
+    env.pop("SURROGATE_THREADS", None)
+    argv = [how, "estimate", "--exp", str(tmp_path / "e.csv"), "--obs", str(tmp_path / "o.csv"), "--bootstrap", "4"]
+    proc = subprocess.run([sys.executable, "-c", _TWO_CPUS + _LOST_WORKER, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 3, "no_children": True}
+    (line,) = proc.stderr.splitlines()
+    assert re.fullmatch(r"error: WorkerError: " + message, line)
 
 
 _THREE_MAPS = """
