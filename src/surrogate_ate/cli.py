@@ -49,6 +49,7 @@ any CPU count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -213,7 +214,9 @@ def run_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="surrogate-ate",
         description="Estimate long-term treatment effects from short-term surrogate outcomes.",

@@ -244,65 +244,102 @@ def _distinct_rows(rows: np.ndarray):
     if two different rows share a key, every row is its own group.
     """
     n = len(rows)
-    _, first, inverse = np.unique(_row_key(rows), return_index=True, return_inverse=True)
-    if len(first) == n:  # identical rows share a key, so n keys mean n distinct rows
+    keys, classes = np.unique(_row_key(rows), return_inverse=True)
+    if len(keys) == n:  # identical rows share a key, so n keys mean n distinct rows
         return np.arange(n), np.arange(n)
-    order = np.argsort(first)  # groups by first occurrence, so ties keep the lowest index
-    first, group = first[order], np.argsort(order)[inverse]
+    first, group = _by_class(classes)
     if not np.array_equal(rows[first][group], rows):
         return np.arange(n), np.arange(n)
     return first, group
 
 
-def _nearest(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
+def _by_class(classes: np.ndarray):
+    """``(first, group)`` of non-negative integer ``classes``: each class's first row, and each row's class.
+
+    ``first`` ascends and ``group`` indexes it, so ``first[group]`` is the
+    first row of each row's class.  Time is O(n + classes.max()).
+    """
+    n = len(classes)
+    rows = np.arange(n)
+    first_at = np.full(int(classes.max(initial=-1)) + 1, n)
+    np.minimum.at(first_at, classes, rows)  # an unbuffered minimum: the lowest row of each class, whatever the order
+    first = np.flatnonzero(first_at[classes] == rows)
+    rank = np.empty_like(first_at)
+    rank[classes[first]] = np.arange(len(first))
+    return first, rank[classes]
+
+
+def _nearest(queries: np.ndarray, pool_rows: np.ndarray, query_classes=None, pool_classes=None) -> np.ndarray:
     """Index of the closest pool row for each query; ties go to the lowest index.
 
     The result is exactly ``argmin(((q - p) ** 2).sum(axis=-1))`` over the
     pool for each query ``q``.  Identical rows (a bootstrap resample repeats
     about a third of its rows) are searched once: :func:`_nearest_scan` runs
-    over the first of each set of identical queries and pool rows, so time is
-    O(u_query * u_pool * d) for u distinct rows, and a pool row stands for
-    its copies at its own, lowest index.
+    over the first row of each class of queries and of pool rows, so time is
+    O(u_query * u_pool * d) for u classes, and a pool row stands for its class
+    at its own, lowest index.  ``query_classes`` and ``pool_classes`` give
+    each row an integer class in which every row is identical (a sample's
+    :attr:`~surrogate_ate.data._Sample._row_classes`, say); by default they
+    come from :func:`_distinct_rows`.  The answer does not depend on which
+    identical rows share a class.
     """
     if queries.shape[1] == 0:
         return np.zeros(len(queries), dtype=int)
-    query_first, query_group = _distinct_rows(queries)
-    pool_first, _ = _distinct_rows(pool_rows)
-    return pool_first[_nearest_scan(queries[query_first], pool_rows[pool_first])][query_group]
+    if query_classes is None:
+        query_classes = _distinct_rows(queries)[1]
+    if pool_classes is None:
+        pool_classes = _distinct_rows(pool_rows)[1]
+    query_first, query_group = _by_class(query_classes)
+    pool_first, _ = _by_class(pool_classes)
+    return pool_first[_nearest_scan(queries.take(query_first, axis=0), pool_rows.take(pool_first, axis=0))][query_group]
 
 
 def _nearest_scan(queries: np.ndarray, pool_rows: np.ndarray) -> np.ndarray:
     """:func:`_nearest` over every row, without the ``(n_query, n_pool, d)`` array.
 
     Queries are taken in blocks.  One GEMM per block screens every pool row
-    by ``|p|^2 - 2 q.p``; a row stays a candidate when its screened value
-    lies within twice a rounding bound of the block row's minimum, which
-    provably keeps every exact minimizer.  The candidates are read off the
-    block's mask in one scan of its flat, row-major index, so they come out
-    grouped by query row in ascending order.  A row with one candidate gets
-    it, since the screen kept every exact minimizer; only the candidates of
-    rows with several are recomputed with the exact expression, so the
-    GEMM's rounding (and hence the BLAS thread count) never decides a match.
-    Time is O(n_query * n_pool * d).  Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
+    by ``|p|^2 - 2 q.p``, as ``[-2q | 1] @ [p | |p|^2]^T`` against a
+    ``(d + 1, n_pool)`` matrix built once per call; a row stays a candidate
+    when its screened value lies within twice a rounding bound of the block
+    row's minimum, which provably keeps every exact minimizer.  The
+    candidates are read off the block's mask in one scan of its flat,
+    row-major index, so they come out grouped by query row in ascending
+    order.  A row with one candidate gets it, since the screen kept every
+    exact minimizer; only the candidates of rows with several are recomputed
+    with the exact expression, so the GEMM's rounding (and hence the BLAS
+    thread count) never decides a match.  Time is O(n_query * n_pool * d).
+    Memory stays within about ``_NEAREST_BLOCK_BYTES`` whatever ``n_query``
     is; only a pool too large for one query's worst case within that budget
     grows it, as O(n_pool * d).
     """
     n_query, d = queries.shape
     n_pool = len(pool_rows)
-    pool_sq = (pool_rows**2).sum(axis=1)
-    # The screened value (plus |q|^2) and the exact expression each lie within
-    # about (d + 2) * eps * (|q|^2 + |p|^2) of the true squared distance, so
-    # `tol` covers both errors of one row with margin, and an exact minimizer
-    # screens within 2 * tol of its block row's minimum.
-    tol = 2.0 * (d + 4) * np.finfo(float).eps * ((queries**2).sum(axis=1) + pool_sq.max())
-    # bytes per (query, candidate) pair: two gathered rows plus a handful of scalars
-    block = max(1, _NEAREST_BLOCK_BYTES // (8 * (2 * d + 7) * n_pool))
+    screen_pool = np.empty((d + 1, n_pool))
+    screen_pool[:d] = pool_rows.T
+    pool_sq = (pool_rows**2).sum(axis=1, out=screen_pool[d])
+    # Rounding, with u = eps / 2 and P = max |p|^2.  The screen is a dot
+    # product of d + 1 terms, within gamma_{d+1} = (d + 1) u of the sum of
+    # their magnitudes, 2 |q.p| + |p|^2 <= |q|^2 + 2 |p|^2, and its last term
+    # |p|^2 is itself summed within d u |p|^2: so the screened value (plus
+    # |q|^2) lies within (1.5 d + 1) eps (|q|^2 + P) of the true squared
+    # distance.  The exact expression sums d non-negative terms, each within
+    # 3 u of its true value, so it lies within (d + 2) u of the distance,
+    # itself at most 2 (|q|^2 + P): within (d + 2) eps (|q|^2 + P).
+    # `tol` covers the sum of both, (2.5 d + 3) eps (|q|^2 + P), with margin
+    # for second-order terms; so an exact minimizer screens within 2 * tol
+    # of its block row's minimum (one row's errors against another's).
+    tol = 3.0 * (d + 2) * np.finfo(float).eps * ((queries**2).sum(axis=1) + pool_sq.max())
+    # bytes per query row: (query, candidate) pairs of two gathered rows and a
+    # handful of scalars, plus the row's d + 1 screen coefficients
+    block = max(1, _NEAREST_BLOCK_BYTES // (8 * ((2 * d + 7) * n_pool + d + 1)))
+    screen_query = np.empty((min(block, n_query), d + 1))
+    screen_query[:, d] = 1.0
     out = np.empty(n_query, dtype=np.intp)
     for lo in range(0, n_query, block):
         q = queries[lo : lo + block]
-        # scaling by -2 is exact, so this is -2 * (q @ p.T) without a pass over the block
-        screened = (q * -2.0) @ pool_rows.T
-        screened += pool_sq
+        coef = screen_query[: len(q)]
+        np.multiply(q, -2.0, out=coef[:, :d])  # scaling by -2 is exact
+        screened = coef @ screen_pool
         best = screened.argmin(axis=1)
         out[lo : lo + block] = best
         candidates = screened <= (screened[np.arange(len(q)), best] + 2.0 * tol[lo : lo + block])[:, None]
@@ -343,11 +380,23 @@ def estimate_matching(
 
     The search is exact and runs over distinct rows, taking
     O(u_E * u_O * (M + K)) time for u_E and u_O distinct rows; its memory is
-    bounded by a fixed block budget instead of growing with n_E * n_O.
+    bounded by a fixed block budget instead of growing with n_E * n_O.  Each
+    sample hashes its raw ``[s | x]`` and ``x`` rows into classes of
+    identical rows once; a bootstrap resample inherits them through its
+    index (see :func:`_resample`), and one matrix product per block of
+    queries screens the pool.
     """
     if exp.n_surrogates != obs.n_surrogates or exp.n_covariates != obs.n_covariates:
         raise ValidationError("experimental and observational samples have mismatched dimensions")
     return _match(PooledDataset(exp, obs), options)
+
+
+def _classes_of(sample, part: str, rows: np.ndarray) -> np.ndarray:
+    """``sample``'s row classes of ``part``, whose raw rows are ``rows``: inherited by a resample, else hashed once."""
+    known = sample._row_classes
+    if part not in known:
+        known[part] = _distinct_rows(rows)[1]
+    return known[part]
 
 
 def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> EstimateReport:
@@ -361,10 +410,14 @@ def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> Estima
 
     x_std = pooled.standardized_x[0][:, 1:]
     sx_std = pooled.standardized_sx[0][:, 1:]
-    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :])  # i -> i' for every experimental unit
+    # rows identical before standardizing stay identical after it
+    exp_sx = _classes_of(exp, "sx", pooled.sx[: exp.n])
+    obs_sx = _classes_of(obs, "sx", pooled.sx[exp.n :])
+    x_classes = _classes_of(exp, "x", exp.x)
+    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp_sx, obs_sx)  # i -> i' for every experimental unit
 
     def _contrasts(own_idx, opposite_idx):
-        within = _nearest(x_std[own_idx], x_std[opposite_idx])
+        within = _nearest(x_std[own_idx], x_std[opposite_idx], x_classes[own_idx], x_classes[opposite_idx])
         partner = opposite_idx[within]
         return obs.y[obs_match[own_idx]] - obs.y[obs_match[partner]]
 
@@ -410,7 +463,10 @@ def _resample(sample, rng: np.random.Generator):
 
     Experimental and observational samples are resampled as plain i.i.d.
     rows.  Single samples are resampled within each treatment arm so the
-    arm sizes (and hence the validity of arm contrasts) are preserved.
+    arm sizes (and hence the validity of arm contrasts) are preserved.  The
+    copy is built by index from the validated rows (``sample._take``): only
+    the both-arms check runs again, and the row classes that matching
+    computed on ``sample`` carry over through the index.
     """
     if isinstance(sample, SingleSample):
         treated = np.flatnonzero(sample.w == 1.0)
@@ -423,7 +479,7 @@ def _resample(sample, rng: np.random.Generator):
         idx = rng.integers(0, sample.n, sample.n)
     else:
         raise UnsupportedConfigurationError(f"cannot resample object of type {type(sample).__name__}")
-    return type(sample)(**{c: getattr(sample, c)[idx] for c in (*sample.unit_columns, "s", "x")})
+    return sample._take(idx)
 
 
 def bootstrap_se(

@@ -11,6 +11,7 @@ from surrogate_ate import (
     NuisanceOptions,
     ObservationalSample,
     SeparationError,
+    SingleSample,
     bias_bound,
     bootstrap_se,
     draw_dataset,
@@ -619,3 +620,50 @@ def test_bounds_per_stratum_fallback_is_one_warning_line(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr.startswith("warning: ") and proc.stderr.count("\n") == 1
     assert json.loads(out.read_text())["per_stratum_fallback"] is True
+
+
+_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from surrogate_ate import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _commands_in_one_process(argvs):
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_commands_in_one_process_equal_fresh_processes(fixture_files, tmp_path):
+    # the parser is built once per process; later commands must parse as a fresh process does
+    pe, po = map(str, fixture_files)
+    single = tmp_path / "single.csv"
+    rng = np.random.default_rng(3)
+    write_single(SingleSample(w=np.tile([0.0, 1.0], 30), y=rng.normal(size=60), s=rng.normal(size=(60, 2))), single)
+    argvs = [
+        ["estimate", "--exp", pe, "--obs", po, "--method", "all", "--bootstrap", "4"],
+        ["diagnose", "--exp", pe, "--obs", po, "--delta-s", "1", "--delta-c", "0.5"],
+        ["bounds", "--single", str(single)],
+        ["estimate", "--exp", pe, "--obs", po, "--method", "bogus"],
+        ["bounds", "--single", str(single), "--variance-mode", "per-stratum"],
+        ["--version"],
+    ]
+    together = _commands_in_one_process(argvs)
+    fresh = [_commands_in_one_process([argv])[0] for argv in argvs]
+    assert together == fresh
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0]
+    assert "invalid choice: 'bogus'" in together[3][2]
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -688,3 +688,67 @@ def test_single_sample_scale_and_shift_equivariance(small_single):
 def test_bootstrap_negative_seed_is_rejected(small_exp):
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         bootstrap_se(lambda e: float(e.w.mean()), (small_exp,), reps=2, seed=-1)
+
+
+def _constructed(sample, idx):
+    """``sample``'s rows ``idx`` through the validating constructor."""
+    return type(sample)(**{c: getattr(sample, c)[idx] for c in (*sample.unit_columns, "s", "x")})
+
+
+@pytest.mark.parametrize("which", ["exp", "obs", "exp without covariates"])
+def test_resample_takes_each_column_by_index(small_exp, small_obs, which):
+    from surrogate_ate.estimators import _resample
+
+    samples = {"exp": small_exp, "obs": small_obs}
+    samples["exp without covariates"] = ExperimentalSample(w=small_exp.w, s=small_exp.s)
+    sample = samples[which]
+    taken = _resample(sample, np.random.default_rng(8))
+    idx = np.random.default_rng(8).integers(0, sample.n, sample.n)
+    want = _constructed(sample, idx)
+    assert type(taken) is type(sample)
+    for c in (*sample.unit_columns, "s", "x"):
+        col, ref = getattr(taken, c), getattr(want, c)
+        assert np.array_equal(col, getattr(sample, c)[idx])
+        assert (col.dtype, col.shape, col.flags.writeable) == (ref.dtype, ref.shape, False)
+        assert col.flags.c_contiguous == ref.flags.c_contiguous
+        with pytest.raises(ValueError):
+            col[...] = 0.0
+
+
+def test_a_resample_that_loses_an_arm_raises_the_constructors_error():
+    exp = ExperimentalSample(w=[1.0, 0.0, 0.0, 0.0], s=[[0.1], [0.2], [0.3], [0.4]])
+    idx = np.array([1, 2, 2, 3])
+    with pytest.raises(ValidationError) as constructed:
+        _constructed(exp, idx)
+    with pytest.raises(ValidationError) as taken:
+        exp._take(idx)
+    message = "experimental sample needs at least one treated and one control unit"
+    assert str(taken.value) == str(constructed.value) == message
+    with pytest.raises(ValidationError, match="^single sample needs at least one treated"):
+        SingleSample(w=[1.0, 0.0], y=[1.0, 2.0], s=[[0.0], [1.0]])._take(np.array([0, 0]))
+
+
+def test_bootstrap_drops_the_replicates_whose_resample_lost_an_arm():
+    from surrogate_ate.parallel import seed_sequence
+
+    exp = ExperimentalSample(w=[1.0, 0.0, 0.0, 0.0, 0.0], s=[[0.1], [0.2], [0.3], [0.4], [0.5]])
+    reps, seed, kept = 40, 6, []
+    for rep in range(reps):
+        w = exp.w[np.random.default_rng(seed_sequence(seed, rep)).integers(0, exp.n, exp.n)]
+        if 0.0 < w.sum() < exp.n:
+            kept.append(w.mean())
+    assert 0 < reps - len(kept) <= 0.5 * reps  # some replicates lose the treated unit
+    se = bootstrap_se(lambda e: float(e.w.mean()), (exp,), reps=reps, seed=seed, max_failure_rate=0.5)
+    assert se == float(np.std(kept, ddof=1))
+
+
+def test_single_sample_resamples_keep_their_arm_sizes(small_single):
+    from surrogate_ate.estimators import _resample
+
+    rng = np.random.default_rng(9)
+    sample = small_single
+    for _ in range(5):
+        sample = _resample(sample, rng)  # a resample of a resample, too
+        assert (sample.n, sample.w.sum()) == (small_single.n, small_single.w.sum())
+        assert np.all(sample.w[: 4] == 1.0) and np.all(sample.w[4:] == 0.0)
+        assert not any(getattr(sample, c).flags.writeable for c in ("w", "y", "s", "x"))

@@ -36,8 +36,8 @@ def _assert_same_matches(queries, pool_rows):
 
 
 def _block_budget(rows, d, n_pool):
-    """A budget that holds ``rows`` worst-case query rows per block."""
-    return rows * 8 * (2 * d + 7) * n_pool
+    """A budget that holds ``rows`` worst-case query rows per block, with their screen coefficients."""
+    return rows * 8 * ((2 * d + 7) * n_pool + d + 1)
 
 
 def test_nearest_continuous():
@@ -257,8 +257,14 @@ def test_matching_rejects_a_column_whose_spread_overflows():
 
 @st.composite
 def _scan_instance(draw):
-    """Queries and pool rows: on a discrete grid, continuous with exact copies, or continuous."""
-    kind = draw(st.sampled_from(["discrete", "tied", "continuous"]))
+    """Queries and pool rows: on a discrete grid, continuous with exact copies, continuous, or near ties.
+
+    Each side is then scaled and shifted, so that some cases have ``|p|^2``
+    far above ``|q|^2``, some the reverse, and the screen's rounding is
+    large against the gaps between distances.  ``near ties`` puts pool rows
+    a few ulps from each other and from the queries.
+    """
+    kind = draw(st.sampled_from(["discrete", "tied", "continuous", "near ties"]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d, n_query, n_pool = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
     if kind == "discrete":
@@ -268,8 +274,23 @@ def _scan_instance(draw):
         base = gen.normal(size=(draw(st.integers(1, 8)), d))
         queries, pool_rows = base[gen.integers(0, len(base), n_query)], base[gen.integers(0, len(base), n_pool)]
         pool_rows = np.vstack([pool_rows, base])
+    elif kind == "near ties":
+        base = gen.normal(size=(draw(st.integers(1, 4)), d))
+        queries = base[gen.integers(0, len(base), n_query)]
+        pool_rows = base[gen.integers(0, len(base), n_pool)]
+        steps = gen.integers(-3, 4, size=pool_rows.shape)
+        for _ in range(3):  # up to three ulps either way, column by column
+            pool_rows = np.where(steps > 0, np.nextafter(pool_rows, np.inf), pool_rows)
+            pool_rows = np.where(steps < 0, np.nextafter(pool_rows, -np.inf), pool_rows)
+            steps = steps - np.sign(steps)
+        pool_rows = np.vstack([pool_rows, base])
     else:
         queries, pool_rows = gen.normal(size=(n_query, d)), gen.normal(size=(n_pool, d))
+    magnitudes = st.sampled_from([0.0, 1.0, 1e3, 1e6, -1e8])
+    scale = draw(st.sampled_from([1.0, 1e-4, 1e4]))
+    query_shift, pool_shift = draw(magnitudes), draw(magnitudes)
+    queries = queries * scale + query_shift
+    pool_rows = pool_rows * scale + pool_shift
     return queries, pool_rows, draw(st.integers(1, 7))
 
 
@@ -295,3 +316,92 @@ def test_matching_on_the_pooled_designs_equals_estimate_matching():
         fitted = pool(exp, obs)
         fit_all(fitted)
         assert estimators._match(fitted, options) == want
+
+
+def _assert_classes_join_only_identical_rows(classes, rows):
+    first, group = estimators._by_class(classes)
+    assert np.array_equal(rows[first][group], rows)
+    assert np.all(np.diff(first) > 0)
+
+
+@st.composite
+def _integer_sample_with_copies(draw):
+    """An experimental sample of integer rows with copies, and two resample indices (the second into the first)."""
+    n, m, k = draw(st.integers(2, 14)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    base_n = draw(st.integers(1, 5))
+    values = st.integers(-1, 1).map(float)
+    base = draw(arrays(float, (base_n, m + k), elements=values))
+    rows = base[draw(st.lists(st.integers(0, base_n - 1), min_size=n, max_size=n))]
+    x = rows[:, m:]
+    if k:  # one discrete 0/1 covariate gives the within-arm search heavy ties
+        x[:, 0] = np.abs(x[:, 0])
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    w[:2] = [0.0, 1.0]
+    index = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array)
+    return ExperimentalSample(w=w, s=rows[:, :m], x=x), draw(index), draw(index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_sample_with_copies())
+def test_inherited_row_classes_group_only_identical_rows_and_keep_every_match(instance):
+    sample, idx, idx_again = instance
+    sx = np.hstack([sample.s, sample.x])
+    for part, rows in (("sx", sx), ("x", sample.x)):
+        estimators._classes_of(sample, part, rows)
+    generations = [sample]
+    for index in (idx, idx_again):
+        try:
+            generations.append(generations[-1]._take(index))
+        except ValidationError:  # the resample lost an arm
+            break
+    for taken in generations[1:]:
+        for part, rows in (("sx", np.hstack([taken.s, taken.x])), ("x", taken.x)):
+            classes = taken._row_classes[part]
+            _assert_classes_join_only_identical_rows(classes, rows)
+            # the search over inherited classes is the search over hashed ones, and the oracle
+            queries, pool_rows = rows[: len(rows) // 2 + 1], rows[len(rows) // 2 :]
+            want = _nearest_broadcast(queries, pool_rows)
+            got = _nearest(queries, pool_rows, classes[: len(rows) // 2 + 1], classes[len(rows) // 2 :])
+            assert np.array_equal(got, want)
+            assert np.array_equal(_nearest(queries, pool_rows), want)
+        # the within-arm search of matching, on the resample's own arms
+        treated, control = np.flatnonzero(taken.w == 1.0), np.flatnonzero(taken.w == 0.0)
+        x_classes = taken._row_classes["x"]
+        for own, opposite in ((treated, control), (control, treated)):
+            want = _nearest_broadcast(taken.x[own], taken.x[opposite])
+            assert np.array_equal(_nearest(taken.x[own], taken.x[opposite], x_classes[own], x_classes[opposite]), want)
+            assert np.array_equal(_nearest(taken.x[own], taken.x[opposite]), want)
+
+
+def test_every_row_its_own_class_composes_through_an_index(monkeypatch):
+    # after a key collision every row is its own class; a resample's classes are then its index
+    monkeypatch.setattr(estimators, "_row_key", lambda rows: np.zeros(len(rows)))
+    rng = np.random.default_rng(25)
+    base = rng.normal(size=(12, 3))
+    sample = ExperimentalSample(w=np.tile([0.0, 1.0], 20), s=base[rng.integers(0, 12, 40)])
+    assert estimators._classes_of(sample, "sx", sample.s).tolist() == list(range(40))
+    idx, idx_again = rng.integers(0, 40, 40), rng.integers(0, 40, 40)
+    taken = sample._take(idx)._take(idx_again)
+    classes = taken._row_classes["sx"]
+    assert np.array_equal(classes, idx[idx_again])
+    _assert_classes_join_only_identical_rows(classes, taken.s)
+    queries, pool_rows = taken.s[:25], taken.s[15:]
+    got = _nearest(queries, pool_rows, classes[:25], classes[15:])
+    assert np.array_equal(got, _nearest_broadcast(queries, pool_rows))
+
+
+def test_matching_a_resample_with_inherited_classes_equals_matching_a_fresh_copy():
+    rng = np.random.default_rng(32)
+    base = rng.integers(0, 2, size=(30, 3)).astype(float)
+    rows = base[rng.integers(0, 30, 80)]
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 40), s=rows[:, :2], x=rows[:, 2:])
+    obs = ObservationalSample(y=rng.normal(size=90), s=rng.normal(size=(90, 2)).round(), x=rng.integers(0, 2, (90, 1)))
+    estimators._match(pool(exp, obs), MatchOptions(both_directions=True))  # hashes the parents' classes
+    for seed in range(5):
+        gen = np.random.default_rng(seed)
+        e, o = exp._take(gen.integers(0, 80, 80)), obs._take(gen.integers(0, 90, 90))
+        assert set(e._row_classes) == {"sx", "x"} and set(o._row_classes) == {"sx"}
+        fresh_e = ExperimentalSample(w=e.w, s=e.s, x=e.x)
+        fresh_o = ObservationalSample(y=o.y, s=o.s, x=o.x)
+        for options in (None, MatchOptions(both_directions=True)):
+            assert estimators._match(pool(e, o), options) == estimate_matching(fresh_e, fresh_o, options)
