@@ -30,8 +30,9 @@ and a negative ``--seed``, all rejected before any file is read, a
 ``--grid`` or one with a value of the wrong type, an ``--out`` that names a
 directory, lies under a regular file or runs into a symbolic-link loop once
 ``..`` and symbolic links are resolved (``nope/..`` included), checked
-before any file is read,
-and an input CSV that is not a readable UTF-8 file), 3 estimation failure
+before any file is read, an input CSV that is not a readable UTF-8 file,
+and a ``--reps`` or ``--bootstrap`` whose result slots alone exceed the
+memory free on the machine, refused before any replicate runs), 3 estimation failure
 (overlap, degenerate arm, separation, ...) or a lost worker process (a
 ``WorkerError``: a worker that died, as under the out-of-memory killer, or
 a result it could not pickle).  Errors are written as
@@ -64,7 +65,8 @@ from .diagnostics import (
     efficiency_bounds_single_sample,
 )
 from .errors import ConfigurationError, SurrogateError
-from .estimators import DEFAULT_TRIM, _match, bootstrap_se, estimate_index, estimate_linear_shortcut, estimate_score
+from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, bootstrap_se, estimate_index,
+                         estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceOptions, fit_all
 from .simulation import STUDIES, run_study
 
@@ -114,6 +116,18 @@ def _estimate(method, pooled, fits, trim):
     return _match(pooled)
 
 
+def _replicate_tau(method, pooled, fits, trim) -> float:
+    """One method's estimate on a bootstrap resample: the estimators' tau-only cores, on ``pooled``'s ``[s | x]`` rows."""
+    n_exp = pooled.exp.n
+    if method == "index":
+        return _index_tau(pooled.exp, fits, trim, pooled.sx[:n_exp])
+    if method == "score":
+        return _score_tau(pooled.obs, fits, pooled.q, trim, pooled.sx[n_exp:])
+    if method == "linear":
+        return _linear_tau(pooled.exp, fits, trim)
+    return _match(pooled).tau_hat
+
+
 def run_estimate(args) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigurationError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
@@ -148,7 +162,7 @@ def run_estimate(args) -> int:
                 tau = None
                 if method not in _FITTED or f is not None:
                     try:
-                        tau = _estimate(method, p, f, trim).tau_hat
+                        tau = _replicate_tau(method, p, f, trim)
                     except SurrogateError:
                         pass
                 taus.append(tau)

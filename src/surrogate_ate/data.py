@@ -106,8 +106,7 @@ class _Sample:
         n = len(cols[self.unit_columns[0]])
         cols["s"] = _as_matrix(self.s, "s")
         cols["x"] = _as_matrix(self.x, "x") if self.x is not None else np.empty((n, 0))
-        if n == 0:
-            raise ValidationError(f"{self._kind} sample must contain at least one row")
+        self._check_rows(n)
         if any(len(arr) != n for arr in cols.values()):
             raise ValidationError(
                 "row counts differ: " + ", ".join(f"{c}={len(arr)}" for c, arr in cols.items())
@@ -124,25 +123,46 @@ class _Sample:
         for c, arr in cols.items():
             object.__setattr__(self, c, _freeze(arr))
 
+    def _check_rows(self, n: int) -> None:
+        if n == 0:
+            raise ValidationError(f"{self._kind} sample must contain at least one row")
+
     def _check_both_arms(self, w: np.ndarray) -> None:
         if w.sum() in (0, len(w)):
             raise ValidationError(f"{self._kind} sample needs at least one treated and one control unit")
 
+    @classmethod
+    def _trusted(cls, s: np.ndarray, x: np.ndarray | None = None, **units: np.ndarray):
+        """A sample of columns that the package built itself, taken as they are.
+
+        The columns must already be what the validating constructor would
+        make of them: float64 and C-contiguous, ``s`` and ``x`` 2-d and the
+        unit columns 1-d, of one row count, finite, and ``w`` 0 or 1.  A
+        bootstrap resample (:meth:`_take`), a Monte Carlo draw
+        (``simulation.draw_dataset``) and the harness's first-K-columns copy
+        are built this way.  The arrays are marked read-only in place, not
+        copied, and only the checks such columns can fail run, with the
+        constructor's errors: at least one row, and both treatment arms
+        present.  ``x=None`` means no covariates.
+        """
+        sample = object.__new__(cls)
+        x = np.empty((len(s), 0)) if x is None else x
+        for c, arr in (*units.items(), ("s", s), ("x", x)):
+            object.__setattr__(sample, c, _read_only(arr))
+        sample._check_rows(len(s))
+        if "w" in units:
+            sample._check_both_arms(sample.w)
+        return sample
+
     def _take(self, idx: np.ndarray):
         """The sample of rows ``idx`` of this one, as a bootstrap resample draws them.
 
-        Rows of a validated sample are finite, of one count and 0/1-treated,
-        so only the check a resample can fail runs: both treatment arms
-        present, with the constructor's error.  Each column is a fresh,
-        read-only copy of ``col[idx]``, and the row classes this sample
-        knows (see :attr:`_row_classes`) carry over as ``classes[idx]``.
+        Each column is a fresh copy of ``col[idx]``, handed to
+        :meth:`_trusted`, and the row classes this sample knows (see
+        :attr:`_row_classes`) carry over as ``classes[idx]``.
         """
-        taken = object.__new__(type(self))
-        for c in (*self.unit_columns, "s", "x"):
-            # take copies whole rows, about 3x faster than fancy indexing a matrix
-            object.__setattr__(taken, c, _read_only(getattr(self, c).take(idx, axis=0)))
-        if "w" in self.unit_columns:
-            taken._check_both_arms(taken.w)
+        # take copies whole rows, about 3x faster than fancy indexing a matrix
+        taken = self._trusted(**{c: getattr(self, c).take(idx, axis=0) for c in (*self.unit_columns, "s", "x")})
         taken.__dict__["_row_classes"] = {part: classes[idx] for part, classes in self._row_classes.items()}
         return taken
 

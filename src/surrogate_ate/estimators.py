@@ -16,6 +16,13 @@ Weights are always normalized to sum to one within each arm, which markedly
 improves finite-sample behavior over unnormalized weighting.  A nearest
 neighbor matching estimator and two single-sample baselines round out the
 menu, plus a within-sample bootstrap for standard errors.
+
+Each of the index, score and linear-shortcut estimators has a private
+tau-only core (:func:`_index_tau`, :func:`_score_tau`,
+:func:`_linear_tau`) that runs every check the public estimator runs, in
+the same order, and returns the same ``tau_hat`` bit for bit, without the
+weight summaries and the report.  Monte Carlo replications and bootstrap
+replicates read only the estimate, so they call the cores.
 """
 
 from __future__ import annotations
@@ -104,6 +111,13 @@ def _normalized(weights: np.ndarray, values: np.ndarray, arm: str) -> np.ndarray
     return weights / total
 
 
+def _tau(arm1, arm0) -> float:
+    """The ``tau_hat`` of :func:`_contrast` alone: each arm's checks, in its order, and no summaries."""
+    (values1, weights1), (values0, weights0) = arm1, arm0
+    treated_mean = float(values1 @ _normalized(weights1, values1, "treated"))
+    return treated_mean - float(values0 @ _normalized(weights0, values0, "control"))
+
+
 def _hajek(values: np.ndarray, weights: np.ndarray, arm: str):
     normalized = _normalized(weights, values, arm)
     mean = float(values @ normalized)
@@ -123,6 +137,16 @@ def _propensity(fits: NuisanceFits, x: np.ndarray, trim: float | None):
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise OverlapError("fitted propensity score left the open interval (0, 1); trimming is the usual remedy")
     return e, n_trimmed
+
+
+def _predicted(fits: NuisanceFits, slot: str, sample, sx=None) -> np.ndarray:
+    """The ``slot`` model of ``fits`` on ``sample``, or on its stacked ``[s | x]`` rows ``sx`` when given.
+
+    ``sx`` is the sample's slice of ``PooledDataset.sx``, which a bootstrap
+    replicate has at hand, so ``[s | x]`` is not stacked again.
+    """
+    model = fits._require(slot)
+    return model.predict(sample.s, sample.x) if sx is None else model._predict_sx(sx)
 
 
 def _ipw_weights(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
@@ -150,6 +174,13 @@ def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray
     return np.array([float(s @ n1) - float(s @ n0) for s in exp.s.T])
 
 
+def _index_arms(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None, sx=None):
+    """``((h, w1), (h, w0), n_trimmed)`` of the index estimator; ``sx`` is ``exp``'s ``[s | x]`` rows, if at hand."""
+    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
+    h = _predicted(fits, "h_model", exp, sx)
+    return (h, w1), (h, w0), n_trimmed
+
+
 def estimate_index(
     exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM
 ) -> EstimateReport:
@@ -157,11 +188,17 @@ def estimate_index(
 
     Treated units carry raw weight ``w / e(x)`` and controls
     ``(1 - w) / (1 - e(x))``; each arm's weights are normalized to sum to
-    one before averaging the imputed index values.
+    one before averaging the imputed index values.  The report adds each
+    arm's weight summary to the estimate of :func:`_index_tau`.
     """
-    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
-    h = fits.surrogate_index(exp.s, exp.x)
-    return _contrast("index", (h, w1), (h, w0), trim, n_trimmed)
+    arm1, arm0, n_trimmed = _index_arms(exp, fits, trim)
+    return _contrast("index", arm1, arm0, trim, n_trimmed)
+
+
+def _index_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM, sx=None) -> float:
+    """:func:`estimate_index`'s ``tau_hat`` and checks alone; the index is read from ``sx`` when given."""
+    arm1, arm0, _ = _index_arms(exp, fits, trim, sx)
+    return _tau(arm1, arm0)
 
 
 def estimate_tau_surrogates(
@@ -172,6 +209,18 @@ def estimate_tau_surrogates(
     return _surrogate_contrasts(exp, w1, w0)
 
 
+def _linear_parts(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
+    """``(coef_s, w1, w0, n_trimmed)`` of the linear shortcut, after its checks on the index model."""
+    h = fits.h_model
+    if not isinstance(h, LinearModel):
+        raise UnsupportedConfigurationError("the linear shortcut needs a linear (least squares) index model")
+    if h.uses_interactions:
+        raise UnsupportedConfigurationError(
+            "the linear shortcut needs an index that is linear in (s, x) without interactions"
+        )
+    return (h.coef_s, *_ipw_weights(exp, fits, trim))
+
+
 def estimate_linear_shortcut(
     exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM
 ) -> EstimateReport:
@@ -180,18 +229,35 @@ def estimate_linear_shortcut(
     Requires an index that is linear in ``(s, x)`` with no interaction
     terms.  Without covariates this reproduces the index estimator exactly;
     with covariates the two differ by the weighted covariate contrast,
-    which the shortcut drops.
+    which the shortcut drops.  The report adds each arm's weight summary
+    to the estimate of :func:`_linear_tau`.
     """
-    h = fits.h_model
-    if not isinstance(h, LinearModel):
-        raise UnsupportedConfigurationError("the linear shortcut needs a linear (least squares) index model")
-    if h.uses_interactions:
-        raise UnsupportedConfigurationError(
-            "the linear shortcut needs an index that is linear in (s, x) without interactions"
-        )
-    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
+    coef_s, w1, w0, n_trimmed = _linear_parts(exp, fits, trim)
     report = _contrast("linear_shortcut", (np.zeros(exp.n), w1), (np.zeros(exp.n), w0), trim, n_trimmed)
-    return replace(report, tau_hat=float(h.coef_s @ _surrogate_contrasts(exp, w1, w0)))
+    return replace(report, tau_hat=float(coef_s @ _surrogate_contrasts(exp, w1, w0)))
+
+
+def _linear_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM) -> float:
+    """:func:`estimate_linear_shortcut`'s ``tau_hat`` and checks alone."""
+    coef_s, w1, w0, _ = _linear_parts(exp, fits, trim)
+    zeros = np.zeros(exp.n)
+    _tau((zeros, w1), (zeros, w0))  # the report's checks on each arm's weights, in its order
+    return float(coef_s @ _surrogate_contrasts(exp, w1, w0))
+
+
+def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None, sx=None):
+    """``((y, w1), (y, w0), n_trimmed)`` of the score estimator; ``sx`` is ``obs``'s ``[s | x]`` rows, if at hand."""
+    if not 0.0 < q < 1.0:
+        raise ValidationError(f"q must lie in (0, 1), got {q}")
+    r, n_tr = _trim_scores(_predicted(fits, "r_model", obs, sx), trim)
+    e, n_te = _propensity(fits, obs.x, trim)
+    t, n_tt = _trim_scores(_predicted(fits, "t_model", obs, sx), trim)
+    if np.any(t >= 1.0 - 1e-12):
+        raise OverlapError("sampling score reached 1 on an observational row; no weight is defined")
+    base = t * (1.0 - q) / ((1.0 - t) * q)
+    w1 = r / e * base
+    w0 = (1.0 - r) / (1.0 - e) * base
+    return (obs.y, w1), (obs.y, w0), n_tr + n_te + n_tt
 
 
 def estimate_score(
@@ -200,18 +266,21 @@ def estimate_score(
     q: float,
     trim: float | None = DEFAULT_TRIM,
 ) -> EstimateReport:
-    """Surrogate score estimator: normalized weighted contrast of observational outcomes."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"q must lie in (0, 1), got {q}")
-    r, n_tr = _trim_scores(fits.surrogate_score(obs.s, obs.x), trim)
-    e, n_te = _propensity(fits, obs.x, trim)
-    t, n_tt = _trim_scores(fits.sampling_score(obs.s, obs.x), trim)
-    if np.any(t >= 1.0 - 1e-12):
-        raise OverlapError("sampling score reached 1 on an observational row; no weight is defined")
-    base = t * (1.0 - q) / ((1.0 - t) * q)
-    w1 = r / e * base
-    w0 = (1.0 - r) / (1.0 - e) * base
-    return _contrast("score", (obs.y, w1), (obs.y, w0), trim, n_tr + n_te + n_tt)
+    """Surrogate score estimator: normalized weighted contrast of observational outcomes.
+
+    The report adds each arm's weight summary to the estimate of
+    :func:`_score_tau`.
+    """
+    arm1, arm0, n_trimmed = _score_arms(obs, fits, q, trim)
+    return _contrast("score", arm1, arm0, trim, n_trimmed)
+
+
+def _score_tau(
+    obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None = DEFAULT_TRIM, sx=None
+) -> float:
+    """:func:`estimate_score`'s ``tau_hat`` and checks alone; the scores are read from ``sx`` when given."""
+    arm1, arm0, _ = _score_arms(obs, fits, q, trim, sx)
+    return _tau(arm1, arm0)
 
 
 @dataclass(frozen=True)

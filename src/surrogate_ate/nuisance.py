@@ -161,6 +161,17 @@ class _LinearPredictor:
             )
         return self._link(self.intercept + features @ self.coef)
 
+    def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
+        """:meth:`predict` on a sample's stacked rows ``[s | x]``, as ``PooledDataset.sx`` holds them.
+
+        Without interaction terms the rows are the design itself, so they
+        are not stacked again; the widths are the fit's own.
+        """
+        if self.uses_interactions:
+            n_s = len(self.coef_s)
+            return self.predict(sx[:, :n_s], sx[:, n_s:])
+        return self._link(self.intercept + sx @ self.coef)
+
     def to_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload.update(type=self._json_type, coef_s=self.coef_s.tolist(), coef_x=self.coef_x.tolist(),
@@ -209,6 +220,9 @@ class ConstantScore:
     def predict(self, s, x=None) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         return np.full(s.shape[0], self.p)
+
+    def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
+        return np.full(len(sx), self.p)
 
     def to_dict(self) -> dict:
         return {"type": "constant", "p": self.p}
@@ -268,23 +282,29 @@ def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: b
         raise SingularDesignError("the penalized normal equations are singular; use a larger ridge penalty") from None
 
 
-def _prepare(features, targets, ridge: float, binary: bool, standardized=None):
+def _prepare(features, targets, ridge: float, binary: bool, standardized=None, trusted=False):
     """Coerce and check one fit's inputs, then standardize the design.
 
     Returns ``(features, targets, z1, mean, sd)`` with ``z1 = [1 | z]`` from
     :func:`_standardize`, or from ``standardized()``, which returns the
     same triple for ``features`` that a :class:`PooledDataset` has built
     already.  ``binary`` fits also need 0/1 labels of both classes.  With
-    ``ridge == 0`` the design must have full rank.
+    ``ridge == 0`` the design must have full rank.  ``trusted`` inputs are
+    columns of one validated sample (a 2-d float design, a 1-d float target
+    of its row count, finite, 0/1 where they are labels), so coercion and
+    those rescans are skipped; every check that depends on the data and the
+    ridge still runs.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
-    if features.shape[0] != len(y):
-        raise ValidationError(f"features and {'labels' if binary else 'targets'} have different row counts")
-    if not (np.isfinite(features).all() and np.isfinite(y).all()):
-        raise ValidationError("non-finite values in the training data")
-    if binary and not ((y == 0.0) | (y == 1.0)).all():
-        raise ValidationError("labels must be 0 or 1")
+    y = targets
+    if not trusted:
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        y = np.asarray(targets, dtype=float).ravel()
+        if features.shape[0] != len(y):
+            raise ValidationError(f"features and {'labels' if binary else 'targets'} have different row counts")
+        if not (np.isfinite(features).all() and np.isfinite(y).all()):
+            raise ValidationError("non-finite values in the training data")
+        if binary and not ((y == 0.0) | (y == 1.0)).all():
+            raise ValidationError("labels must be 0 or 1")
     if not 0.0 <= ridge < np.inf:
         raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
     if binary:
@@ -306,6 +326,7 @@ def fit_least_squares(
     n_surrogates: int | None = None,
     n_interactions: int = 0,
     _standardized=None,
+    _trusted=False,
 ) -> LinearModel:
     """Least squares with an unpenalized intercept and optional ridge penalty.
 
@@ -313,6 +334,9 @@ def fit_least_squares(
     ``n_surrogates`` gives the number of leading feature columns that are
     surrogates (defaults to all of them); remaining columns are covariates,
     with the final ``n_interactions`` columns treated as interaction terms.
+    Inputs are coerced to float arrays and checked for matching row counts
+    and finite values; :func:`fit_all` skips those checks for the columns
+    of a validated sample (see :func:`_prepare`).
 
     Raises
     ------
@@ -320,7 +344,7 @@ def fit_least_squares(
         If ``ridge == 0`` and the design is rank deficient, or if the
         penalized normal equations are singular.
     """
-    features, y, z1, mean, sd = _prepare(features, targets, ridge, False, _standardized)
+    features, y, z1, mean, sd = _prepare(features, targets, ridge, False, _standardized, _trusted)
     # a contiguous copy: numpy's matrix-vector product of a strided view can round differently
     z = np.ascontiguousarray(z1[:, 1:])
     y_bar = y.mean()
@@ -357,6 +381,7 @@ def fit_logistic(
     tol: float = _GRAD_TOL,
     max_iter: int = _MAX_ITER,
     _standardized=None,
+    _trusted=False,
 ) -> LogisticModel:
     """Penalized Bernoulli maximum likelihood by IRLS with step-halving.
 
@@ -364,6 +389,13 @@ def fit_logistic(
     unpenalized, penalty on original-scale coefficients) and stops when the
     max-norm of the penalized score falls below ``tol``.  A returned model
     has always converged.
+
+    This is the public boundary of the fit: inputs are coerced to float
+    arrays and checked for matching row counts, finite values and 0/1
+    labels.  :func:`fit_all` and the Monte Carlo replications pass the
+    columns of a validated sample, which skip those rescans (see
+    :func:`_prepare`); the checks on the data itself (single class, empty
+    sample, rank, separation, convergence) and on ``ridge`` always run.
 
     Each Newton step works in buffers allocated once per fit: n-vectors for
     the linear predictor, the line-search candidate's predictor (swapped in
@@ -392,7 +424,7 @@ def fit_logistic(
     ConvergenceError
         If the score is still above ``tol`` after ``max_iter`` Newton steps.
     """
-    features, y, z1, mean, sd = _prepare(features, labels, ridge, True, _standardized)
+    features, y, z1, mean, sd = _prepare(features, labels, ridge, True, _standardized, _trusted)
     n, d = features.shape
     penalty = np.concatenate([[0.0], ridge / sd**2])
     zt = np.ascontiguousarray(z1.T)
@@ -592,7 +624,9 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     read ``pooled``'s designs: ``r`` and ``h`` its experimental and
     observational rows of ``sx``, and the propensity and sampling score its
     standardized ``x`` and ``sx`` (with ``interactions``, the sampling score
-    standardizes its own wider design).
+    standardizes its own wider design).  Those columns were validated when
+    the samples were built, so the fits skip the rescans of their inputs;
+    an interaction design is checked like user input.
     """
     options = options or NuisanceOptions()
     exp, obs, sx = pooled.exp, pooled.obs, pooled.sx
@@ -603,7 +637,9 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
             rows, _, _, n_sx = build_design(rows[:, :n_s], rows[:, n_s:], True)
             standardized = None
         with _tagged(label):
-            return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx, _standardized=standardized)
+            # products of finite columns may overflow, so interaction columns are checked as user input is
+            return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,
+                          _standardized=standardized, _trusted=n_sx == 0)
 
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)

@@ -30,11 +30,12 @@ import os
 import pickle
 import signal
 import sys
+from collections.abc import Sequence
 from typing import Callable, Iterable, NoReturn, TypeVar
 
 import numpy as np
 
-from .errors import ValidationError, WorkerError
+from .errors import ConfigurationError, ValidationError, WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -114,7 +115,23 @@ class _RemoteTraceback(Exception):
     """The cause attached to an exception raised in a worker: the worker's formatted traceback."""
 
 
-def _work(parent: int, fn: Callable, items: list, step: int, claims: int, out: int) -> NoReturn:
+def _result_slots(n: int) -> list:
+    """``n`` empty result slots: the one allocation of a map that grows with its item count.
+
+    Raises ``MemoryError`` before allocating when the slots alone would
+    need more memory than the machine has free, or more items than a
+    claim's 4-byte start index can name.
+    """
+    try:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such sysconf name here: let the allocation decide
+        free = None
+    if n >= 1 << 8 * _CLAIM_BYTES or (free is not None and 8 * n > free):
+        raise MemoryError
+    return [None] * n
+
+
+def _work(parent: int, fn: Callable, items: Sequence, step: int, claims: int, out: int) -> NoReturn:
     """A forked worker: run claims until the claim pipe is empty, send the results on ``out``, exit."""
     global _IN_WORKER
     _IN_WORKER = True
@@ -171,6 +188,13 @@ def _work(parent: int, fn: Callable, items: list, step: int, claims: int, out: i
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Apply ``fn`` to ``items`` in forked worker processes; results in item order.
 
+    A sequence of items (a ``range``, say) is indexed as it is, never
+    listed; other iterables are listed first.  The results' slots are
+    allocated before any item runs: a count whose slots the machine's free
+    memory cannot hold raises :class:`ConfigurationError` at once, so a
+    huge ``--reps`` or ``--bootstrap`` ends as a typed error rather than a
+    ``MemoryError``.
+
     There is no executor.  The items are cut into at most 1024 claims,
     contiguous ranges of equal length, which the parent writes into a pipe
     as 4-byte start indices before it forks the workers.  Each worker reads
@@ -188,10 +212,17 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     workers started already run every item, and with none the map runs
     serially; the results are the same either way.
     """
-    items = list(items)
+    if not isinstance(items, Sequence):
+        items = list(items)
+    try:
+        results = _result_slots(len(items))
+    except MemoryError:
+        raise ConfigurationError(
+            f"{len(items)} work items need more memory for their results than this machine has free; use fewer"
+        ) from None
     workers = min(worker_count(), len(items))
     if workers < 2 or _IN_WORKER or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+        return _serial(fn, items, results)
     import select
 
     step = -(-len(items) // _MAX_CLAIMS)
@@ -207,7 +238,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
             stream.flush()
     # pids and received are keyed by each worker's result pipe
     parent, pids, received, failures = os.getpid(), {}, {}, []
-    results, finished = [None] * len(items), False
+    finished = False
     try:
         for _ in range(workers):
             read, write = os.pipe()
@@ -224,7 +255,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
             os.close(write)
             received[read], pids[read] = [], pid
         if not pids:
-            return [fn(item) for item in items]
+            return _serial(fn, items, results)
         poller = select.poll()
         for fd in received:
             poller.register(fd, select.POLLIN)
@@ -263,6 +294,13 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped already, as under SIGCHLD=SIG_IGN
                 pass
+
+
+def _serial(fn: Callable, items: Sequence, results: list) -> list:
+    """Run every item in this process, in order, into ``results``."""
+    for index, item in enumerate(items):
+        results[index] = fn(item)
+    return results
 
 
 def _ended(pid: int) -> str:

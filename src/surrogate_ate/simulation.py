@@ -45,7 +45,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
-from .estimators import estimate_index, estimate_score
+from .estimators import _index_tau, _score_tau
 from .nuisance import ConstantScore, NuisanceFits, expit, fit_logistic
 from .parallel import ordered_map, seed_sequence
 
@@ -291,7 +291,12 @@ def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, Observati
 
     An int ``rep_seed`` must be non-negative.  The generator stream is
     consumed in a fixed order: experimental surrogates, treatments,
-    observational surrogates, outcomes.
+    observational surrogates, outcomes.  The draws are fresh float64
+    arrays, finite and 0/1 where they are treatments or outcomes, so the
+    samples are built by the trusted constructor (``_Sample._trusted``):
+    the arrays become read-only without a copy, and only the empty-sample
+    and both-arms checks run, raising the validating constructor's
+    ``ValidationError``.
     """
     if isinstance(rep_seed, (int, np.integer)):
         rep_seed = seed_sequence(rep_seed)
@@ -300,7 +305,7 @@ def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, Observati
     w = (rng.random(spec.n_exp) < expit(spec.alpha0 + s_exp @ spec.alpha)).astype(float)
     s_obs = rng.standard_normal((spec.n_obs, spec.m_surrogates))
     y = (rng.random(spec.n_obs) < expit(spec.gamma0 + s_obs @ spec.gamma)).astype(float)
-    return ExperimentalSample(w=w, s=s_exp), ObservationalSample(y=y, s=s_obs)
+    return ExperimentalSample._trusted(w=w, s=s_exp), ObservationalSample._trusted(y=y, s=s_obs)
 
 
 @dataclass(frozen=True)
@@ -323,31 +328,44 @@ class McResult:
     index: EstimatorStats
 
 
+def _first_columns(sample, k: int):
+    """``sample`` with only its first ``k`` surrogate columns: the analyst's view in the misspecification study.
+
+    The columns are a C-contiguous copy, built by the trusted constructor.
+    """
+    units = {c: getattr(sample, c) for c in sample.unit_columns}
+    return type(sample)._trusted(s=sample.s[:, :k].copy(), x=sample.x, **units)
+
+
 def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
-    """One replication: returns (score estimate, index estimate), None on failure."""
+    """One replication: returns (score estimate, index estimate), None on failure.
+
+    The samples are validated once, when drawn (see :func:`draw_dataset`
+    and :func:`_first_columns`); the fits skip the rescans of their
+    columns, and the estimates come from the estimators' tau-only cores.
+    """
     try:
         exp, obs = draw_dataset(spec, rep_seed)
     except SurrogateError:
         return None, None
     k = spec.k_used
     if k is not None and k < spec.m_surrogates:
-        exp = ExperimentalSample(w=exp.w, s=exp.s[:, :k])
-        obs = ObservationalSample(y=obs.y, s=obs.s[:, :k])
+        exp, obs = _first_columns(exp, k), _first_columns(obs, k)
     q = spec.n_exp / (spec.n_exp + spec.n_obs)
     e_model = ConstantScore(float(exp.w.mean()))
     t_model = ConstantScore(q)
 
     try:
-        r_model = fit_logistic(exp.s, exp.w, ridge=HARNESS_RIDGE)
+        r_model = fit_logistic(exp.s, exp.w, ridge=HARNESS_RIDGE, _trusted=True)
         fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
-        tau_o = estimate_score(obs, fits, q).tau_hat
+        tau_o = _score_tau(obs, fits, q)
     except SurrogateError:
         tau_o = None
     try:
         # the outcomes are binary, so the index is itself a logistic mean
-        h_model = fit_logistic(obs.s, obs.y, ridge=HARNESS_RIDGE)
+        h_model = fit_logistic(obs.s, obs.y, ridge=HARNESS_RIDGE, _trusted=True)
         fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
-        tau_e = estimate_index(exp, fits).tau_hat
+        tau_e = _index_tau(exp, fits)
     except SurrogateError:
         tau_e = None
     return tau_o, tau_e

@@ -667,3 +667,28 @@ def test_commands_in_one_process_equal_fresh_processes(fixture_files, tmp_path):
 
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("interactions", [False, True])
+@pytest.mark.parametrize("trim", [None, 1e-6, 0.2])
+def test_a_bootstrap_replicate_reads_the_public_estimates_from_the_cores(covariate_files, interactions, trim):
+    from surrogate_ate.errors import SurrogateError
+    from surrogate_ate.estimators import _resample
+
+    def outcome(call):
+        try:
+            return float(call()).hex()
+        except SurrogateError as err:
+            return type(err), str(err)
+
+    pe, po = covariate_files
+    exp, obs = load_experimental(pe), load_observational(po)
+    rng = np.random.default_rng(3)
+    options = NuisanceOptions(interactions=interactions, ridge_index=0.1)
+    for _ in range(4):
+        pooled = pool(_resample(exp, rng), _resample(obs, rng))
+        fits = fit_all(pooled, options)
+        for method in ("index", "score", "linear", "match"):
+            want = outcome(lambda: cli._estimate(method, pooled, fits, trim).tau_hat)
+            assert outcome(lambda: cli._replicate_tau(method, pooled, fits, trim)) == want
+            assert isinstance(want, str) != (method == "linear" and interactions)

@@ -17,6 +17,7 @@ from surrogate_ate import (
     ObservationalSample,
     OverlapError,
     SingleSample,
+    SurrogateError,
     UnstableBootstrapError,
     UnsupportedConfigurationError,
     ValidationError,
@@ -32,7 +33,14 @@ from surrogate_ate import (
     make_spec,
     pool,
 )
-from surrogate_ate.estimators import MatchOptions, _ipw_weights, _surrogate_contrasts
+from surrogate_ate.estimators import (
+    MatchOptions,
+    _index_tau,
+    _ipw_weights,
+    _linear_tau,
+    _score_tau,
+    _surrogate_contrasts,
+)
 
 
 def _fits(e=None, r=None, t=None, h=None):
@@ -752,3 +760,111 @@ def test_single_sample_resamples_keep_their_arm_sizes(small_single):
         assert (sample.n, sample.w.sum()) == (small_single.n, small_single.w.sum())
         assert np.all(sample.w[: 4] == 1.0) and np.all(sample.w[4:] == 0.0)
         assert not any(getattr(sample, c).flags.writeable for c in ("w", "y", "s", "x"))
+
+
+# ---------------------------------------------------------------------------
+# tau-only cores: the public estimates and errors, without the reports
+
+def _outcome(call):
+    """The float hex of what ``call`` returns (a report's ``tau_hat``), or the type and message it raises."""
+    try:
+        value = call()
+    except SurrogateError as err:
+        return type(err), str(err)
+    return float(getattr(value, "tau_hat", value)).hex()
+
+
+def _pooled(seed, n_covariates):
+    rng = np.random.default_rng(seed)
+    n_exp, n_obs, m = 70 + 5 * seed, 90, 3
+    x = rng.normal(size=(n_exp, n_covariates))
+    w = (rng.random(n_exp) < expit(0.4 * x.sum(axis=1))).astype(float)
+    exp = ExperimentalSample(w=w, s=rng.normal(size=(n_exp, m)) + 0.4 * w[:, None] + 0.2 * x.sum(axis=1)[:, None],
+                             x=x)
+    x = rng.normal(size=(n_obs, n_covariates))
+    s = rng.normal(size=(n_obs, m)) + 0.2 * x.sum(axis=1)[:, None]
+    obs = ObservationalSample(y=s.sum(axis=1) + rng.normal(size=n_obs), s=s, x=x)
+    return pool(exp, obs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_covariates", [0, 2])
+@pytest.mark.parametrize("options", [
+    NuisanceOptions(),
+    NuisanceOptions(interactions=True),
+    NuisanceOptions(constant_sampling_score=True, ridge_index=0.5, ridge_surrogate_score=0.1),
+])
+@pytest.mark.parametrize("trim", [None, 1e-6, 0.05])
+def test_cores_equal_the_public_estimates_bit_for_bit(seed, n_covariates, options, trim):
+    pooled = _pooled(seed, n_covariates)
+    fits = fit_all(pooled, options)
+    exp, obs = pooled.exp, pooled.obs
+    sx_exp, sx_obs = pooled.sx[: exp.n], pooled.sx[exp.n :]
+    index = estimate_index(exp, fits, trim).tau_hat.hex()
+    assert _index_tau(exp, fits, trim).hex() == _index_tau(exp, fits, trim, sx_exp).hex() == index
+    score = estimate_score(obs, fits, pooled.q, trim).tau_hat.hex()
+    assert _score_tau(obs, fits, pooled.q, trim).hex() == _score_tau(obs, fits, pooled.q, trim, sx_obs).hex() == score
+    assert _outcome(lambda: _linear_tau(exp, fits, trim)) == _outcome(lambda: estimate_linear_shortcut(exp, fits, trim))
+
+
+def _index_case(exp, obs, e=None, h=None, trim=None):
+    fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5), h=h)
+    return lambda: _index_tau(exp, fits, trim), lambda: estimate_index(exp, fits, trim)
+
+
+def _score_case(exp, obs, e=None, r=None, t=None, q=0.5, trim=None):
+    n = obs.n
+    fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5),
+                 r=FixedScore(r if r is not None else np.full(n, 0.5)), t=FixedScore(t) if t is not None else None)
+    return lambda: _score_tau(obs, fits, q, trim), lambda: estimate_score(obs, fits, q, trim)
+
+
+def _linear_case(exp, obs, e=None, h="linear", trim=None):
+    m = exp.n_surrogates
+    models = {
+        "linear": LinearModel(intercept=0.1, coef_s=np.full(m, 0.5), coef_x=np.zeros(exp.n_covariates)),
+        "interactions": LinearModel(intercept=0.1, coef_s=np.full(m, 0.5), coef_x=np.zeros(exp.n_covariates),
+                                    coef_sx=np.ones(m * exp.n_covariates)),
+        "fixed": FixedIndex(np.zeros(exp.n)),
+    }
+    fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5), h=models[h])
+    return lambda: _linear_tau(exp, fits, trim), lambda: estimate_linear_shortcut(exp, fits, trim)
+
+
+_TINY = 5e-324  # w / e overflows to inf
+_E_EXP = np.array([0.5, 0.4, 0.6, 0.5, 0.3, 0.7])  # small_exp's rows: treated, control, ...
+_R_OBS = np.linspace(0.2, 0.8, 8)
+
+
+@pytest.mark.parametrize("case, kwargs, error", [
+    (_index_case, {"h": FixedIndex(np.arange(6.0))}, None),
+    (_index_case, {"h": FixedIndex(np.arange(6.0)), "e": np.where(np.arange(6) == 2, 1.0, 0.5)}, OverlapError),
+    (_index_case, {"h": FixedIndex(np.arange(6.0)), "e": np.where(np.arange(6) == 3, 0.0, 0.5)}, OverlapError),
+    (_index_case, {"h": FixedIndex(np.arange(6.0)), "e": np.where(np.arange(6) == 0, _TINY, 0.5)}, OverlapError),
+    (_index_case, {"h": FixedIndex(np.arange(6.0)), "e": _E_EXP, "trim": 0.7}, ValidationError),
+    (_index_case, {"h": FixedIndex(np.arange(6.0)), "e": _E_EXP, "trim": 0.2}, None),
+    (_index_case, {}, ValidationError),  # no index model
+    (_score_case, {"t": np.full(8, 0.4)}, None),
+    (_score_case, {"t": np.full(8, 0.4), "r": np.ones(8)}, DegenerateArmError),
+    (_score_case, {"t": np.full(8, 0.4), "r": np.zeros(8)}, DegenerateArmError),
+    (_score_case, {"t": np.full(8, 1.0 - 1e-13), "r": _R_OBS}, OverlapError),
+    (_score_case, {"t": np.full(8, 0.4), "e": np.where(np.arange(8) == 5, 1.0, 0.5)}, OverlapError),
+    (_score_case, {"t": np.full(8, 0.4), "e": np.where(np.arange(8) == 1, _TINY, 0.5)}, OverlapError),
+    (_score_case, {"t": np.full(8, 0.4), "q": 1.0}, ValidationError),
+    (_score_case, {"t": np.full(8, 0.4), "r": _R_OBS, "trim": 0.5}, ValidationError),
+    (_score_case, {"t": np.full(8, 0.4), "r": _R_OBS, "trim": 0.3}, None),
+    (_score_case, {}, ValidationError),  # no sampling score model
+    (_linear_case, {}, None),
+    (_linear_case, {"e": _E_EXP, "trim": 0.2}, None),
+    (_linear_case, {"h": "fixed"}, UnsupportedConfigurationError),
+    (_linear_case, {"h": "interactions"}, UnsupportedConfigurationError),
+    (_linear_case, {"e": np.where(np.arange(6) == 4, 0.0, 0.5)}, OverlapError),
+    (_linear_case, {"e": np.where(np.arange(6) == 2, _TINY, 0.5)}, OverlapError),
+    (_linear_case, {"trim": -0.1}, ValidationError),
+])
+def test_cores_raise_exactly_where_the_public_estimators_raise(small_exp, small_obs, case, kwargs, error):
+    core, public = case(small_exp, small_obs, **kwargs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got, want = _outcome(core), _outcome(public)
+    assert got == want
+    assert (want[0] if isinstance(want, tuple) else None) is error

@@ -1037,3 +1037,64 @@ def test_fit_all_on_the_shared_designs_keeps_its_bits(case):
     assert _fits_digest(fit_all(pooled, NuisanceOptions(**options))) == digest
     # a second fit reads the designs the first one built
     assert _fits_digest(fit_all(pooled, NuisanceOptions(**options))) == digest
+
+
+# ---------------------------------------------------------------------------
+# validated once: fits on the columns of a validated sample skip the input rescans
+
+@pytest.mark.parametrize("fit, binary", [(fit_logistic, True), (fit_least_squares, False)])
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_a_trusted_fit_equals_the_checked_fit_bit_for_bit(fit, binary, ridge):
+    exp, obs = draw_dataset(make_spec("sample_size", seed=3, q=0.5), 7)
+    features, target = (exp.s, exp.w) if binary else (obs.s, obs.s @ np.linspace(1.0, -1.0, 10))
+    checked, trusted = fit(features, target, ridge=ridge), fit(features, target, ridge=ridge, _trusted=True)
+    assert checked.intercept.hex() == trusted.intercept.hex()
+    assert [v.hex() for v in checked.coef] == [v.hex() for v in trusted.coef]
+
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_least_squares])
+def test_a_trusted_fit_keeps_every_check_on_the_data(fit):
+    rng = np.random.default_rng(2)
+    s = rng.normal(size=(40, 2))
+    cases = [
+        ((s, np.ones(40), {"ridge": -1.0}), ValidationError, "ridge penalty must be finite"),
+        ((np.hstack([s, s[:, :1]]), (s[:, 0] > 0).astype(float), {}), SingularDesignError, "rank deficient"),
+    ]
+    if fit is fit_logistic:
+        cases += [
+            ((np.empty((0, 2)), np.empty(0), {}), DegenerateLabelsError, "single class"),
+            ((s, np.ones(40), {}), DegenerateLabelsError, "single class"),
+            ((s, (s[:, 0] > 0).astype(float), {}), SeparationError, "separated"),
+        ]
+    else:
+        cases.append(((np.empty((0, 2)), np.empty(0), {}), ValidationError, "empty sample"))
+    for (features, target, kwargs), error, text in cases:
+        for trusted in (False, True):
+            with pytest.raises(error, match=text):
+                fit(features, target, _trusted=trusted, **kwargs)
+
+
+def test_fit_all_checks_an_overflowing_interaction_design_as_user_input():
+    # finite columns whose products overflow: the interaction design is not trusted
+    rng = np.random.default_rng(4)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 30), s=rng.normal(size=(60, 2)) * 1e300,
+                             x=rng.normal(size=(60, 1)) * 1e10)
+    obs = ObservationalSample(y=rng.normal(size=50), s=rng.normal(size=(50, 2)), x=rng.normal(size=(50, 1)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError, match="^surrogate score: non-finite values in the training data$"):
+            fit_all(pool(exp, obs), NuisanceOptions(interactions=True))
+    with pytest.raises(ValidationError, match="^surrogate score: a surrogate or covariate column is too large"):
+        fit_all(pool(exp, obs))
+
+
+@pytest.mark.parametrize("options", [{}, {"interactions": True}])
+def test_predictions_from_the_pooled_rows_equal_predict(options):
+    rng = np.random.default_rng(8)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 40), s=rng.normal(size=(80, 3)), x=rng.normal(size=(80, 2)))
+    obs = ObservationalSample(y=rng.normal(size=90), s=rng.normal(size=(90, 3)), x=rng.normal(size=(90, 2)))
+    pooled = pool(exp, obs)
+    fits = fit_all(pooled, NuisanceOptions(**options))
+    for model, sample, rows in ((fits.r_model, obs, pooled.sx[exp.n:]), (fits.t_model, obs, pooled.sx[exp.n:]),
+                                (fits.h_model, exp, pooled.sx[: exp.n]), (ConstantScore(0.3), exp, pooled.sx[: exp.n])):
+        want = model.predict(sample.s, sample.x)
+        assert [v.hex() for v in model._predict_sx(rows)] == [v.hex() for v in want]

@@ -480,3 +480,68 @@ def test_workers_exit_when_their_parent_is_killed():
     while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(_running(pid) for pid in workers)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_map_too_large_for_memory_is_a_configuration_error(monkeypatch, threads):
+    monkeypatch.setenv("SURROGATE_THREADS", threads)
+    ran = []
+    # 10**13 result slots need 80 TB: refused before anything is listed, allocated or run
+    with pytest.raises(errors.ConfigurationError, match="^10000000000000 work items need more memory"):
+        parallel.ordered_map(ran.append, range(10**13))
+
+    def no_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr(parallel, "_result_slots", no_memory)
+    with pytest.raises(errors.ConfigurationError, match="^5 work items need more memory for their results"):
+        parallel.ordered_map(ran.append, range(5))
+    assert ran == []
+
+
+def test_the_result_slots_are_refused_beyond_free_memory(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", lambda name: 4)  # 4 pages of 4 bytes: 16 bytes free
+    assert parallel._result_slots(2) == [None, None]
+    with pytest.raises(MemoryError):
+        parallel._result_slots(3)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_range_is_indexed_without_being_listed(monkeypatch, threads):
+    monkeypatch.setenv("SURROGATE_THREADS", threads)
+    _cpus(monkeypatch, 2)
+    real_work, real_serial = parallel._work, parallel._serial
+
+    def work(parent, fn, items, *args):  # in a worker: each result carries the type of the items it was given
+        real_work(parent, lambda item: (fn(item), type(items).__name__), items, *args)
+
+    def serial(fn, items, results):
+        return real_serial(lambda item: (fn(item), type(items).__name__), items, results)
+
+    monkeypatch.setattr(parallel, "_work", work)
+    monkeypatch.setattr(parallel, "_serial", serial)
+    items = range(3, 40, 3)
+    assert parallel.ordered_map(lambda i: i * i, items) == [(i * i, "range") for i in items]
+    assert parallel.ordered_map(lambda i: -i, iter([4, 5])) == [(-4, "list"), (-5, "list")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--study", "samplesize", "--grid", "0.5", "--reps", "3", "--seed", "0"],
+    ["estimate", "--method", "index", "--bootstrap", "3"],
+])
+def test_reps_too_large_for_memory_end_the_cli_with_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
+    exp, obs = draw_dataset(make_spec("sample_size", seed=0, q=0.5), 0)
+    write_experimental(exp, tmp_path / "e.csv")
+    write_observational(obs, tmp_path / "o.csv")
+    if argv[0] == "estimate":
+        argv = [*argv, "--exp", str(tmp_path / "e.csv"), "--obs", str(tmp_path / "o.csv")]
+
+    def no_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr(parallel, "_result_slots", no_memory)
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: ConfigurationError: 3 work items need more memory for their results[^\n]*\n", err)
+    assert not out.exists()

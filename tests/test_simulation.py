@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from surrogate_ate import (
     CalibrationError,
     ConfigurationError,
     DgpSpec,
+    ValidationError,
     calibrate_tau,
     draw_dataset,
     make_spec,
@@ -470,3 +473,133 @@ def test_hermite_rule_is_built_once():
     first = simulation._hermite()
     assert first is simulation._hermite()
     assert np.array_equal(first[0], nodes) and np.array_equal(first[1], weights / np.sqrt(2.0 * np.pi))
+
+
+# ---------------------------------------------------------------------------
+# the replication path, validated once: pinned bits, trusted samples, tau-only cores
+
+# float.hex of (abs_bias_x100, sd_x100) and true_tau of run_study(study, reps=6, seed=3, grid=grid),
+# recorded when every replication still rebuilt its samples through the validating
+# constructor and read tau_hat off the public estimators' reports
+_RUN_STUDY_PINS = {
+    ("sample_size", (0.05, 0.95)): [
+        (0.05, "score", "0x1.6f92e7cf28d56p+0", "0x1.13129d919d466p+2", 0, "0x1.ffad9e68ecb18p-2"),
+        (0.05, "index", "0x1.f5f34e1d7655ep+1", "0x1.81291d072fca1p+2", 0, "0x1.ffad9e68ecb18p-2"),
+        (0.95, "score", "0x1.7d7bad6045cc4p-2", "0x1.0400c9eb48987p+3", 0, "0x1.ffad9e68ecb18p-2"),
+        (0.95, "index", "0x1.a42020ab36d4ep+0", "0x1.dbb23ad15e8a8p+2", 0, "0x1.ffad9e68ecb18p-2"),
+    ],
+    ("explanatory", (4,)): [
+        (4, "score", "0x1.124e509f955a0p-5", "0x1.f9e7bdcbd3a15p+0", 0, "0x1.7f9cb0f4eca88p-2"),
+        (4, "index", "0x1.2a545c3296dfdp+0", "0x1.29dce95049bdap+1", 0, "0x1.7f9cb0f4eca88p-2"),
+    ],
+    # K=5 of 250 columns: the sliced-columns path
+    ("misspecification", (5,)): [
+        (5, "score", "0x1.05db3d53e7176p+3", "0x1.5ce6ea3eb65dep+0", 0, "0x1.0964be67a2690p-3"),
+        (5, "index", "0x1.03df0a503049fp+3", "0x1.7a164a178a0f8p+0", 0, "0x1.0964be67a2690p-3"),
+    ],
+    ("dimension", (10,)): [
+        (10, "score", "0x1.a0390ae1caec2p+0", "0x1.c35b157883b1dp+0", 0, "0x1.3e9147dd90220p-3"),
+        (10, "index", "0x1.a8b5e70a54e2cp+0", "0x1.f2929ab8a9a4bp+0", 0, "0x1.3e9147dd90220p-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("study, grid", sorted(_RUN_STUDY_PINS))
+def test_run_study_rows_are_pinned_bit_for_bit(study, grid):
+    rows = run_study(study, reps=6, seed=3, grid=list(grid))
+    got = [(r["grid_value"], r["estimator"], r["abs_bias_x100"].hex(), r["sd_x100"].hex(), r["failures"],
+            r["true_tau"].hex()) for r in rows]
+    assert got == _RUN_STUDY_PINS[study, grid]
+
+
+def _replicate_through_the_public_api(spec, rep_seed):
+    """``_replicate`` as the validating constructor, the public fit and the public estimators compute it."""
+    from surrogate_ate import (
+        ConstantScore, ExperimentalSample, NuisanceFits, ObservationalSample, estimate_index, estimate_score,
+        fit_logistic,
+    )
+
+    exp, obs = draw_dataset(spec, rep_seed)
+    k = spec.k_used or spec.m_surrogates
+    exp = ExperimentalSample(w=np.array(exp.w), s=np.array(exp.s[:, :k]))
+    obs = ObservationalSample(y=np.array(obs.y), s=np.array(obs.s[:, :k]))
+    q = spec.n_exp / (spec.n_exp + spec.n_obs)
+    e_model, t_model = ConstantScore(float(exp.w.mean())), ConstantScore(q)
+    r_model = fit_logistic(exp.s, exp.w, ridge=simulation.HARNESS_RIDGE)
+    tau_o = estimate_score(obs, NuisanceFits(e_model, r_model, t_model, None), q).tau_hat
+    h_model = fit_logistic(obs.s, obs.y, ridge=simulation.HARNESS_RIDGE)
+    tau_e = estimate_index(exp, NuisanceFits(e_model, None, t_model, h_model)).tau_hat
+    return tau_o, tau_e
+
+
+@pytest.mark.parametrize("study, value", [("sample_size", 0.05), ("sample_size", 0.95), ("explanatory", 4),
+                                          ("misspecification", 5), ("misspecification", 1), ("dimension", 10)])
+def test_replication_equals_the_public_estimators_bit_for_bit(study, value):
+    keyword, _, _ = simulation.STUDIES[study]
+    spec = make_spec(study, seed=5, **{keyword: value})
+    for rep in range(3):
+        rep_seed = np.random.SeedSequence((5, 2, 0, rep))
+        got = simulation._replicate(spec, rep_seed)
+        want = _replicate_through_the_public_api(spec, rep_seed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _assert_as_constructed(sample):
+    """``sample``'s columns are what the validating constructor makes of the same values."""
+    columns = (*sample.unit_columns, "s", "x")
+    constructed = type(sample)(**{c: getattr(sample, c) for c in columns})
+    for c in columns:
+        col, want = getattr(sample, c), getattr(constructed, c)
+        assert np.array_equal(col, want)
+        assert (col.dtype, col.shape) == (want.dtype, want.shape)
+        assert col.dtype == np.float64 and col.flags.c_contiguous and want.flags.c_contiguous
+        assert not col.flags.writeable and not want.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 30), st.integers(1, 6), st.data())
+def test_trusted_samples_equal_the_validating_constructors(seed, n_exp, n_obs, m, data):
+    rng = np.random.default_rng(seed)
+    spec = DgpSpec(study="dimension", m_surrogates=m, n_exp=n_exp, n_obs=n_obs,
+                   alpha=rng.normal(size=m), gamma=rng.normal(size=m))
+    try:
+        drawn = draw_dataset(spec, seed)
+    except ValidationError:
+        return  # a draw with one arm: test_a_one_arm_draw_raises_the_constructors_error
+    k = data.draw(st.integers(1, m))
+    for sample in drawn:
+        _assert_as_constructed(sample)
+        sliced = simulation._first_columns(sample, k)
+        _assert_as_constructed(sliced)
+        assert np.array_equal(sliced.s, sample.s[:, :k])
+        assert np.array_equal(sliced.x, sample.x) and sliced.x.shape == (sample.n, 0)
+        for parent in (sample, sliced):
+            idx = np.array(data.draw(st.lists(st.integers(0, sample.n - 1), min_size=sample.n, max_size=sample.n)))
+            try:
+                taken = parent._take(idx)
+            except ValidationError:
+                continue  # a resample with one arm: tests/test_estimators.py
+            _assert_as_constructed(taken)
+            for c in (*sample.unit_columns, "s", "x"):
+                assert np.array_equal(getattr(taken, c), getattr(parent, c)[idx])
+
+
+def test_a_one_arm_draw_raises_the_constructors_error():
+    from surrogate_ate import ExperimentalSample
+
+    spec = DgpSpec(study="dimension", m_surrogates=2, n_exp=20, n_obs=20, alpha=np.ones(2), gamma=np.ones(2),
+                   alpha0=-60.0)  # no unit is treated
+    with pytest.raises(ValidationError) as drawn:
+        draw_dataset(spec, 4)
+    with pytest.raises(ValidationError) as constructed:
+        ExperimentalSample(w=np.zeros(20), s=np.zeros((20, 2)))
+    message = "experimental sample needs at least one treated and one control unit"
+    assert str(drawn.value) == str(constructed.value) == message
+    assert simulation._replicate(spec, np.random.SeedSequence(4)) == (None, None)
+
+
+@pytest.mark.parametrize("n_exp, n_obs, kind", [(0, 50, "experimental"), (50, 0, "observational")])
+def test_an_empty_draw_raises_the_constructors_error(n_exp, n_obs, kind):
+    spec = DgpSpec(study="dimension", m_surrogates=1, n_exp=n_exp, n_obs=n_obs, alpha=np.ones(1), gamma=np.ones(1))
+    with pytest.raises(ValidationError, match=f"^{kind} sample must contain at least one row$"):
+        draw_dataset(spec, 0)
