@@ -23,28 +23,12 @@ resamples, with one ``fit_all`` per resample shared by the index, score and
 linear-shortcut estimates; a resample whose fit fails is dropped for those
 three methods only, and one on which a method fails for that method only.
 
-Exit codes: 0 success, 2 invalid input or configuration (including a
-``--trim`` outside [0, 0.5), a ``--bootstrap`` other than 0 or at least 2
-and a negative ``--seed``, all rejected before any file is read, a
-``--ridge`` or ``--delta-*`` that is negative or not finite, an empty
-``--grid`` or one with a value of the wrong type, an ``--out`` that names a
-directory, lies under a regular file or runs into a symbolic-link loop once
-``..`` and symbolic links are resolved (``nope/..`` included), checked
-before any file is read, an input CSV that is not a readable UTF-8 file,
-and a ``--reps`` or ``--bootstrap`` whose result slots alone exceed the
-memory free on the machine, refused before any replicate runs), 3 estimation failure
-(overlap, degenerate arm, separation, ...) or a lost worker process (a
-``WorkerError``: a worker that died, as under the out-of-memory killer, or
-a result it could not pickle).  Errors are written as
-a single machine-parseable line on stderr; so is the ``warning:`` line of
-``bounds --variance-mode per-stratum`` when a stratum holds a single
-observation.  Bootstrap replicates and study replications run in worker
-processes; the ``SURROGATE_THREADS`` environment variable sets how many
-(default: the CPUs available to the process), capped by the work items and
-those CPUs.  Where the ``fork`` start method is unavailable they run
-serially.  Importing the package sets OpenBLAS to one thread for the whole
-process, workers included, so output is byte-identical for any value and
-any CPU count.
+The exit codes, the one-line ``error:`` and ``warning:`` messages on
+stderr and the worker processes (``SURROGATE_THREADS``) are described in
+the README's "Command line" section.  Each command runs with numpy's
+floating-point warnings off, and its JSON output is strict: a number that
+is not finite ends the command with an ``EstimationError`` (exit 3) before
+any ``--out`` file is written.
 """
 
 from __future__ import annotations
@@ -54,7 +38,9 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
+
+import numpy as np
 
 from ._version import __version__
 from .data import _check_output, _open_output, load_experimental, load_observational, load_single, pool
@@ -64,7 +50,7 @@ from .diagnostics import (
     efficiency_bound_two_sample,
     efficiency_bounds_single_sample,
 )
-from .errors import ConfigurationError, SurrogateError
+from .errors import ConfigurationError, EstimationError, SurrogateError
 from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, bootstrap_se, estimate_index,
                          estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceOptions, fit_all
@@ -91,12 +77,17 @@ def _options(args) -> NuisanceOptions:
     return NuisanceOptions(**ridges, constant_sampling_score=args.constant_t, interactions=args.interactions)
 
 
-def _emit(payload: str, out: str | None) -> None:
+def _emit(payload: dict, out: str | None) -> None:
+    """``payload`` as sorted-key JSON on ``out`` or stdout; a number that is not finite raises before any write."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise EstimationError("a result is not finite: an input or a cap is too large in magnitude") from None
     if out is None:
-        sys.stdout.write(payload + "\n")
+        sys.stdout.write(text + "\n")
     else:
         with _open_output(out) as fh:
-            fh.write(payload + "\n")
+            fh.write(text + "\n")
 
 
 def _trim_value(args) -> float | None:
@@ -117,12 +108,11 @@ def _estimate(method, pooled, fits, trim):
 
 
 def _replicate_tau(method, pooled, fits, trim) -> float:
-    """One method's estimate on a bootstrap resample: the estimators' tau-only cores, on ``pooled``'s ``[s | x]`` rows."""
-    n_exp = pooled.exp.n
+    """One method's estimate on a bootstrap resample: the estimators' tau-only cores."""
     if method == "index":
-        return _index_tau(pooled.exp, fits, trim, pooled.sx[:n_exp])
+        return _index_tau(pooled.exp, fits, trim)
     if method == "score":
-        return _score_tau(pooled.obs, fits, pooled.q, trim, pooled.sx[n_exp:])
+        return _score_tau(pooled.obs, fits, pooled.q, trim)
     if method == "linear":
         return _linear_tau(pooled.exp, fits, trim)
     return _match(pooled).tau_hat
@@ -170,10 +160,10 @@ def run_estimate(args) -> int:
 
         ses = bootstrap_se(replicate, (pooled.exp, pooled.obs), reps=args.bootstrap, seed=args.seed)
         reports = [replace(r, se_bootstrap=se) for r, se in zip(reports, ses)]
-    payload = {r.method: json.loads(r.to_json()) for r in reports}
+    payload = {r.method: asdict(r) for r in reports}
     if len(payload) == 1:
         payload = next(iter(payload.values()))
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -183,7 +173,7 @@ def run_diagnose(args) -> int:
     obs = load_observational(args.obs)
     fits = fit_all(pool(exp, obs), _options(args))
     bound = bias_bound(exp, fits, delta_s=args.delta_s, delta_c=args.delta_c, trim=trim)
-    _emit(bound.to_json(), args.out)
+    _emit(asdict(bound), args.out)
     return 0
 
 
@@ -194,8 +184,6 @@ def run_bounds(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             bounds = efficiency_bounds_single_sample(sample, variance_mode=mode, ridge=args.ridge)
-        if bounds.per_stratum_fallback:
-            sys.stderr.write(f"warning: {_PER_STRATUM_FALLBACK}\n")
     else:
         if args.exp is None or args.obs is None:
             raise ConfigurationError("two-sample bounds need both --exp and --obs (or use --single)")
@@ -209,7 +197,9 @@ def run_bounds(args) -> int:
         )
         fits = fit_all(pooled, options)
         bounds = efficiency_bound_two_sample(pooled, fits)
-    _emit(bounds.to_json(), args.out)
+    _emit(asdict(bounds), args.out)
+    if bounds.per_stratum_fallback:  # after the output, so that a result that is not finite leaves one error line
+        sys.stderr.write(f"warning: {_PER_STRATUM_FALLBACK}\n")
     return 0
 
 
@@ -287,7 +277,10 @@ def main(argv=None) -> int:
         # an --out that cannot be written fails before any input is read or any work runs
         if args.out is not None:
             _check_output(args.out)
-        return args.func(args)
+        # overflow shows as a typed error (a result that is not finite), never as a numpy warning;
+        # forked workers inherit the state
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigurationError as err:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 2

@@ -11,7 +11,10 @@ The three layouts differ only in their per-unit columns besides the
 surrogates ``s`` and covariates ``x``, listed once per class in
 ``unit_columns``: ``("w",)`` experimental, ``("y",)`` observational and
 ``("w", "y")`` single-sample.  That tuple drives validation, the CSV
-readers and writers, and bootstrap resampling.
+readers and writers, and bootstrap resampling.  Each sample also stores
+its rows ``[s | x]`` once (``sx``, which is ``s`` itself without
+covariates); the fits, the predictions, matching and the CSV writer read
+them there, and :class:`PooledDataset` stacks the two samples' rows.
 
 CSV layout (header required, UTF-8, ``.`` decimal point): the
 ``unit_columns`` in order, then ``s1..sM``, then optional ``x1..xK``:
@@ -167,6 +170,11 @@ class _Sample:
         return taken
 
     @cached_property
+    def sx(self) -> np.ndarray:
+        """The rows ``[s | x]``, built once and read-only; ``s`` itself without covariates."""
+        return self.s if self.x.shape[1] == 0 else _read_only(np.hstack([self.s, self.x]))
+
+    @cached_property
     def _row_classes(self) -> dict:
         """Integer classes of the raw rows, by part (``"sx"`` for ``[s | x]``, ``"x"``), as matching computed them.
 
@@ -250,9 +258,10 @@ class PooledDataset:
     ``q`` is always the realized experimental fraction N_E / (N_E + N_O);
     it is never user-supplied.  Pooled rows put the experimental sample
     first; ``is_experimental`` marks those rows.  The dataset owns the
-    designs that the fits and matching share: the stacked ``sx`` and the
-    standardized ``(z1, mean, sd)`` of ``sx`` and of the experimental ``x``,
-    each built once.
+    designs that the sampling score, the propensity and matching share: the
+    stacked ``sx`` of the two samples and the standardized
+    ``(z1, mean, sd)`` of ``sx`` and of the experimental ``x``, each built
+    once.
     """
 
     exp: ExperimentalSample
@@ -282,8 +291,8 @@ class PooledDataset:
 
     @cached_property
     def sx(self) -> np.ndarray:
-        """The pooled design ``[s | x]``, experimental rows first; built once, read-only."""
-        return _read_only(np.vstack([np.hstack([sample.s, sample.x]) for sample in (self.exp, self.obs)]))
+        """The two samples' ``sx`` stacked, experimental rows first; built once, read-only."""
+        return _read_only(np.vstack([self.exp.sx, self.obs.sx]))
 
     @cached_property
     def standardized_sx(self) -> tuple:
@@ -509,7 +518,7 @@ def _write(sample: _Sample, path) -> None:
     header = list(sample.unit_columns) + [f"s{j + 1}" for j in range(sample.n_surrogates)]
     header += [f"x{j + 1}" for j in range(sample.n_covariates)]
     cols = [[str(int(v)) if c == "w" else _fmt(v) for v in getattr(sample, c)] for c in sample.unit_columns]
-    cols += [[_fmt(v) for v in col] for col in np.hstack([sample.s, sample.x]).T]
+    cols += [[_fmt(v) for v in col] for col in sample.sx.T]
     with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
-from .estimators import DEFAULT_TRIM, _hajek, _ipw_weights, _JsonRecord, _propensity, _trim_scores
+from .estimators import DEFAULT_TRIM, _arm_mean, _index_arms, _JsonRecord, _predicted, _propensity, _trim_scores
 from .nuisance import ConstantScore, NuisanceFits, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def bias_bound(
     if not (0.0 <= delta_s < np.inf and 0.0 <= delta_c < np.inf):
         raise ValidationError(f"bias-bound deltas must be finite and non-negative, got {delta_s} and {delta_c}")
     e, _ = _propensity(fits, exp.x, trim)
-    r, _ = _trim_scores(fits.surrogate_score(exp.s, exp.x), trim)
+    r, _ = _trim_scores(_predicted(fits, "r_model", exp), trim)
     denom = e * (1.0 - e)
     sm = float(np.mean(r * (1.0 - r) / denom))
     cm = float(np.mean(np.abs(r - e) / denom))
@@ -413,17 +413,16 @@ def efficiency_bounds_single_sample(
     recorded on the result.
     """
     e, _, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
-    features = np.hstack([sample.s, sample.x])
-    r_model = fit_logistic(features, sample.w, ridge=ridge, n_surrogates=sample.n_surrogates)
-    r = r_model.predict(sample.s, sample.x)
-    h_model = fit_least_squares(features, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
-    h = h_model.predict(sample.s, sample.x)
+    r_model = fit_logistic(sample.sx, sample.w, ridge=ridge, n_surrogates=sample.n_surrogates)
+    r = r_model._predict_sx(sample.sx)
+    h_model = fit_least_squares(sample.sx, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
+    h = h_model._predict_sx(sample.sx)
     tau_hat = float(np.mean(mu1 - mu0))
 
     fallback = False
     sigma2 = np.full(sample.n, h_model.residual_variance)
     if variance_mode == "per_stratum":
-        cells = _cell_indices(features)
+        cells = _cell_indices(sample.sx)
         per_cell = _per_cell_variance(sample.y, cells)
         if per_cell is None:
             warnings.warn(_PER_STRATUM_FALLBACK, stacklevel=2)
@@ -548,17 +547,15 @@ def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> Ef
         )
     exp, obs, q = pooled.exp, pooled.obs, pooled.q
     p = float(exp.w.mean())
-    resid = obs.y - fits.surrogate_index(obs.s, obs.x)
+    resid = obs.y - _predicted(fits, "h_model", obs)
     sigma2 = float(np.mean(resid**2))
 
-    s_pooled, x_pooled = np.hsplit(pooled.sx, [exp.n_surrogates])
-    r = fits.surrogate_score(s_pooled, x_pooled)
-    mu = fits.surrogate_index(s_pooled, x_pooled)
+    # without covariates the pooled rows are the pooled surrogates
+    r = fits.surrogate_score(pooled.sx, None)
+    mu = fits.surrogate_index(pooled.sx, None)
 
-    h_exp_rows = fits.surrogate_index(exp.s, exp.x)
-    w1, w0, _ = _ipw_weights(exp, fits, None)
-    mu1, _ = _hajek(h_exp_rows, w1, "treated")
-    mu0, _ = _hajek(h_exp_rows, w0, "control")
+    (h, w1), (_, w0), _ = _index_arms(exp, fits, None)
+    mu1, mu0 = _arm_mean(h, w1, "treated"), _arm_mean(h, w0, "control")
 
     first, second = two_sample_bound_value(sigma2, r, mu, mu1, mu0, p, q)
     return EfficiencyBounds(

@@ -17,18 +17,20 @@ improves finite-sample behavior over unnormalized weighting.  A nearest
 neighbor matching estimator and two single-sample baselines round out the
 menu, plus a within-sample bootstrap for standard errors.
 
-Each of the index, score and linear-shortcut estimators has a private
-tau-only core (:func:`_index_tau`, :func:`_score_tau`,
-:func:`_linear_tau`) that runs every check the public estimator runs, in
-the same order, and returns the same ``tau_hat`` bit for bit, without the
-weight summaries and the report.  Monte Carlo replications and bootstrap
-replicates read only the estimate, so they call the cores.
+Both estimators are one normalized arm contrast, computed by :func:`_tau`
+alone, with the fitted models read on the rows ``[s | x]`` that each
+sample stores (``sample.sx``).  The index, score and linear-shortcut
+estimators each have a private tau-only core (:func:`_index_tau`,
+:func:`_score_tau`, :func:`_linear_tau`) that runs every check of the
+public estimator, in the same order, and returns its ``tau_hat``; the
+public estimator adds the weight summaries.  Monte Carlo replications and
+bootstrap replicates read only the estimate, so they call the cores.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .nuisance import LinearModel, NuisanceFits, fit_least_squares
+from .nuisance import ConstantScore, LinearModel, NuisanceFits, _LinearPredictor, fit_least_squares
 from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
@@ -111,24 +113,39 @@ def _normalized(weights: np.ndarray, values: np.ndarray, arm: str) -> np.ndarray
     return weights / total
 
 
+def _arm_mean(values: np.ndarray, weights: np.ndarray, arm: str) -> float:
+    """The mean of ``values`` under one arm's weights, normalized by :func:`_normalized`."""
+    return float(values @ _normalized(weights, values, arm))
+
+
 def _tau(arm1, arm0) -> float:
-    """The ``tau_hat`` of :func:`_contrast` alone: each arm's checks, in its order, and no summaries."""
-    (values1, weights1), (values0, weights0) = arm1, arm0
-    treated_mean = float(values1 @ _normalized(weights1, values1, "treated"))
-    return treated_mean - float(values0 @ _normalized(weights0, values0, "control"))
+    """The normalized contrast between the ``(values, weights)`` of the treated and the control arm."""
+    return _arm_mean(*arm1, "treated") - _arm_mean(*arm0, "control")
 
 
-def _hajek(values: np.ndarray, weights: np.ndarray, arm: str):
-    normalized = _normalized(weights, values, arm)
-    mean = float(values @ normalized)
+def _summary(weights: np.ndarray) -> ArmWeights:
+    """The diagnostics of one arm's weights, which :func:`_normalized` has accepted."""
+    normalized = weights / weights.sum()
     positive = normalized[normalized > 0]
-    summary = ArmWeights(
+    return ArmWeights(
         n=int((weights > 0).sum()),
         min=float(positive.min()) if positive.size else 0.0,
         max=float(normalized.max()),
         ess=float(1.0 / np.sum(normalized**2)),
     )
-    return mean, summary
+
+
+def _report(method: str, tau_hat: float, weights1, weights0, trim: float | None, n_trimmed: int) -> EstimateReport:
+    """The report of ``tau_hat``, with the summary of each arm's accepted weights."""
+    treated, control = _summary(weights1), _summary(weights0)
+    return EstimateReport(tau_hat=tau_hat, method=method,
+                          weight_summary=WeightSummary(treated, control, trim, n_trimmed),
+                          n_used={"treated": treated.n, "control": control.n})
+
+
+def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> EstimateReport:
+    """The report of :func:`_tau` on the treated and the control arm."""
+    return _report(method, _tau(arm1, arm0), arm1[1], arm0[1], trim, n_trimmed)
 
 
 def _propensity(fits: NuisanceFits, x: np.ndarray, trim: float | None):
@@ -139,32 +156,23 @@ def _propensity(fits: NuisanceFits, x: np.ndarray, trim: float | None):
     return e, n_trimmed
 
 
-def _predicted(fits: NuisanceFits, slot: str, sample, sx=None) -> np.ndarray:
-    """The ``slot`` model of ``fits`` on ``sample``, or on its stacked ``[s | x]`` rows ``sx`` when given.
+def _predicted(fits: NuisanceFits, slot: str, sample) -> np.ndarray:
+    """The ``slot`` model of ``fits`` on ``sample``'s stored rows ``sample.sx``.
 
-    ``sx`` is the sample's slice of ``PooledDataset.sx``, which a bootstrap
-    replicate has at hand, so ``[s | x]`` is not stacked again.
+    A user's model that has only ``predict(s, x)`` is given the columns.
     """
     model = fits._require(slot)
-    return model.predict(sample.s, sample.x) if sx is None else model._predict_sx(sx)
+    if isinstance(model, _LinearPredictor):
+        model._check_widths(sample.n_surrogates, sample.n_covariates)
+    elif not isinstance(model, ConstantScore):
+        return model.predict(sample.s, sample.x)
+    return model._predict_sx(sample.sx)
 
 
 def _ipw_weights(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
     """Inverse-propensity weights of the experimental rows: ``(w / e, (1 - w) / (1 - e), n_trimmed)``."""
     e, n_trimmed = _propensity(fits, exp.x, trim)
     return exp.w / e, (1.0 - exp.w) / (1.0 - e), n_trimmed
-
-
-def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> EstimateReport:
-    """Normalized weighted contrast between the ``(values, weights)`` of the treated and the control arm."""
-    treated_mean, treated = _hajek(*arm1, "treated")
-    control_mean, control = _hajek(*arm0, "control")
-    return EstimateReport(
-        tau_hat=treated_mean - control_mean,
-        method=method,
-        weight_summary=WeightSummary(treated, control, trim, n_trimmed),
-        n_used={"treated": treated.n, "control": control.n},
-    )
 
 
 def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -174,10 +182,10 @@ def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray
     return np.array([float(s @ n1) - float(s @ n0) for s in exp.s.T])
 
 
-def _index_arms(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None, sx=None):
-    """``((h, w1), (h, w0), n_trimmed)`` of the index estimator; ``sx`` is ``exp``'s ``[s | x]`` rows, if at hand."""
+def _index_arms(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
+    """``((h, w1), (h, w0), n_trimmed)`` of the index estimator."""
     w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
-    h = _predicted(fits, "h_model", exp, sx)
+    h = _predicted(fits, "h_model", exp)
     return (h, w1), (h, w0), n_trimmed
 
 
@@ -195,9 +203,9 @@ def estimate_index(
     return _contrast("index", arm1, arm0, trim, n_trimmed)
 
 
-def _index_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM, sx=None) -> float:
-    """:func:`estimate_index`'s ``tau_hat`` and checks alone; the index is read from ``sx`` when given."""
-    arm1, arm0, _ = _index_arms(exp, fits, trim, sx)
+def _index_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM) -> float:
+    """:func:`estimate_index`'s ``tau_hat`` and checks alone."""
+    arm1, arm0, _ = _index_arms(exp, fits, trim)
     return _tau(arm1, arm0)
 
 
@@ -210,7 +218,7 @@ def estimate_tau_surrogates(
 
 
 def _linear_parts(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
-    """``(coef_s, w1, w0, n_trimmed)`` of the linear shortcut, after its checks on the index model."""
+    """``(tau_hat, w1, w0, n_trimmed)`` of the linear shortcut, after its checks on the index model."""
     h = fits.h_model
     if not isinstance(h, LinearModel):
         raise UnsupportedConfigurationError("the linear shortcut needs a linear (least squares) index model")
@@ -218,7 +226,8 @@ def _linear_parts(exp: ExperimentalSample, fits: NuisanceFits, trim: float | Non
         raise UnsupportedConfigurationError(
             "the linear shortcut needs an index that is linear in (s, x) without interactions"
         )
-    return (h.coef_s, *_ipw_weights(exp, fits, trim))
+    w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
+    return float(h.coef_s @ _surrogate_contrasts(exp, w1, w0)), w1, w0, n_trimmed
 
 
 def estimate_linear_shortcut(
@@ -232,26 +241,22 @@ def estimate_linear_shortcut(
     which the shortcut drops.  The report adds each arm's weight summary
     to the estimate of :func:`_linear_tau`.
     """
-    coef_s, w1, w0, n_trimmed = _linear_parts(exp, fits, trim)
-    report = _contrast("linear_shortcut", (np.zeros(exp.n), w1), (np.zeros(exp.n), w0), trim, n_trimmed)
-    return replace(report, tau_hat=float(coef_s @ _surrogate_contrasts(exp, w1, w0)))
+    tau_hat, w1, w0, n_trimmed = _linear_parts(exp, fits, trim)
+    return _report("linear_shortcut", tau_hat, w1, w0, trim, n_trimmed)
 
 
 def _linear_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM) -> float:
     """:func:`estimate_linear_shortcut`'s ``tau_hat`` and checks alone."""
-    coef_s, w1, w0, _ = _linear_parts(exp, fits, trim)
-    zeros = np.zeros(exp.n)
-    _tau((zeros, w1), (zeros, w0))  # the report's checks on each arm's weights, in its order
-    return float(coef_s @ _surrogate_contrasts(exp, w1, w0))
+    return _linear_parts(exp, fits, trim)[0]
 
 
-def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None, sx=None):
-    """``((y, w1), (y, w0), n_trimmed)`` of the score estimator; ``sx`` is ``obs``'s ``[s | x]`` rows, if at hand."""
+def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None):
+    """``((y, w1), (y, w0), n_trimmed)`` of the score estimator."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
-    r, n_tr = _trim_scores(_predicted(fits, "r_model", obs, sx), trim)
+    r, n_tr = _trim_scores(_predicted(fits, "r_model", obs), trim)
     e, n_te = _propensity(fits, obs.x, trim)
-    t, n_tt = _trim_scores(_predicted(fits, "t_model", obs, sx), trim)
+    t, n_tt = _trim_scores(_predicted(fits, "t_model", obs), trim)
     if np.any(t >= 1.0 - 1e-12):
         raise OverlapError("sampling score reached 1 on an observational row; no weight is defined")
     base = t * (1.0 - q) / ((1.0 - t) * q)
@@ -275,11 +280,9 @@ def estimate_score(
     return _contrast("score", arm1, arm0, trim, n_trimmed)
 
 
-def _score_tau(
-    obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None = DEFAULT_TRIM, sx=None
-) -> float:
-    """:func:`estimate_score`'s ``tau_hat`` and checks alone; the scores are read from ``sx`` when given."""
-    arm1, arm0, _ = _score_arms(obs, fits, q, trim, sx)
+def _score_tau(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None = DEFAULT_TRIM) -> float:
+    """:func:`estimate_score`'s ``tau_hat`` and checks alone."""
+    arm1, arm0, _ = _score_arms(obs, fits, q, trim)
     return _tau(arm1, arm0)
 
 
@@ -480,8 +483,8 @@ def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> Estima
     x_std = pooled.standardized_x[0][:, 1:]
     sx_std = pooled.standardized_sx[0][:, 1:]
     # rows identical before standardizing stay identical after it
-    exp_sx = _classes_of(exp, "sx", pooled.sx[: exp.n])
-    obs_sx = _classes_of(obs, "sx", pooled.sx[exp.n :])
+    exp_sx = _classes_of(exp, "sx", exp.sx)
+    obs_sx = _classes_of(obs, "sx", obs.sx)
     x_classes = _classes_of(exp, "x", exp.x)
     obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp_sx, obs_sx)  # i -> i' for every experimental unit
 
@@ -517,9 +520,8 @@ def estimate_single_sample(
         values = sample.y
         method = "single_sample_dim"
     elif mode == "surrogate_index":
-        features = np.hstack([sample.s, sample.x])
-        model = fit_least_squares(features, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
-        values = model.predict(sample.s, sample.x)
+        model = fit_least_squares(sample.sx, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
+        values = model._predict_sx(sample.sx)
         method = "single_sample_index"
     else:
         raise UnsupportedConfigurationError(f"unknown mode {mode!r}")

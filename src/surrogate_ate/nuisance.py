@@ -21,25 +21,25 @@ produce bit-identical models.
 Every fit is set up in one pass: the checks on the inputs, then the
 standardized columns written straight into a preallocated design
 ``z1 = [1 | z]``, which least squares, the logistic fit and the rank check
-all start from.  :func:`fit_all` takes ``z1`` for the propensity and the
-sampling score from the :class:`PooledDataset`, which standardizes the
-experimental ``x`` and the pooled ``[s | x]`` once each
+all start from.  :func:`fit_all` fits ``r`` and ``h`` on the rows
+``[s | x]`` that each sample stores (``sx``), and takes ``z1`` for the
+propensity and the sampling score from the :class:`PooledDataset`, which
+standardizes the experimental ``x`` and the pooled ``sx`` once each
 (``data._standardize``) and hands the same arrays to matching's distances;
-the other fits standardize their own designs.
+the other fits standardize their own designs.  Predictions read the same
+stored rows (:meth:`_LinearPredictor._predict_sx`).
 
 The IRLS kernel is numpy alone and allocates its working arrays once per
-fit.  Each Newton step computes the probability, residual, weights and
-objective terms with ufuncs writing into reused n-vectors.  It builds the
-weighted Hessian ``z1' diag(p(1-p)) z1`` as the symmetric product
-``zwt zwt'``, where ``zwt`` is a contiguous ``(d + 1) x n`` transposed copy
-of the design scaled row by row by ``sqrt(p(1-p))``; BLAS computes it as a
-rank-k update at half the flops of a general product.  The penalized
-system is solved by LU (``np.linalg.solve``).  The line-search candidate's
-linear predictor is written into a second buffer and swapped in when the
-candidate is accepted.  Coefficients, intercepts and iteration counts are
-bit-identical to the earlier form of the kernel, which made one temporary
-per operation (a frozen copy of it is the reference in the tests).  The
-logistic link is this module's own :func:`expit`.
+fit.  Each Newton step writes the probability, residual, weights and
+objective terms into reused n-vectors; the probability comes from the one
+logistic link, :func:`_probability`, which fitted models also predict with.
+The step builds the weighted Hessian ``z1' diag(p(1-p)) z1`` as the
+symmetric product ``zwt zwt'``, where ``zwt`` is a contiguous
+``(d + 1) x n`` transposed copy of the design scaled row by row by
+``sqrt(p(1-p))``; BLAS computes it as a rank-k update at half the flops of
+a general product.  The penalized system is solved by LU
+(``np.linalg.solve``).  The line-search candidate's linear predictor is
+written into a second buffer and swapped in when the candidate is accepted.
 """
 
 from __future__ import annotations
@@ -84,9 +84,19 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-np.maximum(x, -_EXP_ARG_MAX)))
 
 
-def _probability(eta: np.ndarray) -> np.ndarray:
-    """``expit`` of the linear predictor clipped to ``+-_ETA_MAX``: strictly inside (0, 1)."""
-    return expit(np.minimum(np.maximum(eta, -_ETA_MAX), _ETA_MAX))
+def _probability(eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic link: ``expit`` of the linear predictor clipped to ``+-_ETA_MAX``, strictly inside (0, 1).
+
+    Every step writes into one buffer, ``out`` when given (it may be
+    ``eta`` itself), else a new array.  On the clipped predictor
+    :func:`expit`'s ``-708`` floor is a no-op, so it is left out.
+    """
+    p = np.maximum(eta, -_ETA_MAX, out=out)
+    np.minimum(p, _ETA_MAX, out=p)
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    return np.divide(1.0, p, out=p)
 
 
 def _interaction_columns(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,26 +160,29 @@ class _LinearPredictor:
     def _link(eta: np.ndarray) -> np.ndarray:
         return eta
 
-    def predict(self, s, x=None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
-        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
+    def _check_widths(self, n_s: int, n_x: int) -> None:
         if n_s != len(self.coef_s) or n_x != len(self.coef_x):
             raise ValidationError(
                 f"feature dimensions (s={n_s}, x={n_x}) do not match model "
                 f"(s={len(self.coef_s)}, x={len(self.coef_x)})"
             )
+
+    def predict(self, s, x=None) -> np.ndarray:
+        s = np.atleast_2d(np.asarray(s, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
+        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
+        self._check_widths(n_s, n_x)
         return self._link(self.intercept + features @ self.coef)
 
     def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
-        """:meth:`predict` on a sample's stacked rows ``[s | x]``, as ``PooledDataset.sx`` holds them.
+        """:meth:`predict` on a sample's stored rows ``[s | x]`` (``sample.sx``).
 
         Without interaction terms the rows are the design itself, so they
-        are not stacked again; the widths are the fit's own.
+        are not stacked again; the widths are the fit's own, so the caller
+        checks them against the sample's (:meth:`_check_widths`).
         """
         if self.uses_interactions:
-            n_s = len(self.coef_s)
-            return self.predict(sx[:, :n_s], sx[:, n_s:])
+            return self.predict(*np.hsplit(sx, [len(self.coef_s)]))
         return self._link(self.intercept + sx @ self.coef)
 
     def to_dict(self) -> dict:
@@ -196,12 +209,13 @@ class LinearModel(_LinearPredictor):
 class LogisticModel(_LinearPredictor):
     """Logistic score ``p(s, x) = expit(intercept + coef_s's + coef_x'x [+ coef_sx'(s*x)])``.
 
-    Predictions are strictly inside (0, 1) for all finite inputs.
+    Predictions are strictly inside (0, 1) for all finite inputs.  A fitted
+    model has always converged (:func:`fit_logistic` raises
+    :class:`ConvergenceError` otherwise); ``iterations`` counts its Newton steps.
     """
 
     _json_type: ClassVar[str] = "logistic"
 
-    converged: bool = True
     iterations: int = 0
 
     _link = staticmethod(_probability)
@@ -399,17 +413,17 @@ def fit_logistic(
 
     Each Newton step works in buffers allocated once per fit: n-vectors for
     the linear predictor, the line-search candidate's predictor (swapped in
-    when the candidate is accepted), the probability, the residual and
-    weights, and the objective's terms; and a contiguous ``(d + 1) x n``
-    transposed copy of the design, scaled by the square-root weights into a
-    second buffer of that shape so that the Hessian is the symmetric product
-    ``zwt zwt'`` (BLAS ``syrk``).  The linear predictor and the gradient are
-    products with the row-major design.  The log-likelihood term
-    ``logaddexp(0, eta)`` is evaluated as ``max(eta, 0) + log1p(exp(-|eta|))``;
-    the objective decides only step-halving and the final separation check.
-    Coefficients, intercept and iteration count are bit-identical to those
-    of the earlier kernel, which made one temporary per operation; the
-    tests pin them against a frozen copy of it.
+    when the candidate is accepted), the probability (:func:`_probability`,
+    the link the model predicts with), the residual and weights, and the
+    objective's terms; and a contiguous ``(d + 1) x n`` transposed copy of
+    the design, scaled by the square-root weights into a second buffer of
+    that shape so that the Hessian is the symmetric product ``zwt zwt'``
+    (BLAS ``syrk``).  The linear predictor and the gradient are products
+    with the row-major design.  The log-likelihood term ``logaddexp(0, eta)``
+    is evaluated as ``max(eta, 0) + log1p(exp(-|eta|))``; the objective
+    decides only step-halving and the final separation check.  The tests
+    pin coefficients, intercept and iteration count against a reference
+    kernel that makes one temporary per operation.
 
     Raises
     ------
@@ -450,13 +464,7 @@ def fit_logistic(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # _probability in place; on the clipped predictor expit's -708 floor is a no-op
-        np.maximum(eta, -_ETA_MAX, out=p)
-        np.minimum(p, _ETA_MAX, out=p)
-        np.negative(p, out=p)
-        np.exp(p, out=p)
-        p += 1.0
-        np.divide(1.0, p, out=p)
+        _probability(eta, out=p)
         np.subtract(y, p, out=r)
         grad = z1.T @ r - penalty * beta
         if np.abs(grad).max() < tol:
@@ -600,6 +608,7 @@ class NuisanceFits:
             tag = d.pop("type")
             if tag == "constant":
                 return ConstantScore(**d)
+            d.pop("converged", None)  # written on logistic models by earlier versions; a fitted model has converged
             cls = LinearModel if tag == "linear" else LogisticModel
             return cls(**{k: np.asarray(v, dtype=float) if k.startswith("coef") else v for k, v in d.items()})
 
@@ -621,15 +630,15 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
 
     With no covariates the propensity collapses to the treated fraction,
     and the model is stored as an exact :class:`ConstantScore`.  The fits
-    read ``pooled``'s designs: ``r`` and ``h`` its experimental and
-    observational rows of ``sx``, and the propensity and sampling score its
+    read the rows the samples store: ``r`` the experimental ``sx``, ``h`` the
+    observational ``sx``, and the propensity and sampling score ``pooled``'s
     standardized ``x`` and ``sx`` (with ``interactions``, the sampling score
     standardizes its own wider design).  Those columns were validated when
     the samples were built, so the fits skip the rescans of their inputs;
     an interaction design is checked like user input.
     """
     options = options or NuisanceOptions()
-    exp, obs, sx = pooled.exp, pooled.obs, pooled.sx
+    exp, obs = pooled.exp, pooled.obs
 
     def fit(label, fitter, rows, target, ridge, standardized=None, n_s=exp.n_surrogates):
         n_sx = 0
@@ -649,14 +658,14 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
         e_model = fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity,
                       lambda: pooled.standardized_x, n_s=0)
 
-    r_model = fit("surrogate score", fit_logistic, sx[: exp.n], exp.w, options.ridge_surrogate_score)
+    r_model = fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score)
 
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)
     else:
-        t_model = fit("sampling score", fit_logistic, sx, pooled.is_experimental.astype(float),
+        t_model = fit("sampling score", fit_logistic, pooled.sx, pooled.is_experimental.astype(float),
                       options.ridge_sampling_score, lambda: pooled.standardized_sx)
 
-    h_model = fit("surrogate index", fit_least_squares, sx[exp.n :], obs.y, options.ridge_index)
+    h_model = fit("surrogate index", fit_least_squares, obs.sx, obs.y, options.ridge_index)
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)

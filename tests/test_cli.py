@@ -622,6 +622,54 @@ def test_bounds_per_stratum_fallback_is_one_warning_line(tmp_path):
     assert json.loads(out.read_text())["per_stratum_fallback"] is True
 
 
+@pytest.fixture
+def huge_outcome_files(tmp_path):
+    # finite outcomes near 1e160, whose squares overflow in the variance terms
+    rng = np.random.default_rng(5)
+    w, s = np.tile([0.0, 1.0], 50), rng.normal(size=(100, 2))
+    paths = {name: tmp_path / f"huge_{name}.csv" for name in ("single", "exp", "obs")}
+    write_single(SingleSample(w=w, y=rng.normal(size=100) * 1e160, s=s), paths["single"])
+    write_experimental(ExperimentalSample(w=w, s=s + 0.3 * w[:, None]), paths["exp"])
+    write_observational(ObservationalSample(y=rng.normal(size=100) * 1e160, s=rng.normal(size=(100, 2))), paths["obs"])
+    return paths
+
+
+def _cli_process(argv):
+    return subprocess.run([sys.executable, "-m", "surrogate_ate.cli", *map(str, argv)], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("case", ["bounds_single", "bounds_per_stratum", "bounds_two_sample", "diagnose_caps",
+                                  "estimate_bootstrap"])
+def test_a_result_that_is_not_finite_is_one_error_line_and_no_file(huge_outcome_files, fixture_files, tmp_path, case):
+    single, pe, po = huge_outcome_files["single"], huge_outcome_files["exp"], huge_outcome_files["obs"]
+    argv = {
+        "bounds_single": ["bounds", "--single", single],
+        # every stratum holds one row: the fallback warning is not written when the result fails
+        "bounds_per_stratum": ["bounds", "--single", single, "--variance-mode", "per-stratum"],
+        "bounds_two_sample": ["bounds", "--exp", pe, "--obs", po],
+        "diagnose_caps": ["diagnose", "--exp", fixture_files[0], "--obs", fixture_files[1],
+                          "--delta-s", "1.7e308", "--delta-c", "1.7e308"],
+        "estimate_bootstrap": ["estimate", "--exp", pe, "--obs", po, "--method", "index", "--bootstrap", "5"],
+    }[case]
+    out = tmp_path / "r.json"
+    proc = _cli_process([*argv, "--out", out])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: EstimationError: a result is not finite") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+    proc = _cli_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
+
+
+def test_an_overflowing_interaction_design_is_one_error_line(tmp_path):
+    rng = np.random.default_rng(4)
+    pe, po = _write_pair(tmp_path, rng.normal(size=(100, 1)) * 1e10, rng.normal(size=(100, 1)))
+    exp = load_experimental(pe)
+    write_experimental(ExperimentalSample(w=exp.w, s=exp.s * 1e300, x=exp.x), pe)
+    proc = _cli_process(["estimate", "--exp", pe, "--obs", po, "--interactions"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: ValidationError: surrogate score: non-finite values in the training data\n"
+
+
 _COMMANDS_SCRIPT = """
 import contextlib, io, json, sys
 from surrogate_ate import cli

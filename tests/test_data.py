@@ -242,6 +242,41 @@ def test_write_then_load_is_identity(tmp_path_factory, columns):
             assert np.array_equal(getattr(sample, c), getattr(back, c)), (cls.__name__, c)
 
 
+def _assert_stored_rows(sample):
+    """``sample.sx`` is ``[s | x]`` bit for bit, read-only, C-contiguous, built once, and ``s`` itself without x."""
+    sx, want = sample.sx, np.hstack([sample.s, sample.x])
+    assert sx.tobytes() == want.tobytes() and (sx.dtype, sx.shape) == (np.float64, want.shape)
+    assert sx.flags.c_contiguous and not sx.flags.writeable
+    assert (sx is sample.s) == (sample.n_covariates == 0)
+    assert sample.sx is sx
+
+
+@settings(max_examples=50, deadline=None)
+@given(sample_columns(), st.integers(1, 3), st.data())
+def test_every_sample_stores_its_rows_once(columns, k, data_):
+    from surrogate_ate import simulation
+
+    samples = [cls(**{c: columns[c] for c in (*unit_columns, "s", "x")}) for cls, unit_columns, _, _ in LAYOUTS]
+    m = data_.draw(st.integers(1, 4))
+    spec = make_spec("dimension", seed=0, m=m)
+    try:
+        drawn = draw_dataset(type(spec)(study="dimension", m_surrogates=m, n_exp=len(columns["w"]), n_obs=7,
+                                        alpha=spec.alpha, gamma=spec.gamma), data_.draw(st.integers(0, 2**32 - 1)))
+    except ValidationError:
+        drawn = ()  # a draw with one arm
+    samples += [*drawn, *(simulation._first_columns(sample, min(k, m)) for sample in drawn)]
+    for sample in samples:
+        _assert_stored_rows(sample)
+        idx = np.array(data_.draw(st.lists(st.integers(0, sample.n - 1), min_size=sample.n, max_size=sample.n)))
+        try:
+            taken = sample._take(idx)
+        except ValidationError:
+            continue  # a resample with one arm
+        _assert_stored_rows(taken)
+    exp, obs = samples[0], samples[1]
+    assert pool(exp, obs).sx.tobytes() == np.vstack([exp.sx, obs.sx]).tobytes()
+
+
 @pytest.mark.parametrize("cls, unit_columns, write, load", LAYOUTS)
 def test_writers_create_missing_parents_and_reject_a_directory(tmp_path, cls, unit_columns, write, load):
     columns = {"w": [0, 1], "y": [0.5, 1.5], "s": [[1.0], [2.0]]}
