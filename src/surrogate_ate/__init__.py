@@ -86,7 +86,6 @@ from .nuisance import (
     fit_all,
     fit_least_squares,
     fit_logistic,
-    predict_score,
 )
 from .simulation import (
     DEFAULT_GRIDS,

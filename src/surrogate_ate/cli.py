@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -50,14 +49,23 @@ from .diagnostics import (
     efficiency_bound_two_sample,
     efficiency_bounds_single_sample,
 )
-from .errors import ConfigurationError, EstimationError, SurrogateError
-from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, bootstrap_se, estimate_index,
-                         estimate_linear_shortcut, estimate_score)
+from .errors import ConfigurationError, SurrogateError
+from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, _strict_json, bootstrap_se,
+                         estimate_index, estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceOptions, fit_all
 from .simulation import STUDIES, run_study
 
-_METHODS = ("index", "score", "linear", "match", "all")
-_FITTED = ("index", "score", "linear")  # the methods that read the nuisance fits
+# each method's report and its tau-only core, both on (pooled, fits, trim), in the order of
+# --method all; matching reads only the standardized designs of the pooled dataset, not the fits
+_METHOD_TABLE = {
+    "index": (lambda p, f, trim: estimate_index(p.exp, f, trim), lambda p, f, trim: _index_tau(p.exp, f, trim)),
+    "score": (lambda p, f, trim: estimate_score(p.obs, f, p.q, trim),
+              lambda p, f, trim: _score_tau(p.obs, f, p.q, trim)),
+    "linear": (lambda p, f, trim: estimate_linear_shortcut(p.exp, f, trim),
+               lambda p, f, trim: _linear_tau(p.exp, f, trim)),
+    "match": (lambda p, f, trim: _match(p), lambda p, f, trim: _match(p).tau_hat),
+}
+_METHODS = (*_METHOD_TABLE, "all")
 # every study by its own name, plus two short spellings
 _STUDY_ALIASES = {**{name: name for name in STUDIES}, "misspec": "misspecification", "samplesize": "sample_size"}
 
@@ -79,10 +87,7 @@ def _options(args) -> NuisanceOptions:
 
 def _emit(payload: dict, out: str | None) -> None:
     """``payload`` as sorted-key JSON on ``out`` or stdout; a number that is not finite raises before any write."""
-    try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise EstimationError("a result is not finite: an input or a cap is too large in magnitude") from None
+    text = _strict_json(payload)
     if out is None:
         sys.stdout.write(text + "\n")
     else:
@@ -96,28 +101,6 @@ def _trim_value(args) -> float | None:
     return None if args.trim == 0.0 else args.trim
 
 
-def _estimate(method, pooled, fits, trim):
-    if method == "index":
-        return estimate_index(pooled.exp, fits, trim)
-    if method == "score":
-        return estimate_score(pooled.obs, fits, pooled.q, trim)
-    if method == "linear":
-        return estimate_linear_shortcut(pooled.exp, fits, trim)
-    # matching reads the standardized designs that fit_all built on the same pooled dataset
-    return _match(pooled)
-
-
-def _replicate_tau(method, pooled, fits, trim) -> float:
-    """One method's estimate on a bootstrap resample: the estimators' tau-only cores."""
-    if method == "index":
-        return _index_tau(pooled.exp, fits, trim)
-    if method == "score":
-        return _score_tau(pooled.obs, fits, pooled.q, trim)
-    if method == "linear":
-        return _linear_tau(pooled.exp, fits, trim)
-    return _match(pooled).tau_hat
-
-
 def run_estimate(args) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigurationError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
@@ -126,15 +109,13 @@ def run_estimate(args) -> int:
     trim = _trim_value(args)
     if args.method != "all":
         methods = (args.method,)
-    elif args.interactions:
-        methods = ("index", "score", "match")
     else:
-        methods = ("index", "score", "linear", "match")
+        methods = tuple(m for m in _METHOD_TABLE if not (args.interactions and m == "linear"))
     pooled = pool(load_experimental(args.exp), load_observational(args.obs))
     options = _options(args)
-    needs_fits = any(m in _FITTED for m in methods)
+    needs_fits = methods != ("match",)
     fits = fit_all(pooled, options) if needs_fits else None
-    reports = [_estimate(m, pooled, fits, trim) for m in methods]
+    reports = [_METHOD_TABLE[m][0](pooled, fits, trim) for m in methods]
 
     if args.bootstrap > 0:
 
@@ -150,9 +131,9 @@ def run_estimate(args) -> int:
             taus = []
             for method in methods:
                 tau = None
-                if method not in _FITTED or f is not None:
+                if method == "match" or f is not None:
                     try:
-                        tau = _replicate_tau(method, p, f, trim)
+                        tau = _METHOD_TABLE[method][1](p, f, trim)
                     except SurrogateError:
                         pass
                 taus.append(tau)

@@ -515,6 +515,7 @@ def _fmt(v: float) -> str:
 
 
 def _write(sample: _Sample, path) -> None:
+    """Write ``sample`` as CSV in the layout its loader reads, every float in its round-tripping ``repr``."""
     header = list(sample.unit_columns) + [f"s{j + 1}" for j in range(sample.n_surrogates)]
     header += [f"x{j + 1}" for j in range(sample.n_covariates)]
     cols = [[str(int(v)) if c == "w" else _fmt(v) for v in getattr(sample, c)] for c in sample.unit_columns]
@@ -526,13 +527,5 @@ def _write(sample: _Sample, path) -> None:
             writer.writerow(row)
 
 
-def write_experimental(sample: ExperimentalSample, path) -> None:
-    _write(sample, path)
-
-
-def write_observational(sample: ObservationalSample, path) -> None:
-    _write(sample, path)
-
-
-def write_single(sample: SingleSample, path) -> None:
-    _write(sample, path)
+# one writer serves every layout; the names mirror the loaders
+write_experimental = write_observational = write_single = _write

@@ -35,7 +35,7 @@ import numpy as np
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
 from .estimators import DEFAULT_TRIM, _arm_mean, _index_arms, _JsonRecord, _predicted, _propensity, _trim_scores
-from .nuisance import ConstantScore, NuisanceFits, fit_least_squares, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
 # Bias bound
@@ -71,7 +71,7 @@ def bias_bound(
     """
     if not (0.0 <= delta_s < np.inf and 0.0 <= delta_c < np.inf):
         raise ValidationError(f"bias-bound deltas must be finite and non-negative, got {delta_s} and {delta_c}")
-    e, _ = _propensity(fits, exp.x, trim)
+    e, _ = _propensity(fits, exp, trim)
     r, _ = _trim_scores(_predicted(fits, "r_model", exp), trim)
     denom = e * (1.0 - e)
     sm = float(np.mean(r * (1.0 - r) / denom))
@@ -383,17 +383,16 @@ def _covariate_plugins(sample: SingleSample, variance_mode: str, ridge: float):
     """
     if variance_mode not in ("homoskedastic", "per_stratum"):
         raise UnsupportedConfigurationError(f"unknown variance mode {variance_mode!r}")
-    no_s = np.empty((sample.n, 0))
     e = (
         np.full(sample.n, float(sample.w.mean()))
         if sample.n_covariates == 0
-        else fit_logistic(sample.x, sample.w, ridge=ridge, n_surrogates=0).predict(no_s, sample.x)
+        else _fit("propensity score", fit_logistic, sample.x, sample.w, ridge, 0)._predict_sx(sample.x)
     )
     models = {}
-    for arm in (1, 0):
+    for arm, name in ((1, "treated"), (0, "control")):
         rows = sample.w == arm
-        models[arm] = fit_least_squares(sample.x[rows], sample.y[rows], ridge=ridge, n_surrogates=0)
-    return e, models, models[1].predict(no_s, sample.x), models[0].predict(no_s, sample.x)
+        models[arm] = _fit(f"{name} arm regression", fit_least_squares, sample.x[rows], sample.y[rows], ridge, 0)
+    return e, models, models[1]._predict_sx(sample.x), models[0]._predict_sx(sample.x)
 
 
 def efficiency_bounds_single_sample(
@@ -413,9 +412,8 @@ def efficiency_bounds_single_sample(
     recorded on the result.
     """
     e, _, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
-    r_model = fit_logistic(sample.sx, sample.w, ridge=ridge, n_surrogates=sample.n_surrogates)
-    r = r_model._predict_sx(sample.sx)
-    h_model = fit_least_squares(sample.sx, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
+    r = _fit("surrogate score", fit_logistic, sample.sx, sample.w, ridge, sample.n_surrogates)._predict_sx(sample.sx)
+    h_model = _fit("surrogate index", fit_least_squares, sample.sx, sample.y, ridge, sample.n_surrogates)
     h = h_model._predict_sx(sample.sx)
     tau_hat = float(np.mean(mu1 - mu0))
 
@@ -551,8 +549,8 @@ def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> Ef
     sigma2 = float(np.mean(resid**2))
 
     # without covariates the pooled rows are the pooled surrogates
-    r = fits.surrogate_score(pooled.sx, None)
-    mu = fits.surrogate_index(pooled.sx, None)
+    r = fits._require("r_model").predict(pooled.sx)
+    mu = fits._require("h_model").predict(pooled.sx)
 
     (h, w1), (_, w0), _ = _index_arms(exp, fits, None)
     mu1, mu0 = _arm_mean(h, w1, "treated"), _arm_mean(h, w0, "control")

@@ -19,7 +19,8 @@ menu, plus a within-sample bootstrap for standard errors.
 
 Both estimators are one normalized arm contrast, computed by :func:`_tau`
 alone, with the fitted models read on the rows ``[s | x]`` that each
-sample stores (``sample.sx``).  The index, score and linear-shortcut
+sample stores (``sample.sx``), and the propensity on ``sample.x``, all
+through :func:`_predicted`.  The index, score and linear-shortcut
 estimators each have a private tau-only core (:func:`_index_tau`,
 :func:`_score_tau`, :func:`_linear_tau`) that runs every check of the
 public estimator, in the same order, and returns its ``tau_hat``; the
@@ -38,23 +39,32 @@ import numpy as np
 from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample
 from .errors import (
     DegenerateArmError,
+    EstimationError,
     OverlapError,
     SurrogateError,
     UnstableBootstrapError,
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .nuisance import ConstantScore, LinearModel, NuisanceFits, _LinearPredictor, fit_least_squares
+from .nuisance import ConstantScore, LinearModel, NuisanceFits, _fit, _LinearPredictor, fit_least_squares
 from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
 
 
+def _strict_json(payload) -> str:
+    """``payload`` as sorted-key JSON; a number that is not finite raises :class:`EstimationError`."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise EstimationError("a result is not finite: an input or a cap is too large in magnitude") from None
+
+
 class _JsonRecord:
-    """``to_json`` for the frozen result records: their fields as sorted-key JSON."""
+    """``to_json`` for the frozen result records: their fields as strict sorted-key JSON (:func:`_strict_json`)."""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return _strict_json(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -148,30 +158,32 @@ def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> Es
     return _report(method, _tau(arm1, arm0), arm1[1], arm0[1], trim, n_trimmed)
 
 
-def _propensity(fits: NuisanceFits, x: np.ndarray, trim: float | None):
-    """Trimmed ``e(x)``, checked to lie inside (0, 1); returns ``(e, n_trimmed)``."""
-    e, n_trimmed = _trim_scores(fits.propensity(x), trim)
+def _propensity(fits: NuisanceFits, sample, trim: float | None):
+    """Trimmed ``e(x)`` on ``sample``'s rows, checked to lie inside (0, 1); returns ``(e, n_trimmed)``."""
+    e, n_trimmed = _trim_scores(_predicted(fits, "e_model", sample), trim)
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise OverlapError("fitted propensity score left the open interval (0, 1); trimming is the usual remedy")
     return e, n_trimmed
 
 
 def _predicted(fits: NuisanceFits, slot: str, sample) -> np.ndarray:
-    """The ``slot`` model of ``fits`` on ``sample``'s stored rows ``sample.sx``.
+    """The ``slot`` model of ``fits`` on ``sample``'s stored rows: ``sample.sx``, or ``sample.x`` for ``e_model``.
 
-    A user's model that has only ``predict(s, x)`` is given the columns.
+    A user's model that has only ``predict(s, x)`` is given the columns,
+    with no surrogate columns for the propensity.
     """
     model = fits._require(slot)
+    s, rows = (np.empty((sample.n, 0)), sample.x) if slot == "e_model" else (sample.s, sample.sx)
     if isinstance(model, _LinearPredictor):
-        model._check_widths(sample.n_surrogates, sample.n_covariates)
+        model._check_widths(s.shape[1], sample.n_covariates)
     elif not isinstance(model, ConstantScore):
-        return model.predict(sample.s, sample.x)
-    return model._predict_sx(sample.sx)
+        return model.predict(s, sample.x)
+    return model._predict_sx(rows)
 
 
 def _ipw_weights(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
     """Inverse-propensity weights of the experimental rows: ``(w / e, (1 - w) / (1 - e), n_trimmed)``."""
-    e, n_trimmed = _propensity(fits, exp.x, trim)
+    e, n_trimmed = _propensity(fits, exp, trim)
     return exp.w / e, (1.0 - exp.w) / (1.0 - e), n_trimmed
 
 
@@ -255,7 +267,7 @@ def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: fl
     if not 0.0 < q < 1.0:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
     r, n_tr = _trim_scores(_predicted(fits, "r_model", obs), trim)
-    e, n_te = _propensity(fits, obs.x, trim)
+    e, n_te = _propensity(fits, obs, trim)
     t, n_tt = _trim_scores(_predicted(fits, "t_model", obs), trim)
     if np.any(t >= 1.0 - 1e-12):
         raise OverlapError("sampling score reached 1 on an observational row; no weight is defined")
@@ -520,7 +532,7 @@ def estimate_single_sample(
         values = sample.y
         method = "single_sample_dim"
     elif mode == "surrogate_index":
-        model = fit_least_squares(sample.sx, sample.y, ridge=ridge, n_surrogates=sample.n_surrogates)
+        model = _fit("surrogate index", fit_least_squares, sample.sx, sample.y, ridge, sample.n_surrogates)
         values = model._predict_sx(sample.sx)
         method = "single_sample_index"
     else:

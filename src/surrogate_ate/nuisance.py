@@ -21,13 +21,23 @@ produce bit-identical models.
 Every fit is set up in one pass: the checks on the inputs, then the
 standardized columns written straight into a preallocated design
 ``z1 = [1 | z]``, which least squares, the logistic fit and the rank check
-all start from.  :func:`fit_all` fits ``r`` and ``h`` on the rows
-``[s | x]`` that each sample stores (``sx``), and takes ``z1`` for the
-propensity and the sampling score from the :class:`PooledDataset`, which
-standardizes the experimental ``x`` and the pooled ``sx`` once each
-(``data._standardize``) and hands the same arrays to matching's distances;
-the other fits standardize their own designs.  Predictions read the same
-stored rows (:meth:`_LinearPredictor._predict_sx`).
+all start from.
+
+Every nuisance fit in the package goes through one site, :func:`_fit`,
+which names its role: ``propensity score``, ``surrogate score``,
+``sampling score`` and ``surrogate index`` in :func:`fit_all`, in the
+Monte Carlo replications and in the single-sample bounds and estimate,
+plus the ``treated arm regression`` and ``control arm regression`` of
+the single-sample bounds.  It builds the interaction design, lets the
+validated columns of a sample skip the rescans of their inputs, and puts
+the role before the message of a fit that fails.  :func:`fit_all` fits
+``r`` and ``h`` on the rows ``[s | x]`` that each sample stores (``sx``),
+and takes ``z1`` for the propensity and the sampling score from the
+:class:`PooledDataset`, which standardizes the experimental ``x`` and the
+pooled ``sx`` once each (``data._standardize``) and hands the same arrays
+to matching's distances; the other fits standardize their own designs.
+Predictions read the same stored rows
+(:meth:`_LinearPredictor._predict_sx`).
 
 The IRLS kernel is numpy alone and allocates its working arrays once per
 fit.  Each Newton step writes the probability, residual, weights and
@@ -45,7 +55,6 @@ written into a second buffer and swapped in when the candidate is accepted.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Union
 
@@ -349,7 +358,7 @@ def fit_least_squares(
     surrogates (defaults to all of them); remaining columns are covariates,
     with the final ``n_interactions`` columns treated as interaction terms.
     Inputs are coerced to float arrays and checked for matching row counts
-    and finite values; :func:`fit_all` skips those checks for the columns
+    and finite values; :func:`_fit` skips those checks for the columns
     of a validated sample (see :func:`_prepare`).
 
     Raises
@@ -406,8 +415,8 @@ def fit_logistic(
 
     This is the public boundary of the fit: inputs are coerced to float
     arrays and checked for matching row counts, finite values and 0/1
-    labels.  :func:`fit_all` and the Monte Carlo replications pass the
-    columns of a validated sample, which skip those rescans (see
+    labels.  :func:`_fit`, the package's one caller, passes the columns
+    of a validated sample, which skip those rescans (see
     :func:`_prepare`); the checks on the data itself (single class, empty
     sample, rank, separation, convergence) and on ``ridge`` always run.
 
@@ -516,21 +525,6 @@ def fit_logistic(
     )
 
 
-def predict_score(model: ScoreModel | IndexModel, row) -> float:
-    """Evaluate a fitted score or index on one feature row ``[s | x]``.
-
-    Scores are strictly inside (0, 1).
-    """
-    row = np.asarray(row, dtype=float).ravel()
-    if isinstance(model, ConstantScore):
-        return model.p
-    n_s = len(model.coef_s)
-    n_x = len(model.coef_x)
-    if len(row) != n_s + n_x:
-        raise ValidationError(f"expected a row of length {n_s + n_x}, got {len(row)}")
-    return float(model.predict(row[:n_s].reshape(1, -1), row[n_s:].reshape(1, -1))[0])
-
-
 @dataclass(frozen=True)
 class NuisanceOptions:
     """Fitting configuration for :func:`fit_all`.
@@ -560,8 +554,9 @@ class NuisanceFits:
     """The four fitted nuisance functions plus the options that produced them.
 
     :func:`fit_all` always populates all four models; callers assembling a
-    fits object by hand may leave slots they do not use as ``None``, and the
-    corresponding accessor will refuse to predict.
+    fits object by hand may leave slots they do not use as ``None``, and
+    :meth:`_require` refuses to predict from them.  A model predicts with
+    its own ``predict(s, x)``.
     """
 
     e_model: ScoreModel | None
@@ -575,20 +570,6 @@ class NuisanceFits:
         if model is None:
             raise ValidationError(f"no {name} was fitted")
         return model
-
-    def propensity(self, x: np.ndarray) -> np.ndarray:
-        model = self._require("e_model")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return model.predict(np.empty((x.shape[0], 0)), x)
-
-    def surrogate_score(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._require("r_model").predict(s, x)
-
-    def sampling_score(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._require("t_model").predict(s, x)
-
-    def surrogate_index(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._require("h_model").predict(s, x)
 
     def to_json(self) -> str:
         payload = {"options": asdict(self.options)}
@@ -616,13 +597,30 @@ class NuisanceFits:
         return NuisanceFits(**models, options=NuisanceOptions(**payload["options"]))
 
 
-@contextmanager
-def _tagged(label: str):
-    """Re-raise fit errors tagged with the nuisance that failed."""
+def _fit(role: str, fitter, rows, target, ridge: float, n_s: int, standardized=None, interactions=False):
+    """Fit one nuisance: the one place the package calls :func:`fit_logistic` or :func:`fit_least_squares`.
+
+    ``rows`` are the columns ``[s | x]`` of a validated sample, of which
+    the first ``n_s`` are surrogates, and ``target`` is its label or
+    outcome column; such columns skip the rescans of their inputs (see
+    :func:`_prepare`).  ``standardized`` is a :class:`PooledDataset`'s
+    builder of their standardized design, if it has one.  With
+    ``interactions`` and surrogates, the design gains the
+    surrogate-by-covariate products, which are checked as user input is
+    (products of finite columns may overflow).  ``fitter`` comes from the
+    caller's own module, so that a test or a tracer that replaces it there
+    sees the call.  A :class:`ValidationError` or :class:`FitError` is
+    raised again, of the same type, with ``role`` before its message.
+    """
+    n_sx = 0
+    if interactions and n_s:
+        rows, _, _, n_sx = build_design(rows[:, :n_s], rows[:, n_s:], True)
+        standardized = None
     try:
-        yield
+        return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,
+                      _standardized=standardized, _trusted=n_sx == 0)
     except (ValidationError, FitError) as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
+        raise type(exc)(f"{role}: {exc}") from exc
 
 
 def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> NuisanceFits:
@@ -633,39 +631,31 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     read the rows the samples store: ``r`` the experimental ``sx``, ``h`` the
     observational ``sx``, and the propensity and sampling score ``pooled``'s
     standardized ``x`` and ``sx`` (with ``interactions``, the sampling score
-    standardizes its own wider design).  Those columns were validated when
-    the samples were built, so the fits skip the rescans of their inputs;
-    an interaction design is checked like user input.
+    standardizes its own wider design).  Each fit goes through :func:`_fit`
+    and is tagged with its role.
     """
     options = options or NuisanceOptions()
     exp, obs = pooled.exp, pooled.obs
-
-    def fit(label, fitter, rows, target, ridge, standardized=None, n_s=exp.n_surrogates):
-        n_sx = 0
-        if options.interactions and n_s:
-            rows, _, _, n_sx = build_design(rows[:, :n_s], rows[:, n_s:], True)
-            standardized = None
-        with _tagged(label):
-            # products of finite columns may overflow, so interaction columns are checked as user input is
-            return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,
-                          _standardized=standardized, _trusted=n_sx == 0)
+    n_s, interactions = exp.n_surrogates, options.interactions
 
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
     elif exp.n_covariates == 0:
         e_model = ConstantScore(float(exp.w.mean()))
     else:
-        e_model = fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity,
-                      lambda: pooled.standardized_x, n_s=0)
+        e_model = _fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity, 0,
+                       lambda: pooled.standardized_x)
 
-    r_model = fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score)
+    r_model = _fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score, n_s,
+                   interactions=interactions)
 
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)
     else:
-        t_model = fit("sampling score", fit_logistic, pooled.sx, pooled.is_experimental.astype(float),
-                      options.ridge_sampling_score, lambda: pooled.standardized_sx)
+        t_model = _fit("sampling score", fit_logistic, pooled.sx, pooled.is_experimental.astype(float),
+                       options.ridge_sampling_score, n_s, lambda: pooled.standardized_sx, interactions)
 
-    h_model = fit("surrogate index", fit_least_squares, obs.sx, obs.y, options.ridge_index)
+    h_model = _fit("surrogate index", fit_least_squares, obs.sx, obs.y, options.ridge_index, n_s,
+                   interactions=interactions)
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)

@@ -1,8 +1,10 @@
 """Deterministic worker-process and seed-stream helpers.
 
 Bootstrap replicates and Monte Carlo replications run in worker processes.
-The ``SURROGATE_THREADS`` environment variable sets how many; unset, it
-means the CPUs available to the process.  A map never uses more workers
+The ``SURROGATE_THREADS`` environment variable sets how many, as a
+positive decimal integer; unset or empty, it means the CPUs available to
+the process, and any other value raises :class:`ConfigurationError` when
+a map starts, before any item runs.  A map never uses more workers
 than it has items or than there are CPUs available, whatever the value.
 Each work item is a pure function of its own seed stream
 (:func:`seed_sequence`), and results come back in item order, so output is
@@ -60,13 +62,17 @@ def seed_sequence(seed: int, *stream: int) -> np.random.SeedSequence:
 
 
 def worker_count() -> int:
-    """``SURROGATE_THREADS`` (default: the CPUs available to the process), at least 1 and at most those CPUs."""
+    """``SURROGATE_THREADS``, at most the CPUs available to the process; unset or empty, those CPUs.
+
+    A value that is not a positive decimal integer raises :class:`ConfigurationError`.
+    """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        n = int(os.environ.get("SURROGATE_THREADS", cpus))
-    except ValueError:
-        return 1
-    return max(1, min(n, cpus))
+    value = os.environ.get("SURROGATE_THREADS", "")
+    if not value:
+        return cpus
+    if not (value.isascii() and value.isdigit()) or int(value) == 0:
+        raise ConfigurationError(f"SURROGATE_THREADS must be a positive decimal integer, got {value!r}")
+    return min(int(value), cpus)
 
 
 def _openblas_libraries() -> list[str]:

@@ -46,7 +46,7 @@ from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import _index_tau, _score_tau
-from .nuisance import ConstantScore, NuisanceFits, expit, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, expit, fit_logistic
 from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
@@ -356,14 +356,14 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     t_model = ConstantScore(q)
 
     try:
-        r_model = fit_logistic(exp.s, exp.w, ridge=HARNESS_RIDGE, _trusted=True)
+        r_model = _fit("surrogate score", fit_logistic, exp.s, exp.w, HARNESS_RIDGE, exp.n_surrogates)
         fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
         tau_o = _score_tau(obs, fits, q)
     except SurrogateError:
         tau_o = None
     try:
         # the outcomes are binary, so the index is itself a logistic mean
-        h_model = fit_logistic(obs.s, obs.y, ridge=HARNESS_RIDGE, _trusted=True)
+        h_model = _fit("surrogate index", fit_logistic, obs.s, obs.y, HARNESS_RIDGE, obs.n_surrogates)
         fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
         tau_e = _index_tau(exp, fits)
     except SurrogateError:

@@ -2,11 +2,13 @@ import itertools
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from surrogate_ate import (
+    EstimationError,
     ExperimentalSample,
     NuisanceOptions,
     ObservationalSample,
@@ -713,6 +715,16 @@ def test_commands_in_one_process_equal_fresh_processes(fixture_files, tmp_path):
     assert "invalid choice: 'bogus'" in together[3][2]
 
 
+def test_a_record_that_is_not_finite_does_not_serialize(covariate_files):
+    pe, po = covariate_files
+    exp = load_experimental(pe)
+    fits = fit_all(pool(exp, load_observational(po)))
+    with pytest.raises(EstimationError, match="^a result is not finite: an input or a cap is too large in magnitude$"):
+        bias_bound(exp, fits, 1.7e308, 1.7e308).to_json()
+    finite = bias_bound(exp, fits, 1.0, 1.0)
+    assert finite.to_json() == json.dumps(asdict(finite), sort_keys=True)
+
+
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -736,7 +748,7 @@ def test_a_bootstrap_replicate_reads_the_public_estimates_from_the_cores(covaria
     for _ in range(4):
         pooled = pool(_resample(exp, rng), _resample(obs, rng))
         fits = fit_all(pooled, options)
-        for method in ("index", "score", "linear", "match"):
-            want = outcome(lambda: cli._estimate(method, pooled, fits, trim).tau_hat)
-            assert outcome(lambda: cli._replicate_tau(method, pooled, fits, trim)) == want
+        for method, (report, core) in cli._METHOD_TABLE.items():
+            want = outcome(lambda: report(pooled, fits, trim).tau_hat)
+            assert outcome(lambda: core(pooled, fits, trim)) == want
             assert isinstance(want, str) != (method == "linear" and interactions)

@@ -372,12 +372,12 @@ def test_two_sample_bound_matches_enumeration_oracle(rng):
     # direct summation oracle over the pooled rows
     exp, obs, q = pooled.exp, pooled.obs, pooled.q
     p = float(exp.w.mean())
-    resid = obs.y - fits.surrogate_index(obs.s, obs.x)
+    resid = obs.y - fits.h_model.predict(obs.s, obs.x)
     sigma2 = float(np.mean(resid**2))
     s_all = np.vstack([exp.s, obs.s])
-    r = fits.surrogate_score(s_all, np.empty((len(s_all), 0)))
-    mu = fits.surrogate_index(s_all, np.empty((len(s_all), 0)))
-    h_exp = fits.surrogate_index(exp.s, exp.x)
+    r = fits.r_model.predict(s_all, np.empty((len(s_all), 0)))
+    mu = fits.h_model.predict(s_all, np.empty((len(s_all), 0)))
+    h_exp = fits.h_model.predict(exp.s, exp.x)
     mu1 = float(h_exp[exp.w == 1].mean())
     mu0 = float(h_exp[exp.w == 0].mean())
     total = 0.0

@@ -18,18 +18,20 @@ from surrogate_ate import (
     NuisanceOptions,
     ObservationalSample,
     SeparationError,
+    SingleSample,
     SingularDesignError,
     ValidationError,
     bernoulli_loglik,
     bernoulli_loglik_gradient,
     build_design,
     draw_dataset,
+    efficiency_bounds_single_sample,
+    estimate_single_sample,
     fit_all,
     fit_least_squares,
     fit_logistic,
     make_spec,
     pool,
-    predict_score,
 )
 from surrogate_ate.nuisance import _check_rank, _standardize
 from surrogate_ate.nuisance import expit as own_expit
@@ -240,28 +242,26 @@ def test_predict_score_and_index_trivial():
     score = fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]), ridge=1.0)
     # zero coefficients, zero intercept
     score = type(score)(intercept=0.0, coef_s=np.zeros(1), coef_x=np.zeros(0))
-    assert predict_score(score, [0.0]) == pytest.approx(0.5)
+    assert score.predict([[0.0]])[0] == pytest.approx(0.5)
     index = fit_least_squares(np.zeros((2, 1)), np.zeros(2), ridge=1.0)
     index = type(index)(intercept=0.0, coef_s=np.zeros(1), coef_x=np.zeros(0), residual_variance=0.0)
-    assert predict_score(index, [123.0]) == pytest.approx(0.0)
+    assert index.predict([[123.0]])[0] == pytest.approx(0.0)
 
 
 def test_predict_direct_evaluation():
     from surrogate_ate import LinearModel, LogisticModel
 
     score = LogisticModel(intercept=1.0, coef_s=np.array([2.0]), coef_x=np.zeros(0))
-    assert predict_score(score, [0.5]) == pytest.approx(expit(2.0), abs=1e-12)
-    assert predict_score(score, [0.5]) == pytest.approx(0.8807970779778823, abs=1e-9)
+    assert score.predict([[0.5]])[0] == pytest.approx(expit(2.0), abs=1e-12)
+    assert score.predict([[0.5]])[0] == pytest.approx(0.8807970779778823, abs=1e-9)
     index = LinearModel(intercept=1.0, coef_s=np.array([2.0]), coef_x=np.zeros(0))
-    assert predict_score(index, [0.5]) == pytest.approx(2.0, abs=1e-12)
+    assert index.predict([[0.5]])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_predict_wrong_length_raises():
     from surrogate_ate import LogisticModel
 
     score = LogisticModel(intercept=0.0, coef_s=np.array([1.0]), coef_x=np.zeros(0))
-    with pytest.raises(ValidationError, match="expected a row of length 1, got 2"):
-        predict_score(score, [1.0, 2.0])
     with pytest.raises(ValidationError, match=r"feature dimensions \(s=2, x=0\) do not match model"):
         score.predict(np.zeros((3, 2)))
 
@@ -334,7 +334,7 @@ def test_interactions_design_and_fit():
                                                    ridge_sampling_score=0.1, ridge_propensity=0.1))
     assert fits.h_model.coef_sx.shape == (1,)
     # prediction assembles the same interaction columns
-    pred = fits.surrogate_index(obs.s[:2], obs.x[:2])
+    pred = fits.h_model.predict(obs.s[:2], obs.x[:2])
     manual = (
         fits.h_model.intercept
         + obs.s[:2, 0] * fits.h_model.coef_s[0]
@@ -349,6 +349,20 @@ def test_fit_errors_are_tagged():
     obs = ObservationalSample(y=[0.0, 1.0], s=[[0.1], [0.2]])
     with pytest.raises(SeparationError, match="surrogate score"):
         fit_all(pool(exp, obs), NuisanceOptions(constant_sampling_score=True))
+    # every other fit path names its role as well
+    y = [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(SeparationError, match="^surrogate score: "):
+        efficiency_bounds_single_sample(SingleSample(w=exp.w, y=y, s=exp.s))
+    with pytest.raises(SeparationError, match="^propensity score: "):
+        efficiency_bounds_single_sample(SingleSample(w=exp.w, y=y, s=[[0.5], [0.1], [0.7], [0.2]], x=exp.s))
+    collinear = SingleSample(w=[0, 1], y=[0.0, 1.0], s=[[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularDesignError, match="^surrogate index: "):
+        estimate_single_sample(collinear, mode="surrogate_index")
+    # the covariate is constant within the treated arm, but not separable from the controls
+    constant_in_treated = SingleSample(w=[1, 1, 1, 1, 0, 0, 0, 0], y=np.arange(8.0), s=np.arange(8.0)[:, None] % 3,
+                                       x=[[1.0]] * 4 + [[0.3], [-0.5], [2.0], [1.1]])
+    with pytest.raises(SingularDesignError, match="^treated arm regression: "):
+        efficiency_bounds_single_sample(constant_in_treated)
 
 
 def test_fits_json_roundtrip():
@@ -873,13 +887,13 @@ def test_package_and_cli_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# the package's public names: the 77 that __all__ listed by hand, and WorkerError
+# the package's public names
 PUBLIC_NAMES = """
     __version__
     ExperimentalSample ObservationalSample SingleSample PooledDataset Schema load_experimental load_observational
     load_single pool write_experimental write_observational write_single
     LinearModel LogisticModel ConstantScore NuisanceFits NuisanceOptions fit_least_squares fit_logistic fit_all
-    predict_score build_design bernoulli_loglik bernoulli_loglik_gradient
+    build_design bernoulli_loglik bernoulli_loglik_gradient
     EstimateReport WeightSummary MatchOptions estimate_index estimate_score estimate_tau_surrogates
     estimate_linear_shortcut estimate_matching estimate_single_sample bootstrap_se
     BiasBound EfficiencyBounds DiscretePopulation IdentificationReport BiasIdentityReport bias_bound
@@ -896,7 +910,7 @@ PUBLIC_NAMES = """
 def test_package_exports_its_public_names():
     import surrogate_ate
 
-    assert len(PUBLIC_NAMES) == 78
+    assert len(PUBLIC_NAMES) == 77
     assert sorted(surrogate_ate.__all__) == sorted(PUBLIC_NAMES)
     assert all(hasattr(surrogate_ate, name) for name in PUBLIC_NAMES)
 

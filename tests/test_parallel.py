@@ -41,9 +41,6 @@ def test_pool_never_exceeds_items_or_cpus(monkeypatch, process_pools, threads, c
     ("100000", 1, 16),
     ("100000", 8, 1),
     ("1", 8, 16),
-    ("0", 8, 16),
-    ("-4", 8, 16),
-    ("many", 8, 16),
 ])
 def test_one_worker_maps_without_a_pool(monkeypatch, process_pools, threads, cpus, items):
     monkeypatch.setenv("SURROGATE_THREADS", threads)
@@ -61,7 +58,7 @@ def test_without_fork_the_map_runs_serially(monkeypatch, process_pools):
 
 
 @pytest.mark.parametrize("threads, cpus, expected", [
-    ("100000", 2, 2), ("2", 8, 2), ("1", 8, 1), ("0", 8, 1), ("x", 8, 1), (None, 8, 8),
+    ("100000", 2, 2), ("2", 8, 2), ("1", 8, 1), ("007", 8, 7), (None, 8, 8), ("", 8, 8),
 ])
 def test_worker_count_is_capped_by_the_cpus(monkeypatch, threads, cpus, expected):
     if threads is None:
@@ -70,6 +67,21 @@ def test_worker_count_is_capped_by_the_cpus(monkeypatch, threads, cpus, expected
         monkeypatch.setenv("SURROGATE_THREADS", threads)
     _cpus(monkeypatch, cpus)
     assert parallel.worker_count() == expected
+
+
+@pytest.mark.parametrize("threads", ["0", "x", "-3", "2.5", "-4", "many", " 2", "+2", "\u0663"])
+def test_a_thread_count_that_is_not_a_positive_integer_is_refused(monkeypatch, process_pools, threads):
+    monkeypatch.setenv("SURROGATE_THREADS", threads)
+    _cpus(monkeypatch, 8)
+    message = f"^SURROGATE_THREADS must be a positive decimal integer, got {re.escape(repr(threads))}$"
+    with pytest.raises(errors.ConfigurationError, match=message):
+        parallel.worker_count()
+    # a map refuses it before any item runs
+    ran = []
+    with pytest.raises(errors.ConfigurationError, match=message):
+        parallel.ordered_map(ran.append, range(16))
+    assert ran == []
+    assert process_pools == []
 
 
 @pytest.fixture
