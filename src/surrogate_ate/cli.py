@@ -42,7 +42,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from ._version import __version__
-from .data import _check_output, _open_output, load_experimental, load_observational, load_single, pool
+from .data import _check_output, _open_output, _strict_json, load_experimental, load_observational, load_single, pool
 from .diagnostics import (
     _PER_STRATUM_FALLBACK,
     bias_bound,
@@ -50,8 +50,8 @@ from .diagnostics import (
     efficiency_bounds_single_sample,
 )
 from .errors import ConfigurationError, SurrogateError
-from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, _strict_json, bootstrap_se,
-                         estimate_index, estimate_linear_shortcut, estimate_score)
+from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, bootstrap_se, estimate_index,
+                         estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceOptions, fit_all
 from .simulation import STUDIES, run_study
 

@@ -14,7 +14,12 @@ surrogates ``s`` and covariates ``x``, listed once per class in
 readers and writers, and bootstrap resampling.  Each sample also stores
 its rows ``[s | x]`` once (``sx``, which is ``s`` itself without
 covariates); the fits, the predictions, matching and the CSV writer read
-them there, and :class:`PooledDataset` stacks the two samples' rows.
+them there, and :class:`PooledDataset` stacks the two samples' rows.  A
+sample also finds which of its rows are identical, once per part (``sx``
+or ``x``, :meth:`_Sample._classes`): matching searches each set of
+identical rows once, and the per-stratum efficiency bounds take their
+strata from the same classes.  The grouping is exact: two rows share a
+class exactly when they are equal.
 
 CSV layout (header required, UTF-8, ``.`` decimal point): the
 ``unit_columns`` in order, then ``s1..sM``, then optional ``x1..xK``:
@@ -33,6 +38,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -42,7 +48,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, PoolingError, SchemaError, ValidationError
+from .errors import ConfigurationError, EstimationError, PoolingError, SchemaError, ValidationError
 
 _SURROGATE_RE = re.compile(r"^s(\d+)$")
 _COVARIATE_RE = re.compile(r"^x(\d+)$")
@@ -98,8 +104,65 @@ def _standardize(features: np.ndarray):
     return z1, mean, sd
 
 
+def _strict_json(payload) -> str:
+    """``payload`` as sorted-key JSON; a number that is not finite raises :class:`EstimationError`."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise EstimationError("a result is not finite: an input or a cap is too large in magnitude") from None
+
+
+def _row_key(rows: np.ndarray) -> np.ndarray:
+    """One number per row, equal for identical rows: ``sum_j rows[:, j] * cos(j + 1)``.
+
+    The sum runs column by column, so every row takes the same rounding
+    steps; a BLAS matrix-vector product can round two identical rows
+    differently.
+    """
+    key = np.zeros(len(rows))
+    for j, coef in enumerate(np.cos(np.arange(1.0, rows.shape[1] + 1.0))):
+        key += rows[:, j] * coef
+    return key
+
+
+def _group_rows(rows: np.ndarray) -> np.ndarray:
+    """One integer class per row: two rows share a class exactly when they are equal.
+
+    Rows are grouped by :func:`_row_key` and the grouping is then checked
+    row by row; if two different rows share a key,
+    ``np.unique(rows, axis=0)`` groups them instead.  The class labels
+    carry no meaning beyond the grouping.
+    """
+    keys, classes = np.unique(_row_key(rows), return_inverse=True)
+    if len(keys) < len(rows):  # identical rows share a key, so as many keys as rows means no copies
+        first, group = _by_class(classes)
+        if not np.array_equal(rows[first][group], rows):
+            return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    return classes
+
+
+def _by_class(classes: np.ndarray):
+    """``(first, group)`` of non-negative integer ``classes``: each class's first row, and each row's class.
+
+    ``first`` ascends and ``group`` indexes it, so ``first[group]`` is the
+    first row of each row's class.  Time is O(n + classes.max()).
+    """
+    n = len(classes)
+    rows = np.arange(n)
+    first_at = np.full(int(classes.max(initial=-1)) + 1, n)
+    np.minimum.at(first_at, classes, rows)  # an unbuffered minimum: the lowest row of each class, whatever the order
+    first = np.flatnonzero(first_at[classes] == rows)
+    rank = np.empty_like(first_at)
+    rank[classes[first]] = np.arange(len(first))
+    return first, rank[classes]
+
+
 class _Sample:
-    """Validation, freezing and sizes shared by the three sample layouts."""
+    """Validation, freezing, sizes and classes of identical rows, shared by the three sample layouts.
+
+    :meth:`_classes` is the one place where identical rows are found:
+    matching's search and the per-stratum efficiency bounds both read it.
+    """
 
     unit_columns: ClassVar[tuple[str, ...]] = ()
     _kind: ClassVar[str] = ""
@@ -161,8 +224,9 @@ class _Sample:
         """The sample of rows ``idx`` of this one, as a bootstrap resample draws them.
 
         Each column is a fresh copy of ``col[idx]``, handed to
-        :meth:`_trusted`, and the row classes this sample knows (see
-        :attr:`_row_classes`) carry over as ``classes[idx]``.
+        :meth:`_trusted`, and the row classes this sample has found (see
+        :meth:`_classes`) carry over as ``classes[idx]``; they stay exact,
+        since rows ``idx`` are equal exactly when the rows they copy are.
         """
         # take copies whole rows, about 3x faster than fancy indexing a matrix
         taken = self._trusted(**{c: getattr(self, c).take(idx, axis=0) for c in (*self.unit_columns, "s", "x")})
@@ -176,12 +240,20 @@ class _Sample:
 
     @cached_property
     def _row_classes(self) -> dict:
-        """Integer classes of the raw rows, by part (``"sx"`` for ``[s | x]``, ``"x"``), as matching computed them.
-
-        Rows in one class are identical.  A sample built by :meth:`_take`
-        starts with its parent's classes taken through the index.
-        """
+        """The classes :meth:`_classes` has found, by part; a sample built by :meth:`_take` starts with its parent's."""
         return {}
+
+    def _classes(self, part: str) -> np.ndarray:
+        """Integer classes of the raw rows ``[s | x]`` (``part="sx"``) or ``x`` (``part="x"``).
+
+        Two rows share a class exactly when they are equal.  The classes are
+        found once, by :func:`_group_rows`, or inherited through
+        :meth:`_take`, and kept in :attr:`_row_classes`.
+        """
+        known = self._row_classes
+        if part not in known:
+            known[part] = _group_rows(getattr(self, part))
+        return known[part]
 
     @property
     def n(self) -> int:

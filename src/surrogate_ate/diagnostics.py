@@ -348,20 +348,16 @@ _PER_STRATUM_FALLBACK = (
 )
 
 
-def _cell_indices(rows: np.ndarray) -> np.ndarray:
-    """Group identical rows; returns an integer cell id per row."""
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=int)
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return inverse.ravel()
-
-
 def _per_cell_variance(values: np.ndarray, cells: np.ndarray, rows: np.ndarray | None = None):
     """Population-style (ddof=0) variance of ``values`` within each cell, mapped back per row.
 
-    With a boolean ``rows`` mask, each cell's variance is taken over its
-    selected rows only and mapped back to every row of the cell.  Returns
-    ``None`` if any cell holds fewer than two (selected) observations.
+    ``cells`` are the sample's classes of identical rows
+    (``_Sample._classes``, which joins two rows exactly when they are
+    equal), so each cell is one stratum, its rows taken in sample order;
+    the labels do not matter.  With a boolean ``rows`` mask, each cell's
+    variance is taken over its selected rows only and mapped back to every
+    row of the cell.  Returns ``None`` if any cell holds fewer than two
+    (selected) observations.
     """
     out = np.empty_like(values)
     for cell in np.unique(cells):
@@ -420,8 +416,7 @@ def efficiency_bounds_single_sample(
     fallback = False
     sigma2 = np.full(sample.n, h_model.residual_variance)
     if variance_mode == "per_stratum":
-        cells = _cell_indices(sample.sx)
-        per_cell = _per_cell_variance(sample.y, cells)
+        per_cell = _per_cell_variance(sample.y, sample._classes("sx"))
         if per_cell is None:
             warnings.warn(_PER_STRATUM_FALLBACK, stacklevel=2)
             fallback = True
@@ -464,8 +459,7 @@ def v_ns_covariate_form(
     """
     e, models, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
     if variance_mode == "per_stratum":
-        x_cells = _cell_indices(sample.x)
-        sig2 = {arm: _per_cell_variance(sample.y, x_cells, sample.w == arm) for arm in models}
+        sig2 = {arm: _per_cell_variance(sample.y, sample._classes("x"), sample.w == arm) for arm in models}
         if any(v is None for v in sig2.values()):
             raise ValidationError("a covariate stratum holds fewer than 2 observations in one arm")
     else:

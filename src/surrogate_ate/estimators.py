@@ -30,16 +30,14 @@ bootstrap replicates read only the estimate, so they call the cores.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample
+from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample, _by_class, _strict_json
 from .errors import (
     DegenerateArmError,
-    EstimationError,
     OverlapError,
     SurrogateError,
     UnstableBootstrapError,
@@ -50,14 +48,6 @@ from .nuisance import ConstantScore, LinearModel, NuisanceFits, _fit, _LinearPre
 from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
-
-
-def _strict_json(payload) -> str:
-    """``payload`` as sorted-key JSON; a number that is not finite raises :class:`EstimationError`."""
-    try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise EstimationError("a result is not finite: an input or a cap is too large in magnitude") from None
 
 
 class _JsonRecord:
@@ -315,45 +305,7 @@ class MatchOptions:
 _NEAREST_BLOCK_BYTES = 16 * 2**20
 
 
-def _row_key(rows: np.ndarray) -> np.ndarray:
-    """One number per row, equal for identical rows: ``rows @ v`` for a fixed ``v``."""
-    return rows @ np.cos(np.arange(1.0, rows.shape[1] + 1.0))
-
-
-def _distinct_rows(rows: np.ndarray):
-    """``(first, group)``: the first of each set of identical rows, and each row's set.
-
-    ``first`` ascends and ``rows[first][group]`` equals ``rows``.  Rows are
-    grouped by :func:`_row_key` and the grouping is then checked row by row;
-    if two different rows share a key, every row is its own group.
-    """
-    n = len(rows)
-    keys, classes = np.unique(_row_key(rows), return_inverse=True)
-    if len(keys) == n:  # identical rows share a key, so n keys mean n distinct rows
-        return np.arange(n), np.arange(n)
-    first, group = _by_class(classes)
-    if not np.array_equal(rows[first][group], rows):
-        return np.arange(n), np.arange(n)
-    return first, group
-
-
-def _by_class(classes: np.ndarray):
-    """``(first, group)`` of non-negative integer ``classes``: each class's first row, and each row's class.
-
-    ``first`` ascends and ``group`` indexes it, so ``first[group]`` is the
-    first row of each row's class.  Time is O(n + classes.max()).
-    """
-    n = len(classes)
-    rows = np.arange(n)
-    first_at = np.full(int(classes.max(initial=-1)) + 1, n)
-    np.minimum.at(first_at, classes, rows)  # an unbuffered minimum: the lowest row of each class, whatever the order
-    first = np.flatnonzero(first_at[classes] == rows)
-    rank = np.empty_like(first_at)
-    rank[classes[first]] = np.arange(len(first))
-    return first, rank[classes]
-
-
-def _nearest(queries: np.ndarray, pool_rows: np.ndarray, query_classes=None, pool_classes=None) -> np.ndarray:
+def _nearest(queries: np.ndarray, pool_rows: np.ndarray, query_classes, pool_classes) -> np.ndarray:
     """Index of the closest pool row for each query; ties go to the lowest index.
 
     The result is exactly ``argmin(((q - p) ** 2).sum(axis=-1))`` over the
@@ -362,17 +314,13 @@ def _nearest(queries: np.ndarray, pool_rows: np.ndarray, query_classes=None, poo
     over the first row of each class of queries and of pool rows, so time is
     O(u_query * u_pool * d) for u classes, and a pool row stands for its class
     at its own, lowest index.  ``query_classes`` and ``pool_classes`` give
-    each row an integer class in which every row is identical (a sample's
-    :attr:`~surrogate_ate.data._Sample._row_classes`, say); by default they
-    come from :func:`_distinct_rows`.  The answer does not depend on which
-    identical rows share a class.
+    each row an integer class in which every row is identical; matching
+    passes the exact classes its samples found
+    (:meth:`~surrogate_ate.data._Sample._classes`).  The answer does not
+    depend on which identical rows share a class.
     """
     if queries.shape[1] == 0:
         return np.zeros(len(queries), dtype=int)
-    if query_classes is None:
-        query_classes = _distinct_rows(queries)[1]
-    if pool_classes is None:
-        pool_classes = _distinct_rows(pool_rows)[1]
     query_first, query_group = _by_class(query_classes)
     pool_first, _ = _by_class(pool_classes)
     return pool_first[_nearest_scan(queries.take(query_first, axis=0), pool_rows.take(pool_first, axis=0))][query_group]
@@ -465,26 +413,23 @@ def estimate_matching(
     The search is exact and runs over distinct rows, taking
     O(u_E * u_O * (M + K)) time for u_E and u_O distinct rows; its memory is
     bounded by a fixed block budget instead of growing with n_E * n_O.  Each
-    sample hashes its raw ``[s | x]`` and ``x`` rows into classes of
-    identical rows once; a bootstrap resample inherits them through its
-    index (see :func:`_resample`), and one matrix product per block of
-    queries screens the pool.
+    sample finds the classes of identical raw ``[s | x]`` and ``x`` rows
+    once (:meth:`~surrogate_ate.data._Sample._classes`); a bootstrap
+    resample inherits them through its index (see :func:`_resample`), and
+    one matrix product per block of queries screens the pool.
     """
     if exp.n_surrogates != obs.n_surrogates or exp.n_covariates != obs.n_covariates:
         raise ValidationError("experimental and observational samples have mismatched dimensions")
     return _match(PooledDataset(exp, obs), options)
 
 
-def _classes_of(sample, part: str, rows: np.ndarray) -> np.ndarray:
-    """``sample``'s row classes of ``part``, whose raw rows are ``rows``: inherited by a resample, else hashed once."""
-    known = sample._row_classes
-    if part not in known:
-        known[part] = _distinct_rows(rows)[1]
-    return known[part]
-
-
 def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> EstimateReport:
-    """:func:`estimate_matching` on ``pooled``'s standardized designs, which its fits may have built already."""
+    """:func:`estimate_matching` on ``pooled``'s standardized designs, which its fits may have built already.
+
+    The searches run over each sample's classes of identical raw rows
+    (:meth:`~surrogate_ate.data._Sample._classes`), the classes that the
+    per-stratum efficiency bounds read as strata.
+    """
     options = options or MatchOptions()
     exp, obs = pooled.exp, pooled.obs
     treated_idx = np.flatnonzero(exp.w == 1.0)
@@ -495,10 +440,9 @@ def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> Estima
     x_std = pooled.standardized_x[0][:, 1:]
     sx_std = pooled.standardized_sx[0][:, 1:]
     # rows identical before standardizing stay identical after it
-    exp_sx = _classes_of(exp, "sx", exp.sx)
-    obs_sx = _classes_of(obs, "sx", obs.sx)
-    x_classes = _classes_of(exp, "x", exp.x)
-    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp_sx, obs_sx)  # i -> i' for every experimental unit
+    x_classes = exp._classes("x")
+    # i -> i' for every experimental unit
+    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp._classes("sx"), obs._classes("sx"))
 
     def _contrasts(own_idx, opposite_idx):
         within = _nearest(x_std[own_idx], x_std[opposite_idx], x_classes[own_idx], x_classes[opposite_idx])
@@ -548,8 +492,8 @@ def _resample(sample, rng: np.random.Generator):
     rows.  Single samples are resampled within each treatment arm so the
     arm sizes (and hence the validity of arm contrasts) are preserved.  The
     copy is built by index from the validated rows (``sample._take``): only
-    the both-arms check runs again, and the row classes that matching
-    computed on ``sample`` carry over through the index.
+    the both-arms check runs again, and the classes of identical rows that
+    ``sample`` has found carry over through the index.
     """
     if isinstance(sample, SingleSample):
         treated = np.flatnonzero(sample.w == 1.0)

@@ -60,7 +60,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .data import PooledDataset, _standardize
+from .data import PooledDataset, _standardize, _strict_json
 from .errors import (
     ConvergenceError,
     DegenerateLabelsError,
@@ -572,11 +572,12 @@ class NuisanceFits:
         return model
 
     def to_json(self) -> str:
+        """The options and the four models as strict sorted-key JSON (``data._strict_json``)."""
         payload = {"options": asdict(self.options)}
         for slot in _MODEL_SLOTS:
             model = getattr(self, slot)
             payload[slot] = model.to_dict() if model is not None else None
-        return json.dumps(payload, sort_keys=True)
+        return _strict_json(payload)
 
     @staticmethod
     def from_json(text: str) -> "NuisanceFits":

@@ -316,6 +316,58 @@ def test_single_sample_bounds_pinned_homoskedastic():
     assert v_ns_covariate_form(sample) == pytest.approx(9.98768567639139, rel=0, abs=1e-12)
 
 
+def _tied_discrete_single(with_x):
+    """240 rows on a grid of (s, x) strata, each stratum holding several rows, with signed zeros among the copies."""
+    rng = np.random.default_rng(2022)
+    n = 240
+    x = rng.integers(0, 2, (n, 1)).astype(float)
+    w = (rng.random(n) < 0.35 + 0.3 * x[:, 0]).astype(float)
+    s = rng.integers(-1, 2, (n, 2)) * 1.5
+    s[:, 0] += rng.random(n) < 0.25 + 0.4 * w
+    s[(s == 0.0) & (rng.random((n, 2)) < 0.5)] = -0.0  # equal rows with different bits
+    y = s @ np.array([1.0, -0.5]) + 0.7 * x[:, 0] + rng.normal(size=n)
+    return SingleSample(w=w, y=y, s=s, x=x if with_x else None)
+
+
+# float.hex of the per-stratum bounds, recorded when the strata came from np.unique(axis=0)
+_PER_STRATUM_PINS = {
+    True: {
+        "between_strata_control": "0x1.f07f7100e9136p+1",
+        "between_strata_treated": "0x1.0cda957b9999fp+2",
+        "conditional_variance_no_surrogacy": "0x1.cd7ddc0e580b5p+1",
+        "conditional_variance_surrogacy": "0x1.b2684e3e91a81p+0",
+        "covariate_heterogeneity": "0x1.3d4adf6a83d0cp-4",
+        "v_no_surrogacy": "0x1.786733c0721c4p+3",
+        "v_surrogacy": "0x1.3b54c684ae4e7p+3",
+        "gain": "0x1.e89369de1e6e8p+0",
+        "v_ns_covariate_form": "0x1.7924096c62906p+3",
+    },
+    False: {
+        "between_strata_control": "0x1.d6ae56e722466p+1",
+        "between_strata_treated": "0x1.e94830af17c35p+1",
+        "conditional_variance_no_surrogacy": "0x1.21cadb22bba27p+2",
+        "conditional_variance_surrogacy": "0x1.240781f6d7fc6p+1",
+        "covariate_heterogeneity": "0x0.0p+0",
+        "v_no_surrogacy": "0x1.80e30f76ec53ap+3",
+        "v_surrogacy": "0x1.38ff826344818p+3",
+        "gain": "0x1.1f8e344e9f488p+1",
+        "v_ns_covariate_form": "0x1.832f97542ace6p+3",
+    },
+}
+
+
+@pytest.mark.parametrize("with_x", [True, False])
+def test_per_stratum_bounds_pinned_on_tied_discrete_rows(with_x):
+    sample = _tied_discrete_single(with_x)
+    bounds = efficiency_bounds_single_sample(sample, variance_mode="per_stratum")
+    assert not bounds.per_stratum_fallback
+    got = {**bounds.components, "v_no_surrogacy": bounds.v_no_surrogacy, "v_surrogacy": bounds.v_surrogacy,
+           "gain": bounds.gain, "v_ns_covariate_form": v_ns_covariate_form(sample, variance_mode="per_stratum")}
+    assert {name: value.hex() for name, value in got.items()} == _PER_STRATUM_PINS[with_x]
+    # the strata are the sample's own classes of identical rows, found once
+    assert set(sample._row_classes) == {"sx", "x"}
+
+
 def test_single_sample_bounds_per_stratum_fallback_warns():
     sample = SingleSample(
         w=[1, 0, 1, 0], y=[0.1, 0.2, 0.3, 0.4],

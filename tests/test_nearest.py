@@ -17,8 +17,9 @@ from surrogate_ate import (
     fit_all,
     pool,
 )
-from surrogate_ate import estimators
-from surrogate_ate.estimators import _distinct_rows, _nearest, _nearest_scan
+from surrogate_ate import data, estimators
+from surrogate_ate.data import _by_class, _group_rows
+from surrogate_ate.estimators import _nearest, _nearest_scan
 
 
 def _nearest_broadcast(queries, pool_rows):
@@ -29,9 +30,25 @@ def _nearest_broadcast(queries, pool_rows):
     return np.argmin(d2, axis=1)
 
 
+def _search(queries, pool_rows):
+    """:func:`_nearest` over the classes of identical rows that a sample would find."""
+    return _nearest(queries, pool_rows, _group_rows(queries), _group_rows(pool_rows))
+
+
+def _first_equal_row(rows):
+    """For each row, the index of the first row equal to it: the oracle of an exact grouping."""
+    return np.array([int(np.flatnonzero((rows == row).all(axis=1))[0]) for row in rows], dtype=int)
+
+
+def _assert_exact_classes(classes, rows):
+    """``classes`` join two rows exactly when they are equal."""
+    first, group = _by_class(classes)
+    assert np.array_equal(first[group], _first_equal_row(rows))
+
+
 def _assert_same_matches(queries, pool_rows):
     want = _nearest_broadcast(queries, pool_rows)
-    assert np.array_equal(_nearest(queries, pool_rows), want)
+    assert np.array_equal(_search(queries, pool_rows), want)
     assert np.array_equal(_nearest_scan(queries, pool_rows), want)
 
 
@@ -50,7 +67,7 @@ def test_nearest_bootstrap_duplicates_tie_exactly():
     base = rng.normal(size=(40, 4))
     queries = base[rng.integers(0, 40, 200)]
     pool_rows = np.vstack([base[rng.integers(0, 40, 300)], base])
-    got = _nearest(queries, pool_rows)
+    got = _search(queries, pool_rows)
     assert np.array_equal(got, _nearest_broadcast(queries, pool_rows))
     # every query has exact copies in the pool, and the first copy wins
     assert [int(g) for g in got] == [int(np.flatnonzero((pool_rows == q).all(axis=1))[0]) for q in queries]
@@ -70,7 +87,7 @@ def test_nearest_one_dimension():
 
 def test_nearest_single_pool_row():
     rng = np.random.default_rng(5)
-    got = _nearest(rng.normal(size=(30, 3)), rng.normal(size=(1, 3)))
+    got = _search(rng.normal(size=(30, 3)), rng.normal(size=(1, 3)))
     assert np.array_equal(got, np.zeros(30, dtype=int))
 
 
@@ -104,7 +121,7 @@ def test_nearest_bootstrap_resample_at_workload_shape(monkeypatch, block_rows):
     base = rng.normal(size=(1000, 13))
     queries, pool_rows = base[rng.integers(0, 1000, 1000)], base[rng.integers(0, 1000, 1000)]
     monkeypatch.setattr(estimators, "_NEAREST_BLOCK_BYTES", _block_budget(block_rows, 13, 1000))
-    got = _nearest(queries, pool_rows)
+    got = _search(queries, pool_rows)
     # the oracle in chunks of queries, to keep its distance array small
     want = np.concatenate([_nearest_broadcast(queries[i : i + 50], pool_rows) for i in range(0, 1000, 50)])
     assert np.array_equal(got, want)
@@ -157,37 +174,47 @@ DISTINCT_CASES = {
 @pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
 def test_distinct_row_search_matches_brute_force(case):
     queries, pool_rows = DISTINCT_CASES[case](np.random.default_rng(21))
-    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+    assert np.array_equal(_search(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
 
 
-def test_distinct_rows_groups_copies_in_first_occurrence_order():
+def test_group_rows_joins_copies_in_first_occurrence_order():
     rows = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [-0.0, 3.0]])
-    first, group = _distinct_rows(rows)
+    first, group = _by_class(_group_rows(rows))
     assert first.tolist() == [0, 1, 3]
     assert group.tolist() == [0, 1, 0, 2, 1, 2]
     queries, pool_rows = _bench_shaped(22)
     for rows in (queries, pool_rows):
-        first, group = _distinct_rows(rows)
-        assert np.array_equal(rows[first][group], rows)
-        assert np.all(np.diff(first) > 0)
-        assert len(first) < 0.7 * len(rows)  # a resample repeats about a third of its rows
+        classes = _group_rows(rows)
+        _assert_exact_classes(classes, rows)
+        assert len(np.unique(classes)) < 0.7 * len(rows)  # a resample repeats about a third of its rows
+
+
+@pytest.mark.parametrize("d", [1, 13, 22])
+def test_group_rows_joins_every_copy_of_a_row(d):
+    # a BLAS matrix-vector product can round copies of one row differently,
+    # which would split a stratum; the key is summed column by column instead
+    rng = np.random.default_rng(d)
+    rows = np.tile(rng.normal(size=d) * 1e3, (1891, 1))
+    classes = _group_rows(rows)
+    assert np.all(classes == classes[0])
 
 
 def test_distinct_row_search_at_bench_shape_matches_brute_force():
     queries, pool_rows = _bench_shaped(23)
     want = np.concatenate([_nearest_broadcast(queries[i : i + 50], pool_rows) for i in range(0, 1000, 50)])
-    assert np.array_equal(_nearest(queries, pool_rows), want)
+    assert np.array_equal(_search(queries, pool_rows), want)
 
 
-def test_key_collision_falls_back_to_every_row(monkeypatch):
-    # a key shared by different rows must not merge them
-    monkeypatch.setattr(estimators, "_row_key", lambda rows: np.zeros(len(rows)))
+def test_key_collision_falls_back_to_exact_grouping(monkeypatch):
+    # a key shared by different rows must not merge them, and copies still share a class
+    monkeypatch.setattr(data, "_row_key", lambda rows: np.zeros(len(rows)))
     rng = np.random.default_rng(24)
     base = rng.normal(size=(30, 3))
     queries, pool_rows = base[rng.integers(0, 30, 50)], base[rng.integers(0, 30, 60)]
-    first, group = _distinct_rows(pool_rows)
-    assert first.tolist() == list(range(60)) and group.tolist() == list(range(60))
-    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+    classes = _group_rows(pool_rows)
+    _assert_exact_classes(classes, pool_rows)
+    assert len(np.unique(classes)) < 30
+    assert np.array_equal(_search(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
 
 
 @st.composite
@@ -203,7 +230,7 @@ def _integer_instance_with_copies(draw):
 @given(_integer_instance_with_copies())
 def test_distinct_row_search_on_small_integer_inputs_with_copies(instance):
     queries, pool_rows = instance
-    assert np.array_equal(_nearest(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
+    assert np.array_equal(_search(queries, pool_rows), _nearest_brute_force(queries, pool_rows))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -236,7 +263,7 @@ def test_matching_memory_is_bounded():
 def test_nearest_memory_is_bounded_when_every_row_ties():
     # every pool row survives the screen; the full array would be about 230 MB
     rows = np.zeros((1500, 13))
-    assert _traced_peak_mb(_nearest, rows, rows) < 32
+    assert _traced_peak_mb(_search, rows, rows) < 32
 
 
 def test_nearest_scan_memory_is_bounded_when_every_row_ties():
@@ -318,18 +345,17 @@ def test_matching_on_the_pooled_designs_equals_estimate_matching():
         assert estimators._match(fitted, options) == want
 
 
-def _assert_classes_join_only_identical_rows(classes, rows):
-    first, group = estimators._by_class(classes)
-    assert np.array_equal(rows[first][group], rows)
-    assert np.all(np.diff(first) > 0)
-
-
 @st.composite
 def _integer_sample_with_copies(draw):
-    """An experimental sample of integer rows with copies, and two resample indices (the second into the first)."""
+    """An experimental sample of integer rows with copies and signed zeros, and two resample indices.
+
+    The second index is into the first resample.  The last draw says
+    whether every row key collides, which sends the grouping to its exact
+    fallback.
+    """
     n, m, k = draw(st.integers(2, 14)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
     base_n = draw(st.integers(1, 5))
-    values = st.integers(-1, 1).map(float)
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
     base = draw(arrays(float, (base_n, m + k), elements=values))
     rows = base[draw(st.lists(st.integers(0, base_n - 1), min_size=n, max_size=n))]
     x = rows[:, m:]
@@ -338,53 +364,57 @@ def _integer_sample_with_copies(draw):
     w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
     w[:2] = [0.0, 1.0]
     index = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array)
-    return ExperimentalSample(w=w, s=rows[:, :m], x=x), draw(index), draw(index)
+    return ExperimentalSample(w=w, s=rows[:, :m], x=x), draw(index), draw(index), draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(_integer_sample_with_copies())
-def test_inherited_row_classes_group_only_identical_rows_and_keep_every_match(instance):
-    sample, idx, idx_again = instance
-    sx = np.hstack([sample.s, sample.x])
-    for part, rows in (("sx", sx), ("x", sample.x)):
-        estimators._classes_of(sample, part, rows)
+def test_sample_classes_join_exactly_the_identical_rows_and_keep_every_match(instance):
+    sample, idx, idx_again, collide = instance
+    with pytest.MonkeyPatch.context() as mp:
+        if collide:
+            mp.setattr(data, "_row_key", lambda rows: np.zeros(len(rows)))
+        for part in ("sx", "x"):
+            sample._classes(part)
     generations = [sample]
     for index in (idx, idx_again):
         try:
             generations.append(generations[-1]._take(index))
         except ValidationError:  # the resample lost an arm
             break
-    for taken in generations[1:]:
+    for taken in generations:
         for part, rows in (("sx", np.hstack([taken.s, taken.x])), ("x", taken.x)):
-            classes = taken._row_classes[part]
-            _assert_classes_join_only_identical_rows(classes, rows)
-            # the search over inherited classes is the search over hashed ones, and the oracle
+            classes = taken._row_classes[part]  # found on the validated sample, inherited by its resamples
+            assert classes is taken._classes(part)
+            _assert_exact_classes(classes, rows)
+            # the search over inherited classes is the search over freshly found ones, and the oracle
             queries, pool_rows = rows[: len(rows) // 2 + 1], rows[len(rows) // 2 :]
             want = _nearest_broadcast(queries, pool_rows)
             got = _nearest(queries, pool_rows, classes[: len(rows) // 2 + 1], classes[len(rows) // 2 :])
             assert np.array_equal(got, want)
-            assert np.array_equal(_nearest(queries, pool_rows), want)
+            assert np.array_equal(_search(queries, pool_rows), want)
         # the within-arm search of matching, on the resample's own arms
         treated, control = np.flatnonzero(taken.w == 1.0), np.flatnonzero(taken.w == 0.0)
         x_classes = taken._row_classes["x"]
         for own, opposite in ((treated, control), (control, treated)):
             want = _nearest_broadcast(taken.x[own], taken.x[opposite])
             assert np.array_equal(_nearest(taken.x[own], taken.x[opposite], x_classes[own], x_classes[opposite]), want)
-            assert np.array_equal(_nearest(taken.x[own], taken.x[opposite]), want)
+            assert np.array_equal(_search(taken.x[own], taken.x[opposite]), want)
 
 
-def test_every_row_its_own_class_composes_through_an_index(monkeypatch):
-    # after a key collision every row is its own class; a resample's classes are then its index
-    monkeypatch.setattr(estimators, "_row_key", lambda rows: np.zeros(len(rows)))
+def test_exact_classes_after_a_key_collision_compose_through_an_index(monkeypatch):
+    # after a key collision the grouping is still exact, and a resample's classes are its parent's through the index
+    monkeypatch.setattr(data, "_row_key", lambda rows: np.zeros(len(rows)))
     rng = np.random.default_rng(25)
     base = rng.normal(size=(12, 3))
     sample = ExperimentalSample(w=np.tile([0.0, 1.0], 20), s=base[rng.integers(0, 12, 40)])
-    assert estimators._classes_of(sample, "sx", sample.s).tolist() == list(range(40))
+    parent_classes = sample._classes("sx")
+    _assert_exact_classes(parent_classes, sample.s)
     idx, idx_again = rng.integers(0, 40, 40), rng.integers(0, 40, 40)
     taken = sample._take(idx)._take(idx_again)
     classes = taken._row_classes["sx"]
-    assert np.array_equal(classes, idx[idx_again])
-    _assert_classes_join_only_identical_rows(classes, taken.s)
+    assert np.array_equal(classes, parent_classes[idx[idx_again]])
+    _assert_exact_classes(classes, taken.s)
     queries, pool_rows = taken.s[:25], taken.s[15:]
     got = _nearest(queries, pool_rows, classes[:25], classes[15:])
     assert np.array_equal(got, _nearest_broadcast(queries, pool_rows))
@@ -396,7 +426,7 @@ def test_matching_a_resample_with_inherited_classes_equals_matching_a_fresh_copy
     rows = base[rng.integers(0, 30, 80)]
     exp = ExperimentalSample(w=np.tile([0.0, 1.0], 40), s=rows[:, :2], x=rows[:, 2:])
     obs = ObservationalSample(y=rng.normal(size=90), s=rng.normal(size=(90, 2)).round(), x=rng.integers(0, 2, (90, 1)))
-    estimators._match(pool(exp, obs), MatchOptions(both_directions=True))  # hashes the parents' classes
+    estimators._match(pool(exp, obs), MatchOptions(both_directions=True))  # finds the parents' classes
     for seed in range(5):
         gen = np.random.default_rng(seed)
         e, o = exp._take(gen.integers(0, 80, 80)), obs._take(gen.integers(0, 90, 90))

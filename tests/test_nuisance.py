@@ -11,6 +11,7 @@ from scipy.special import expit
 from surrogate_ate import (
     ConstantScore,
     DegenerateLabelsError,
+    EstimationError,
     ExperimentalSample,
     LinearModel,
     LogisticModel,
@@ -404,6 +405,18 @@ def test_fits_json_reads_saved_payload():
     assert fits.options.interactions and fits.options.constant_propensity == 0.5
     # the field "converged" of earlier versions is read and dropped
     assert fits.to_json() == SAVED_FITS.replace('"converged": false, ', "")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fits_json_refuses_a_number_that_is_not_finite():
+    # outcomes near 1e160 square to infinity in the index's residual variance
+    rng = np.random.default_rng(0)
+    exp = ExperimentalSample(w=np.tile([0.0, 1.0], 100), s=rng.normal(size=(200, 2)))
+    obs = ObservationalSample(y=rng.normal(size=200) * 1e160, s=rng.normal(size=(200, 2)))
+    fits = fit_all(pool(exp, obs))
+    assert fits.h_model.residual_variance == np.inf
+    with pytest.raises(EstimationError, match="not finite"):
+        fits.to_json()
 
 
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
