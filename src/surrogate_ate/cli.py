@@ -50,19 +50,20 @@ from .diagnostics import (
     efficiency_bounds_single_sample,
 )
 from .errors import ConfigurationError, SurrogateError
-from .estimators import (DEFAULT_TRIM, _index_tau, _linear_tau, _match, _score_tau, bootstrap_se, estimate_index,
+from .estimators import (DEFAULT_TRIM, _index_step, _linear_step, _match, _score_step, bootstrap_se, estimate_index,
                          estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceOptions, fit_all
 from .simulation import STUDIES, run_study
 
-# each method's report and its tau-only core, both on (pooled, fits, trim), in the order of
-# --method all; matching reads only the standardized designs of the pooled dataset, not the fits
+# each method's report and its bootstrap estimate, both on (pooled, fits, trim), in the order of
+# --method all: a bootstrap replicate reads only tau_hat, the first entry of the method's step;
+# matching reads only the standardized designs of the pooled dataset, not the fits
 _METHOD_TABLE = {
-    "index": (lambda p, f, trim: estimate_index(p.exp, f, trim), lambda p, f, trim: _index_tau(p.exp, f, trim)),
+    "index": (lambda p, f, trim: estimate_index(p.exp, f, trim), lambda p, f, trim: _index_step(p.exp, f, trim)[0]),
     "score": (lambda p, f, trim: estimate_score(p.obs, f, p.q, trim),
-              lambda p, f, trim: _score_tau(p.obs, f, p.q, trim)),
+              lambda p, f, trim: _score_step(p.obs, f, p.q, trim)[0]),
     "linear": (lambda p, f, trim: estimate_linear_shortcut(p.exp, f, trim),
-               lambda p, f, trim: _linear_tau(p.exp, f, trim)),
+               lambda p, f, trim: _linear_step(p.exp, f, trim)[0]),
     "match": (lambda p, f, trim: _match(p), lambda p, f, trim: _match(p).tau_hat),
 }
 _METHODS = (*_METHOD_TABLE, "all")

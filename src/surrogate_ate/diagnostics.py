@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
-from .estimators import DEFAULT_TRIM, _arm_mean, _index_arms, _JsonRecord, _predicted, _propensity, _trim_scores
+from .estimators import DEFAULT_TRIM, _arm_mean, _ipw_weights, _JsonRecord, _predicted, _propensity, _trim_scores
 from .nuisance import ConstantScore, NuisanceFits, _fit, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,8 @@ class DiscretePopulation:
         prob = self.prob
         if prob.ndim != 3 or prob.shape[2] != 2:
             raise ValidationError("prob must have shape (n_s, n_x, 2)")
+        if not np.isfinite(prob).all():
+            raise ValidationError("prob contains non-finite values")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
             raise ValidationError("cell probabilities must be non-negative and sum to 1")
         shapes = {"mu": prob.shape, "var": prob.shape, "h_obs": prob.shape[:2], "obs_prob": prob.shape[:2]}
@@ -357,13 +359,14 @@ def _per_cell_variance(values: np.ndarray, cells: np.ndarray, rows: np.ndarray |
     the labels do not matter.  With a boolean ``rows`` mask, each cell's
     variance is taken over its selected rows only and mapped back to every
     row of the cell.  Returns ``None`` if any cell holds fewer than two
-    (selected) observations.
+    (selected) observations.  One stable sort by cell visits each row once
+    and keeps every cell's rows in sample order.
     """
     out = np.empty_like(values)
-    for cell in np.unique(cells):
-        in_cell = cells == cell
-        used = in_cell if rows is None else in_cell & rows
-        if used.sum() < 2:
+    order = np.argsort(cells, kind="stable")
+    for in_cell in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
+        used = in_cell if rows is None else in_cell[rows[in_cell]]
+        if len(used) < 2:
             return None
         out[in_cell] = values[used].var(ddof=0)
     return out
@@ -480,12 +483,14 @@ def efficiency_gain_homoskedastic(
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
-    if sigma2 < 0:
-        raise ValidationError("sigma2 must be non-negative")
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValidationError(f"sigma2 must be finite and non-negative, got {sigma2}")
     r = np.asarray(r_values, dtype=float).ravel()
     pr = np.asarray(probs, dtype=float).ravel()
     if len(r) != len(pr):
         raise ValidationError("r_values and probs must have equal length")
+    if not (np.isfinite(r).all() and np.isfinite(pr).all()):
+        raise ValidationError("r_values and probs must be finite")
     if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-9:
         raise ValidationError("invalid probability vector")
     if np.any(r < 0) or np.any(r > 1):
@@ -546,7 +551,8 @@ def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> Ef
     r = fits._require("r_model").predict(pooled.sx)
     mu = fits._require("h_model").predict(pooled.sx)
 
-    (h, w1), (_, w0), _ = _index_arms(exp, fits, None)
+    w1, w0, _ = _ipw_weights(exp, fits, None)
+    h = _predicted(fits, "h_model", exp)
     mu1, mu0 = _arm_mean(h, w1, "treated"), _arm_mean(h, w0, "control")
 
     first, second = two_sample_bound_value(sigma2, r, mu, mu1, mu0, p, q)

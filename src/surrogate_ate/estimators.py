@@ -17,15 +17,15 @@ improves finite-sample behavior over unnormalized weighting.  A nearest
 neighbor matching estimator and two single-sample baselines round out the
 menu, plus a within-sample bootstrap for standard errors.
 
-Both estimators are one normalized arm contrast, computed by :func:`_tau`
-alone, with the fitted models read on the rows ``[s | x]`` that each
-sample stores (``sample.sx``), and the propensity on ``sample.x``, all
-through :func:`_predicted`.  The index, score and linear-shortcut
-estimators each have a private tau-only core (:func:`_index_tau`,
-:func:`_score_tau`, :func:`_linear_tau`) that runs every check of the
-public estimator, in the same order, and returns its ``tau_hat``; the
-public estimator adds the weight summaries.  Monte Carlo replications and
-bootstrap replicates read only the estimate, so they call the cores.
+The index, score and linear-shortcut estimators are each one private
+step (:func:`_index_step`, :func:`_score_step`, :func:`_linear_step`) that
+runs every check and returns ``(tau_hat, w1, w0, n_trimmed)``: the
+estimate, from the normalized arm contrast :func:`_tau`, and the raw
+weights of each arm.  The fitted models are read on the rows ``[s | x]``
+that each sample stores (``sample.sx``), and the propensity on
+``sample.x``, all through :func:`_predicted`.  A public estimator is
+:func:`_report` of its step, which adds the weight summaries; Monte Carlo
+replications and bootstrap replicates read the step's ``tau_hat`` alone.
 """
 
 from __future__ import annotations
@@ -135,17 +135,12 @@ def _summary(weights: np.ndarray) -> ArmWeights:
     )
 
 
-def _report(method: str, tau_hat: float, weights1, weights0, trim: float | None, n_trimmed: int) -> EstimateReport:
+def _report(method: str, tau_hat: float, weights1, weights0, n_trimmed: int, trim: float | None) -> EstimateReport:
     """The report of ``tau_hat``, with the summary of each arm's accepted weights."""
     treated, control = _summary(weights1), _summary(weights0)
     return EstimateReport(tau_hat=tau_hat, method=method,
                           weight_summary=WeightSummary(treated, control, trim, n_trimmed),
                           n_used={"treated": treated.n, "control": control.n})
-
-
-def _contrast(method: str, arm1, arm0, trim: float | None, n_trimmed: int) -> EstimateReport:
-    """The report of :func:`_tau` on the treated and the control arm."""
-    return _report(method, _tau(arm1, arm0), arm1[1], arm0[1], trim, n_trimmed)
 
 
 def _propensity(fits: NuisanceFits, sample, trim: float | None):
@@ -184,11 +179,11 @@ def _surrogate_contrasts(exp: ExperimentalSample, w1: np.ndarray, w0: np.ndarray
     return np.array([float(s @ n1) - float(s @ n0) for s in exp.s.T])
 
 
-def _index_arms(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
-    """``((h, w1), (h, w0), n_trimmed)`` of the index estimator."""
+def _index_step(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
+    """``(tau_hat, w1, w0, n_trimmed)`` of the index estimator."""
     w1, w0, n_trimmed = _ipw_weights(exp, fits, trim)
     h = _predicted(fits, "h_model", exp)
-    return (h, w1), (h, w0), n_trimmed
+    return _tau((h, w1), (h, w0)), w1, w0, n_trimmed
 
 
 def estimate_index(
@@ -199,16 +194,9 @@ def estimate_index(
     Treated units carry raw weight ``w / e(x)`` and controls
     ``(1 - w) / (1 - e(x))``; each arm's weights are normalized to sum to
     one before averaging the imputed index values.  The report adds each
-    arm's weight summary to the estimate of :func:`_index_tau`.
+    arm's weight summary to the estimate of :func:`_index_step`.
     """
-    arm1, arm0, n_trimmed = _index_arms(exp, fits, trim)
-    return _contrast("index", arm1, arm0, trim, n_trimmed)
-
-
-def _index_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM) -> float:
-    """:func:`estimate_index`'s ``tau_hat`` and checks alone."""
-    arm1, arm0, _ = _index_arms(exp, fits, trim)
-    return _tau(arm1, arm0)
+    return _report("index", *_index_step(exp, fits, trim), trim)
 
 
 def estimate_tau_surrogates(
@@ -219,7 +207,7 @@ def estimate_tau_surrogates(
     return _surrogate_contrasts(exp, w1, w0)
 
 
-def _linear_parts(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
+def _linear_step(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None):
     """``(tau_hat, w1, w0, n_trimmed)`` of the linear shortcut, after its checks on the index model."""
     h = fits.h_model
     if not isinstance(h, LinearModel):
@@ -241,19 +229,13 @@ def estimate_linear_shortcut(
     terms.  Without covariates this reproduces the index estimator exactly;
     with covariates the two differ by the weighted covariate contrast,
     which the shortcut drops.  The report adds each arm's weight summary
-    to the estimate of :func:`_linear_tau`.
+    to the estimate of :func:`_linear_step`.
     """
-    tau_hat, w1, w0, n_trimmed = _linear_parts(exp, fits, trim)
-    return _report("linear_shortcut", tau_hat, w1, w0, trim, n_trimmed)
+    return _report("linear_shortcut", *_linear_step(exp, fits, trim), trim)
 
 
-def _linear_tau(exp: ExperimentalSample, fits: NuisanceFits, trim: float | None = DEFAULT_TRIM) -> float:
-    """:func:`estimate_linear_shortcut`'s ``tau_hat`` and checks alone."""
-    return _linear_parts(exp, fits, trim)[0]
-
-
-def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None):
-    """``((y, w1), (y, w0), n_trimmed)`` of the score estimator."""
+def _score_step(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None):
+    """``(tau_hat, w1, w0, n_trimmed)`` of the score estimator."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
     r, n_tr = _trim_scores(_predicted(fits, "r_model", obs), trim)
@@ -264,7 +246,7 @@ def _score_arms(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: fl
     base = t * (1.0 - q) / ((1.0 - t) * q)
     w1 = r / e * base
     w0 = (1.0 - r) / (1.0 - e) * base
-    return (obs.y, w1), (obs.y, w0), n_tr + n_te + n_tt
+    return _tau((obs.y, w1), (obs.y, w0)), w1, w0, n_tr + n_te + n_tt
 
 
 def estimate_score(
@@ -276,16 +258,9 @@ def estimate_score(
     """Surrogate score estimator: normalized weighted contrast of observational outcomes.
 
     The report adds each arm's weight summary to the estimate of
-    :func:`_score_tau`.
+    :func:`_score_step`.
     """
-    arm1, arm0, n_trimmed = _score_arms(obs, fits, q, trim)
-    return _contrast("score", arm1, arm0, trim, n_trimmed)
-
-
-def _score_tau(obs: ObservationalSample, fits: NuisanceFits, q: float, trim: float | None = DEFAULT_TRIM) -> float:
-    """:func:`estimate_score`'s ``tau_hat`` and checks alone."""
-    arm1, arm0, _ = _score_arms(obs, fits, q, trim)
-    return _tau(arm1, arm0)
+    return _report("score", *_score_step(obs, fits, q, trim), trim)
 
 
 @dataclass(frozen=True)
@@ -482,7 +457,8 @@ def estimate_single_sample(
     else:
         raise UnsupportedConfigurationError(f"unknown mode {mode!r}")
     ones = np.ones(sample.n)
-    return _contrast(method, (values[treated], ones[treated]), (values[~treated], ones[~treated]), None, 0)
+    arm1, arm0 = (values[treated], ones[treated]), (values[~treated], ones[~treated])
+    return _report(method, _tau(arm1, arm0), arm1[1], arm0[1], 0, None)
 
 
 def _resample(sample, rng: np.random.Generator):

@@ -45,7 +45,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
-from .estimators import _index_tau, _score_tau
+from .estimators import DEFAULT_TRIM, _index_step, _score_step
 from .nuisance import ConstantScore, NuisanceFits, _fit, expit, fit_logistic
 from .parallel import ordered_map, seed_sequence
 
@@ -342,7 +342,8 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
 
     The samples are validated once, when drawn (see :func:`draw_dataset`
     and :func:`_first_columns`); the fits skip the rescans of their
-    columns, and the estimates come from the estimators' tau-only cores.
+    columns, and each estimate is the ``tau_hat`` of its estimator's step,
+    without the weight summaries of a report.
     """
     try:
         exp, obs = draw_dataset(spec, rep_seed)
@@ -358,14 +359,14 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     try:
         r_model = _fit("surrogate score", fit_logistic, exp.s, exp.w, HARNESS_RIDGE, exp.n_surrogates)
         fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
-        tau_o = _score_tau(obs, fits, q)
+        tau_o = _score_step(obs, fits, q, DEFAULT_TRIM)[0]
     except SurrogateError:
         tau_o = None
     try:
         # the outcomes are binary, so the index is itself a logistic mean
         h_model = _fit("surrogate index", fit_logistic, obs.s, obs.y, HARNESS_RIDGE, obs.n_surrogates)
         fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
-        tau_e = _index_tau(exp, fits)
+        tau_e = _index_step(exp, fits, DEFAULT_TRIM)[0]
     except SurrogateError:
         tau_e = None
     return tau_o, tau_e

@@ -2,14 +2,17 @@
 
 Hypothesis draws small CSV bodies (ties, constant columns, one-arm files,
 huge and tiny magnitudes, a UTF-8 byte order mark) and flag values for
-``estimate``, ``diagnose`` and ``bounds``, and runs each case through
-``cli.main`` in this process with ``SURROGATE_THREADS=1``.  Whatever the
-input, a command exits 0, 2 or 3, writes at most one line on stderr and
-raises no Python warning, prints strict JSON, and leaves no ``--out``
-file behind when it fails.
+``estimate``, ``diagnose`` and ``bounds``, small studies for ``simulate``,
+and a ``SURROGATE_THREADS`` of 1 or 2 (or, rarely, an invalid one), and
+runs each case through ``cli.main`` in this process, whose bootstrap and
+replications fork workers at 2.  Whatever the input, a command exits 0, 2
+or 3, writes at most one line on stderr and raises no Python warning,
+prints strict JSON (``simulate``: a CSV of two rows per grid value and a
+strict JSON manifest), and leaves no ``--out`` file behind when it fails.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -43,6 +46,11 @@ def _mostly(usual, unusual):
 
 _RIDGES = _mostly(["0", "0.001", "1e-320"], ["1e308", "nan", "inf", "-1"])
 _TRIMS = _mostly(["0", "1e-6", "0.2"], ["0.4999999999", "0.7", "-0.1"])
+_THREADS = _mostly(["1", "2"], ["0", "abc"])
+# one small grid value per study, each a few milliseconds a replication
+_SMALL_GRIDS = {"dimension": ["2", "10"], "misspecification": ["5", "1"], "sample_size": ["0.5", "0.05"],
+                "explanatory": ["1", "4"]}
+_SEEDS = st.sampled_from(["0", "7", "12345678901234567890123"])
 
 
 @st.composite
@@ -68,7 +76,12 @@ def _csv_text(draw, units, m, k):
 @st.composite
 def _case(draw):
     """``(command, files, flags)``: the CSV texts by flag, and the other flags."""
-    command = draw(st.sampled_from(["estimate", "diagnose", "bounds", "bounds-two-sample"]))
+    command = draw(st.sampled_from(["estimate", "diagnose", "bounds", "bounds-two-sample", "simulate"]))
+    if command == "simulate":
+        study = draw(st.sampled_from(sorted(cli._STUDY_ALIASES)))
+        grid = draw(_mostly(_SMALL_GRIDS[cli._STUDY_ALIASES[study]], ["0", "-1", "abc", ""]))
+        reps = draw(_mostly(["2", "1", "3"], ["0", "-1"]))
+        return command, {}, ["--study", study, "--grid", grid, "--reps", reps, "--seed", draw(_SEEDS)]
     m, k = draw(st.integers(1, 2)), draw(st.integers(0, 1))
     ridge = ["--ridge", draw(_RIDGES)]
     if command == "bounds":
@@ -86,8 +99,7 @@ def _case(draw):
         return command, files, [*flags, "--delta-s", draw(caps), "--delta-c", draw(caps)]
     method = draw(st.sampled_from(["all", "index", "score", "linear", "match"]))
     bootstrap = draw(_mostly(["0", "2", "3"], ["-1", "1"]))
-    seed = draw(st.sampled_from(["0", "7", "12345678901234567890123"]))
-    return command, files, [*flags, "--method", method, "--bootstrap", bootstrap, "--seed", seed]
+    return command, files, [*flags, "--method", method, "--bootstrap", bootstrap, "--seed", draw(_SEEDS)]
 
 
 def _strict(text):
@@ -98,18 +110,29 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _check_study(out):
+    """The CSV of a study, two rows per grid value, and its strict JSON manifest."""
+    with out.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["grid_value", "estimator", "abs_bias_x100", "sd_x100", "reps", "failures", "true_tau"]
+    manifest = _strict(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert [row[1] for row in rows] == ["score", "index"] * len(manifest["grid"])
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_case(), st.booleans())
-def test_every_command_keeps_the_contract(case, to_file):
+@given(_case(), st.booleans(), _THREADS)
+def test_every_command_keeps_the_contract(case, to_file, threads):
     command, files, flags = case
+    # simulate always writes its CSV and manifest to --out
+    to_file = to_file or command == "simulate"
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setenv("SURROGATE_THREADS", "1")
+        mp.setenv("SURROGATE_THREADS", threads)
         argv = [command]
         for flag, text in files.items():
             path = Path(tmp) / f"{flag[2:]}.csv"
             path.write_text(text, encoding="utf-8")
             argv += [flag, str(path)]
-        out = Path(tmp) / "result.json"
+        out = Path(tmp) / ("result.csv" if command == "simulate" else "result.json")
         argv += flags + (["--out", str(out)] if to_file else [])
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -118,12 +141,15 @@ def test_every_command_keeps_the_contract(case, to_file):
             code = cli.main(argv)
         assert code in (0, 2, 3), argv
         event(f"{argv[0]} exit {code}")
+        event(f"SURROGATE_THREADS={threads}")
         assert [str(w.message) for w in caught] == []
         assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
-        if code == 0:
+        if code == 0 and command == "simulate":
+            _check_study(out)
+        elif code == 0:
             _strict(out.read_text(encoding="utf-8") if to_file else stdout.getvalue())
         else:
             assert stderr.getvalue().startswith("error: ")
-            assert not out.exists()
+            assert sorted(Path(tmp).glob("result*")) == []
         if to_file:
             assert stdout.getvalue() == ""

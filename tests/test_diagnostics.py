@@ -29,6 +29,7 @@ from surrogate_ate import (
     verify_bias_identity,
     verify_identification,
 )
+from surrogate_ate.diagnostics import _per_cell_variance
 
 
 def _fits(e=None, r=None, t=None, h=None):
@@ -194,6 +195,24 @@ def test_gain_worked_instance_168():
 def test_gain_invalid_probability_vector():
     with pytest.raises(ValidationError, match="probability"):
         efficiency_gain_homoskedastic(0.5, 1.0, r_values=[0.3, 0.7], probs=[0.6, 0.6])
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+def test_gain_rejects_a_sigma2_that_is_not_finite_and_non_negative(sigma2):
+    with pytest.raises(ValidationError, match="sigma2 must be finite and non-negative"):
+        efficiency_gain_homoskedastic(0.5, sigma2, r_values=[0.2, 0.8], probs=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("r_values, probs", [
+    ([0.2, 0.8], [float("nan"), 0.5]),
+    ([float("nan"), 0.8], [0.5, 0.5]),
+    ([0.2, float("inf")], [0.5, 0.5]),
+    ([0.2, 0.8], [0.5, -float("inf")]),
+])
+def test_gain_rejects_non_finite_scores_or_probabilities(r_values, probs):
+    # every comparison is false on NaN, so these used to return nan
+    with pytest.raises(ValidationError, match="r_values and probs must be finite"):
+        efficiency_gain_homoskedastic(0.5, 1.0, r_values=r_values, probs=probs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,6 +397,46 @@ def test_single_sample_bounds_per_stratum_fallback_warns():
     assert bounds.per_stratum_fallback
 
 
+def _per_cell_variance_by_scan(values, cells, rows=None):
+    """The per-stratum variance as one scan of every row per cell: the oracle of the one-pass version."""
+    out = np.empty_like(values)
+    for cell in np.unique(cells):
+        in_cell = cells == cell
+        used = in_cell if rows is None else in_cell & rows
+        if used.sum() < 2:
+            return None
+        out[in_cell] = values[used].var(ddof=0)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_per_cell_variance_equals_the_scan_per_cell_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    # sparse, unordered labels with many ties, like the classes a resample inherits
+    cells = rng.integers(0, int(rng.integers(1, 15)), n) * int(rng.integers(1, 5))
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    for rows in (None, rng.random(n) < 0.7, np.ones(n, dtype=bool)):
+        want = _per_cell_variance_by_scan(values, cells, rows)
+        got = _per_cell_variance(values, cells, rows)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells, rows", [
+    ([0, 0, 1], None),  # a singleton cell
+    ([3, 3, 7, 7], [True, True, True, False]),  # one selected row in cell 7
+    ([3, 3, 7, 7], [True, True, False, False]),  # no selected row in cell 7
+])
+def test_per_cell_variance_is_none_for_a_cell_with_fewer_than_two_selected_rows(cells, rows):
+    values = np.arange(len(cells), dtype=float)
+    cells = np.array(cells)
+    rows = None if rows is None else np.array(rows)
+    assert _per_cell_variance_by_scan(values, cells, rows) is None
+    assert _per_cell_variance(values, cells, rows) is None
+
+
 # ---------------------------------------------------------------------------
 # two-sample bound
 
@@ -476,3 +535,13 @@ def test_population_from_nested_lists_matches_arrays():
     assert verify_identification(listed, 0.4) == verify_identification(pop, 0.4)
     assert verify_bias_identity(listed) == verify_bias_identity(pop)
     assert isinstance(listed.prob, np.ndarray) and not listed.prob.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_population_rejects_non_finite_probabilities(bad):
+    # a NaN sum passes the sum-to-one check, and the population's tau() was nan
+    pop = random_population(np.random.default_rng(0))
+    prob = pop.prob.copy()
+    prob[0, 0, 0] = bad
+    with pytest.raises(ValidationError, match="prob contains non-finite values"):
+        replace(pop, prob=prob)

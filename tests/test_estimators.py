@@ -35,10 +35,10 @@ from surrogate_ate import (
 )
 from surrogate_ate.estimators import (
     MatchOptions,
-    _index_tau,
+    _index_step,
     _ipw_weights,
-    _linear_tau,
-    _score_tau,
+    _linear_step,
+    _score_step,
     _surrogate_contrasts,
 )
 
@@ -763,7 +763,7 @@ def test_single_sample_resamples_keep_their_arm_sizes(small_single):
 
 
 # ---------------------------------------------------------------------------
-# tau-only cores: the public estimates and errors, without the reports
+# estimate steps: the public estimates and errors, without the reports
 
 def _outcome(call):
     """The float hex of what ``call`` returns (a report's ``tau_hat``), or the type and message it raises."""
@@ -799,9 +799,9 @@ def test_cores_equal_the_public_estimates_bit_for_bit(seed, n_covariates, option
     pooled = _pooled(seed, n_covariates)
     fits = fit_all(pooled, options)
     exp, obs = pooled.exp, pooled.obs
-    assert _index_tau(exp, fits, trim).hex() == estimate_index(exp, fits, trim).tau_hat.hex()
-    assert _score_tau(obs, fits, pooled.q, trim).hex() == estimate_score(obs, fits, pooled.q, trim).tau_hat.hex()
-    assert _outcome(lambda: _linear_tau(exp, fits, trim)) == _outcome(lambda: estimate_linear_shortcut(exp, fits, trim))
+    assert _index_step(exp, fits, trim)[0].hex() == estimate_index(exp, fits, trim).tau_hat.hex()
+    assert _score_step(obs, fits, pooled.q, trim)[0].hex() == estimate_score(obs, fits, pooled.q, trim).tau_hat.hex()
+    assert _outcome(lambda: _linear_step(exp, fits, trim)[0]) == _outcome(lambda: estimate_linear_shortcut(exp, fits, trim))
 
 
 class _PredictOnly:
@@ -830,20 +830,20 @@ def test_a_model_with_only_predict_gives_the_fitted_models_estimates_bit_for_bit
     exp, obs, q = pooled.exp, pooled.obs, pooled.q
     assert estimate_index(exp, wrapped, trim).to_json() == estimate_index(exp, fits, trim).to_json()
     assert estimate_score(obs, wrapped, q, trim).to_json() == estimate_score(obs, fits, q, trim).to_json()
-    assert _index_tau(exp, wrapped, trim).hex() == _index_tau(exp, fits, trim).hex()
-    assert _score_tau(obs, wrapped, q, trim).hex() == _score_tau(obs, fits, q, trim).hex()
+    assert _index_step(exp, wrapped, trim)[0].hex() == _index_step(exp, fits, trim)[0].hex()
+    assert _score_step(obs, wrapped, q, trim)[0].hex() == _score_step(obs, fits, q, trim)[0].hex()
 
 
 def _index_case(exp, obs, e=None, h=None, trim=None):
     fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5), h=h)
-    return lambda: _index_tau(exp, fits, trim), lambda: estimate_index(exp, fits, trim)
+    return lambda: _index_step(exp, fits, trim)[0], lambda: estimate_index(exp, fits, trim)
 
 
 def _score_case(exp, obs, e=None, r=None, t=None, q=0.5, trim=None):
     n = obs.n
     fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5),
                  r=FixedScore(r if r is not None else np.full(n, 0.5)), t=FixedScore(t) if t is not None else None)
-    return lambda: _score_tau(obs, fits, q, trim), lambda: estimate_score(obs, fits, q, trim)
+    return lambda: _score_step(obs, fits, q, trim)[0], lambda: estimate_score(obs, fits, q, trim)
 
 
 def _linear_case(exp, obs, e=None, h="linear", trim=None):
@@ -855,7 +855,7 @@ def _linear_case(exp, obs, e=None, h="linear", trim=None):
         "fixed": FixedIndex(np.zeros(exp.n)),
     }
     fits = _fits(e=FixedScore(e) if e is not None else ConstantScore(0.5), h=models[h])
-    return lambda: _linear_tau(exp, fits, trim), lambda: estimate_linear_shortcut(exp, fits, trim)
+    return lambda: _linear_step(exp, fits, trim)[0], lambda: estimate_linear_shortcut(exp, fits, trim)
 
 
 _TINY = 5e-324  # w / e overflows to inf

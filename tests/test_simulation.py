@@ -476,7 +476,7 @@ def test_hermite_rule_is_built_once():
 
 
 # ---------------------------------------------------------------------------
-# the replication path, validated once: pinned bits, trusted samples, tau-only cores
+# the replication path, validated once: pinned bits, trusted samples, estimate steps
 
 # float.hex of (abs_bias_x100, sd_x100) and true_tau of run_study(study, reps=6, seed=3, grid=grid),
 # recorded when every replication still rebuilt its samples through the validating
