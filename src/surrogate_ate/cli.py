@@ -7,7 +7,8 @@ estimate
     experimental and an observational CSV file.
 diagnose
     Bias bound for user-declared caps on the surrogacy and comparability
-    violations.
+    violations; it fits only the propensity and the surrogate score, which
+    the bound reads.
 bounds
     Efficiency bounds: single-sample variance bounds with and without
     surrogacy, or the two-sample bound (no covariates, constant sampling
@@ -24,8 +25,9 @@ linear-shortcut estimates; a resample whose fit fails is dropped for those
 three methods only, and one on which a method fails for that method only.
 
 The exit codes, the one-line ``error:`` and ``warning:`` messages on
-stderr and the worker processes (``SURROGATE_THREADS``) are described in
-the README's "Command line" section.  Each command runs with numpy's
+stderr and the worker processes (``SURROGATE_THREADS``, checked by every
+command before any input is read) are described in the README's "Command
+line" section.  Each command runs with numpy's
 floating-point warnings off, and its JSON output is strict: a number that
 is not finite ends the command with an ``EstimationError`` (exit 3) before
 any ``--out`` file is written.
@@ -52,7 +54,8 @@ from .diagnostics import (
 from .errors import ConfigurationError, SurrogateError
 from .estimators import (DEFAULT_TRIM, _index_step, _linear_step, _match, _score_step, bootstrap_se, estimate_index,
                          estimate_linear_shortcut, estimate_score)
-from .nuisance import NuisanceOptions, fit_all
+from .nuisance import NuisanceFits, NuisanceOptions, _fit_scores, fit_all
+from .parallel import worker_count
 from .simulation import STUDIES, run_study
 
 # each method's report and its bootstrap estimate, both on (pooled, fits, trim), in the order of
@@ -151,10 +154,10 @@ def run_estimate(args) -> int:
 
 def run_diagnose(args) -> int:
     trim = _trim_value(args)
-    exp = load_experimental(args.exp)
-    obs = load_observational(args.obs)
-    fits = fit_all(pool(exp, obs), _options(args))
-    bound = bias_bound(exp, fits, delta_s=args.delta_s, delta_c=args.delta_c, trim=trim)
+    pooled, options = pool(load_experimental(args.exp), load_observational(args.obs)), _options(args)
+    # the bound reads only e and r, so the sampling score and the index are not fitted
+    fits = NuisanceFits(*_fit_scores(pooled, options), t_model=None, h_model=None, options=options)
+    bound = bias_bound(pooled.exp, fits, delta_s=args.delta_s, delta_c=args.delta_c, trim=trim)
     _emit(asdict(bound), args.out)
     return 0
 
@@ -259,6 +262,7 @@ def main(argv=None) -> int:
         # an --out that cannot be written fails before any input is read or any work runs
         if args.out is not None:
             _check_output(args.out)
+        worker_count()  # so does a SURROGATE_THREADS that is not a worker count, for every command
         # overflow shows as a typed error (a result that is not finite), never as a numpy warning;
         # forked workers inherit the state
         with np.errstate(all="ignore"):

@@ -93,11 +93,13 @@ class DiscretePopulation:
     """A finite-support population for exact, quadrature-free verification.
 
     ``prob[i, j, w]`` is the joint probability that an experimental-population
-    unit has surrogate level ``i``, covariate level ``j``, and treatment ``w``;
-    ``mu[i, j, w]`` and ``var[i, j, w]`` are the outcome mean and variance in
-    that cell.  ``h_obs[i, j]`` gives the observational outcome means and
-    ``obs_prob[i, j]`` the observational distribution over ``(s, x)`` (defaults
-    to the experimental marginal).  Every experimental cell keeps
+    unit has surrogate level ``i``, covariate level ``j``, and treatment ``w``,
+    the levels being the rows ``s_levels[i]`` and ``x_levels[j]`` (finite,
+    one per index of ``prob``'s first and second axes); ``mu[i, j, w]`` and
+    ``var[i, j, w]`` are the outcome mean and variance in that cell.
+    ``h_obs[i, j]`` gives the observational outcome means and
+    ``obs_prob[i, j]`` the observational distribution over ``(s, x)``
+    (defaults to the experimental marginal).  Every experimental cell keeps
     ``0 < e(x) < 1``, and the observational distribution must cover the
     experimental support so the pooled sampling score stays below one.
     """
@@ -122,6 +124,12 @@ class DiscretePopulation:
             raise ValidationError("prob contains non-finite values")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
             raise ValidationError("cell probabilities must be non-negative and sum to 1")
+        for name, n_levels in (("s_levels", prob.shape[0]), ("x_levels", prob.shape[1])):
+            levels = getattr(self, name)
+            if not np.isfinite(levels).all():
+                raise ValidationError(f"{name} contains non-finite values")
+            if levels.shape[:1] != (n_levels,):
+                raise ValidationError(f"{name} must have {n_levels} levels along its first axis, got shape {levels.shape}")
         shapes = {"mu": prob.shape, "var": prob.shape, "h_obs": prob.shape[:2], "obs_prob": prob.shape[:2]}
         for name, shape in shapes.items():
             arr = getattr(self, name)

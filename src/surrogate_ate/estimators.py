@@ -385,7 +385,10 @@ def estimate_matching(
     within-experimental match is degenerate: every opposite-arm unit ties
     at distance zero and the first one is used.
 
-    The search is exact and runs over distinct rows, taking
+    Only the experimental rows that a contrast reads get an observational
+    neighbor: the treated units and their partners, plus, with
+    ``both_directions``, the controls and theirs.  The search is exact and
+    runs over distinct rows, taking
     O(u_E * u_O * (M + K)) time for u_E and u_O distinct rows; its memory is
     bounded by a fixed block budget instead of growing with n_E * n_O.  Each
     sample finds the classes of identical raw ``[s | x]`` and ``x`` rows
@@ -401,7 +404,13 @@ def estimate_matching(
 def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> EstimateReport:
     """:func:`estimate_matching` on ``pooled``'s standardized designs, which its fits may have built already.
 
-    The searches run over each sample's classes of identical raw rows
+    The within-arm partners are found first.  Then one :func:`_nearest`
+    over the observational pool searches only the experimental rows that
+    the contrasts read, the own units and partners of each direction,
+    with those rows' classes; since the search is exact per query, with
+    ties to the lowest pool index, each of these rows gets the neighbor a
+    search of every experimental row would give it.  The searches run over
+    each sample's classes of identical raw rows
     (:meth:`~surrogate_ate.data._Sample._classes`), the classes that the
     per-stratum efficiency bounds read as strata.
     """
@@ -416,17 +425,23 @@ def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> Estima
     sx_std = pooled.standardized_sx[0][:, 1:]
     # rows identical before standardizing stay identical after it
     x_classes = exp._classes("x")
-    # i -> i' for every experimental unit
-    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp._classes("sx"), obs._classes("sx"))
 
-    def _contrasts(own_idx, opposite_idx):
-        within = _nearest(x_std[own_idx], x_std[opposite_idx], x_classes[own_idx], x_classes[opposite_idx])
-        partner = opposite_idx[within]
-        return obs.y[obs_match[own_idx]] - obs.y[obs_match[partner]]
+    def _partners(own_idx, opposite_idx):
+        return opposite_idx[_nearest(x_std[own_idx], x_std[opposite_idx], x_classes[own_idx], x_classes[opposite_idx])]
 
-    effects = _contrasts(treated_idx, control_idx)
+    # (own units, their within-arm partners), one pair per contrast direction
+    pairs = [(treated_idx, _partners(treated_idx, control_idx))]
     if options.both_directions:
-        effects = np.concatenate([effects, -_contrasts(control_idx, treated_idx)])
+        pairs.append((control_idx, _partners(control_idx, treated_idx)))
+    # i -> i' for the experimental units the contrasts read; no other entry of obs_match is read
+    read = np.zeros(exp.n, dtype=bool)
+    for own_idx, partner_idx in pairs:
+        read[own_idx] = read[partner_idx] = True
+    read = np.flatnonzero(read)
+    obs_match = np.empty(exp.n, dtype=np.intp)
+    obs_match[read] = _nearest(sx_std[read], sx_std[exp.n :], exp._classes("sx")[read], obs._classes("sx"))
+    effects = np.concatenate([sign * (obs.y[obs_match[own_idx]] - obs.y[obs_match[partner_idx]])
+                              for sign, (own_idx, partner_idx) in zip((1.0, -1.0), pairs)])
     return EstimateReport(
         tau_hat=float(effects.mean()),
         method="matching",

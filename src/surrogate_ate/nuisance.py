@@ -255,7 +255,7 @@ ScoreModel = Union[LogisticModel, ConstantScore]
 IndexModel = Union[LinearModel, LogisticModel]
 
 
-def _check_rank(z1: np.ndarray) -> None:
+def _check_rank(z1: np.ndarray, gram: np.ndarray | None = None) -> None:
     """Rank check for the standardized design ``A = z1 = [1 | z]`` of a fit (ridge = 0 path).
 
     ``A`` is rank deficient when its SVD finds ``sigma_min <= 1e-10 * sigma_max``.
@@ -264,6 +264,10 @@ def _check_rank(z1: np.ndarray) -> None:
     ``1e-7 * lambda_max`` while ``A`` has fewer than 10**8 cells, so
     ``lambda_min > 1e-6 * lambda_max`` proves ``sigma_min / sigma_max > ~1e-3``
     and the SVD is skipped.  Every other design goes to the SVD, as before.
+    ``gram`` is a Gram that the caller has formed already, up to a positive
+    factor, which the eigenvalue ratio does not see: the ridge-free logistic
+    fit passes its first Newton Hessian, ``A'A / 4`` at ``beta = 0``.
+    Without it the Gram is formed here, as least squares does.
     """
     n_rows, d = z1.shape[0], z1.shape[1] - 1
     if n_rows < d + 1:
@@ -273,7 +277,7 @@ def _check_rank(z1: np.ndarray) -> None:
     if d == 0:
         return
     if n_rows * (d + 1) < 10**8:
-        eig = np.linalg.eigvalsh(z1.T @ z1)
+        eig = np.linalg.eigvalsh(z1.T @ z1 if gram is None else gram)
         if eig[0] > 1e-6 * eig[-1]:
             return
     sv = np.linalg.svd(z1, compute_uv=False)
@@ -311,8 +315,10 @@ def _prepare(features, targets, ridge: float, binary: bool, standardized=None, t
     Returns ``(features, targets, z1, mean, sd)`` with ``z1 = [1 | z]`` from
     :func:`_standardize`, or from ``standardized()``, which returns the
     same triple for ``features`` that a :class:`PooledDataset` has built
-    already.  ``binary`` fits also need 0/1 labels of both classes.  With
-    ``ridge == 0`` the design must have full rank.  ``trusted`` inputs are
+    already.  ``binary`` fits also need 0/1 labels of both classes.  The
+    rank of a ridge-free design is left to the fit (:func:`_check_rank`):
+    least squares checks ``z1`` next, and the logistic fit its first Newton
+    Hessian, so that no second Gram is formed.  ``trusted`` inputs are
     columns of one validated sample (a 2-d float design, a 1-d float target
     of its row count, finite, 0/1 where they are labels), so coercion and
     those rescans are skipped; every check that depends on the data and the
@@ -337,8 +343,6 @@ def _prepare(features, targets, ridge: float, binary: bool, standardized=None, t
     if len(y) == 0:
         raise ValidationError("cannot fit on an empty sample")
     z1, mean, sd = _standardize(features) if standardized is None else standardized()
-    if ridge == 0.0:
-        _check_rank(z1)
     return features, y, z1, mean, sd
 
 
@@ -368,6 +372,8 @@ def fit_least_squares(
         penalized normal equations are singular.
     """
     features, y, z1, mean, sd = _prepare(features, targets, ridge, False, _standardized, _trusted)
+    if ridge == 0.0:
+        _check_rank(z1)
     # a contiguous copy: numpy's matrix-vector product of a strided view can round differently
     z = np.ascontiguousarray(z1[:, 1:])
     y_bar = y.mean()
@@ -434,6 +440,14 @@ def fit_logistic(
     pin coefficients, intercept and iteration count against a reference
     kernel that makes one temporary per operation.
 
+    At ``ridge == 0`` the rank certificate of :func:`_check_rank` reads
+    the first Newton Hessian, which at ``beta = 0`` is ``z1'z1 / 4``
+    (every weight is exactly ``1/4``), before that Hessian is solved; a
+    fit that forms no Hessian (the score at ``beta = 0`` is already below
+    ``tol``) has its design checked before it returns.  Either way a rank
+    deficient design raises :class:`SingularDesignError` before any other
+    check on the fit, and no second Gram is formed.
+
     Raises
     ------
     DegenerateLabelsError
@@ -484,7 +498,10 @@ def fit_logistic(
         r *= p
         np.sqrt(r, out=r)
         np.multiply(zt, r, out=zwt)
-        step = _penalized_solve(zwt @ zwt.T, penalty, grad, separation=ridge == 0.0)
+        hessian = zwt @ zwt.T
+        if ridge == 0.0 and iterations == 1:
+            _check_rank(z1, hessian)
+        step = _penalized_solve(hessian, penalty, grad, separation=ridge == 0.0)
         scale = 1.0
         candidate = beta + step
         cand_obj = objective(candidate, cand_eta)
@@ -504,6 +521,8 @@ def fit_logistic(
                 "unpenalized MLE does not exist; use a positive ridge penalty"
             )
 
+    if ridge == 0.0 and iterations == 0:  # no Hessian was formed to check the rank with
+        _check_rank(z1)
     # a perfect fit (log-likelihood at its supremum of 0) is only possible
     # under complete separation, even if the gradient plateaued before the
     # coefficient norm tripped the divergence threshold
@@ -624,21 +643,17 @@ def _fit(role: str, fitter, rows, target, ridge: float, n_s: int, standardized=N
         raise type(exc)(f"{role}: {exc}") from exc
 
 
-def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> NuisanceFits:
-    """Fit propensity, surrogate score, sampling score, and surrogate index.
+def _fit_scores(pooled: PooledDataset, options: NuisanceOptions) -> tuple:
+    """``(e_model, r_model)``: the propensity and the surrogate score, fitted as :func:`fit_all` fits them.
 
-    With no covariates the propensity collapses to the treated fraction,
-    and the model is stored as an exact :class:`ConstantScore`.  The fits
-    read the rows the samples store: ``r`` the experimental ``sx``, ``h`` the
-    observational ``sx``, and the propensity and sampling score ``pooled``'s
-    standardized ``x`` and ``sx`` (with ``interactions``, the sampling score
-    standardizes its own wider design).  Each fit goes through :func:`_fit`
-    and is tagged with its role.
+    The propensity is ``options.constant_propensity`` when given; with no
+    covariates it collapses to the treated fraction, stored as an exact
+    :class:`ConstantScore`; otherwise it is fitted on ``pooled``'s
+    standardized experimental ``x``.  The surrogate score is fitted on the
+    experimental ``sx``.  :func:`fit_all` calls this first, and ``diagnose``
+    calls it alone, since the bias bound reads these two models only.
     """
-    options = options or NuisanceOptions()
-    exp, obs = pooled.exp, pooled.obs
-    n_s, interactions = exp.n_surrogates, options.interactions
-
+    exp = pooled.exp
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
     elif exp.n_covariates == 0:
@@ -646,9 +661,23 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     else:
         e_model = _fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity, 0,
                        lambda: pooled.standardized_x)
+    r_model = _fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score,
+                   exp.n_surrogates, interactions=options.interactions)
+    return e_model, r_model
 
-    r_model = _fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score, n_s,
-                   interactions=interactions)
+
+def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> NuisanceFits:
+    """Fit propensity, surrogate score, sampling score, and surrogate index.
+
+    The propensity and the surrogate score come from :func:`_fit_scores`.
+    The other fits read the rows the samples store: ``h`` the
+    observational ``sx``, and the sampling score ``pooled``'s standardized
+    ``sx`` (with ``interactions``, it standardizes its own wider design).
+    Each fit goes through :func:`_fit` and is tagged with its role.
+    """
+    options = options or NuisanceOptions()
+    obs, n_s, interactions = pooled.obs, pooled.exp.n_surrogates, options.interactions
+    e_model, r_model = _fit_scores(pooled, options)
 
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)

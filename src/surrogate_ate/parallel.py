@@ -3,8 +3,10 @@
 Bootstrap replicates and Monte Carlo replications run in worker processes.
 The ``SURROGATE_THREADS`` environment variable sets how many, as a
 positive decimal integer; unset or empty, it means the CPUs available to
-the process, and any other value raises :class:`ConfigurationError` when
-a map starts, before any item runs.  A map never uses more workers
+the process, and any other value raises :class:`ConfigurationError`
+(:func:`worker_count`).  Every command-line command checks it before any
+input is read, whether or not it runs a map, and a map checks it when it
+starts, before any item runs.  A map never uses more workers
 than it has items or than there are CPUs available, whatever the value.
 Each work item is a pure function of its own seed stream
 (:func:`seed_sequence`), and results come back in item order, so output is

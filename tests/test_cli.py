@@ -305,6 +305,55 @@ def test_diagnose_zero_deltas(fixture_files, tmp_path):
     assert payload["surrogacy_multiplier"] == lib.surrogacy_multiplier
 
 
+@pytest.fixture
+def separated_files(tmp_path):
+    """A pair whose observational surrogates lie 10 SD from the experimental ones, so the sampling score separates."""
+    rng = np.random.default_rng(29)
+    n = 200
+    w = np.tile([0.0, 1.0], n // 2)
+    exp = ExperimentalSample(w=w, s=rng.normal(size=(n, 2)) + 0.5 * w[:, None], x=rng.normal(size=(n, 1)))
+    obs = ObservationalSample(y=rng.normal(size=n), s=rng.normal(size=(n, 2)) + 10.0, x=rng.normal(size=(n, 1)))
+    pe, po = tmp_path / "sep_e.csv", tmp_path / "sep_o.csv"
+    write_experimental(exp, pe)
+    write_observational(obs, po)
+    return pe, po
+
+
+def test_diagnose_fits_only_the_scores_the_bound_reads(separated_files, tmp_path, capsys):
+    pe, po = separated_files
+    pooled = pool(load_experimental(pe), load_observational(po))
+    with pytest.raises(SeparationError, match="^sampling score: "):
+        fit_all(pooled)
+    assert _run(["estimate", "--exp", pe, "--obs", po, "--method", "score"]) == 3
+    assert capsys.readouterr().err.startswith("error: SeparationError: sampling score: ")
+    out = tmp_path / "diag.json"
+    assert _run(["diagnose", "--exp", pe, "--obs", po, "--delta-s", "0.5", "--delta-c", "0.25", "--out", out]) == 0
+    assert capsys.readouterr() == ("", "")
+    want = bias_bound(pooled.exp, fit_all(pooled, NuisanceOptions(constant_sampling_score=True)), 0.5, 0.25)
+    assert json.loads(out.read_text()) == asdict(want)
+    assert out.read_text() == want.to_json() + "\n"
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "bounds"])
+@pytest.mark.parametrize("inputs", ["missing", "present"])
+def test_a_bad_surrogate_threads_exits_2_before_any_input_is_read(fixture_files, tmp_path, monkeypatch, capsys,
+                                                                  threads, command, inputs):
+    pe, po = fixture_files if inputs == "present" else (tmp_path / "no_e.csv", tmp_path / "no_o.csv")
+    argv = {
+        "estimate": ["estimate", "--exp", pe, "--obs", po, "--method", "index"],
+        "diagnose": ["diagnose", "--exp", pe, "--obs", po, "--delta-s", "1", "--delta-c", "1"],
+        "bounds": ["bounds", "--exp", pe, "--obs", po],
+    }[command]
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("SURROGATE_THREADS", threads)
+    assert _run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigurationError: SURROGATE_THREADS must be a positive decimal integer, got {threads!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_bounds_single_matches_library(tmp_path):
     rng = np.random.default_rng(3)
     from surrogate_ate import SingleSample

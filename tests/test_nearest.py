@@ -435,3 +435,93 @@ def test_matching_a_resample_with_inherited_classes_equals_matching_a_fresh_copy
         fresh_o = ObservationalSample(y=o.y, s=o.s, x=o.x)
         for options in (None, MatchOptions(both_directions=True)):
             assert estimators._match(pool(e, o), options) == estimate_matching(fresh_e, fresh_o, options)
+
+
+def _match_searching_every_experimental_row(pooled, options):
+    """Matching's tau_hat with an observational neighbour searched for every experimental row.
+
+    The estimator searches only the rows its contrasts read; this is the
+    search it narrows, kept as the oracle.
+    """
+    exp, obs = pooled.exp, pooled.obs
+    treated_idx, control_idx = np.flatnonzero(exp.w == 1.0), np.flatnonzero(exp.w == 0.0)
+    x_std = pooled.standardized_x[0][:, 1:]
+    sx_std = pooled.standardized_sx[0][:, 1:]
+    x_classes = exp._classes("x")
+    obs_match = _nearest(sx_std[: exp.n], sx_std[exp.n :], exp._classes("sx"), obs._classes("sx"))
+
+    def _contrasts(own_idx, opposite_idx):
+        within = _nearest(x_std[own_idx], x_std[opposite_idx], x_classes[own_idx], x_classes[opposite_idx])
+        partner = opposite_idx[within]
+        return obs.y[obs_match[own_idx]] - obs.y[obs_match[partner]]
+
+    effects = _contrasts(treated_idx, control_idx)
+    if options.both_directions:
+        effects = np.concatenate([effects, -_contrasts(control_idx, treated_idx)])
+    return float(effects.mean())
+
+
+def _find_classes(exp, obs):
+    """Find the classes that matching reads, so that resamples taken next inherit them through their index."""
+    for sample, parts in ((exp, ("sx", "x")), (obs, ("sx",))):
+        for part in parts:
+            sample._classes(part)
+
+
+def _matching_pair(gen, n_e, n_o, m, k, tied):
+    """An experimental and an observational sample: continuous rows, or a 0/1 covariate and rounded surrogates."""
+
+    def rows(n):
+        if not tied:
+            return gen.normal(size=(n, m)), gen.normal(size=(n, k))
+        return gen.normal(size=(n, m)).round(), gen.integers(0, 2, (n, k)).astype(float)
+
+    w = gen.integers(0, 2, n_e).astype(float)
+    w[:2] = [0.0, 1.0]
+    s_e, x_e = rows(n_e)
+    s_o, x_o = rows(n_o)
+    return ExperimentalSample(w=w, s=s_e, x=x_e), ObservationalSample(y=gen.normal(size=n_o), s=s_o, x=x_o)
+
+
+@st.composite
+def _matching_instance(draw):
+    """A sample pair and how many generations of resamples to take from it (each inherits its parent's classes)."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = (draw(st.integers(2, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    return _matching_pair(gen, *sizes, tied=draw(st.booleans())), draw(st.integers(0, 2)), gen
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matching_instance())
+def test_matching_searches_only_the_rows_its_contrasts_read_and_keeps_every_match(instance):
+    (exp, obs), generations, gen = instance
+    for _ in range(generations):
+        _find_classes(exp, obs)
+        try:
+            exp, obs = exp._take(gen.integers(0, exp.n, exp.n)), obs._take(gen.integers(0, obs.n, obs.n))
+        except ValidationError:  # the resample lost an arm
+            return
+    for options in (MatchOptions(), MatchOptions(both_directions=True)):
+        want = _match_searching_every_experimental_row(pool(exp, obs), options)
+        assert estimators._match(pool(exp, obs), options).tau_hat == want
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_matching_a_bench_shaped_resample_reads_fewer_rows_and_keeps_every_match(monkeypatch, tied):
+    gen = np.random.default_rng(33)
+    exp, obs = _matching_pair(gen, 1000, 1000, 10, 3, tied)
+    _find_classes(exp, obs)
+    exp, obs = exp._take(gen.integers(0, 1000, 1000)), obs._take(gen.integers(0, 1000, 1000))
+    searched = []
+    nearest = estimators._nearest
+
+    def recording(queries, pool_rows, query_classes, pool_classes):
+        searched.append(len(np.unique(query_classes)))
+        return nearest(queries, pool_rows, query_classes, pool_classes)
+
+    monkeypatch.setattr(estimators, "_nearest", recording)
+    got = estimators._match(pool(exp, obs)).tau_hat
+    # the within-arm search, then the observational one over fewer classes than the resample has
+    assert searched[-1] < len(np.unique(exp._classes("sx")))
+    monkeypatch.setattr(estimators, "_nearest", nearest)
+    assert got == _match_searching_every_experimental_row(pool(exp, obs), MatchOptions())

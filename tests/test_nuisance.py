@@ -1019,6 +1019,80 @@ def test_rank_check_exactly_deficient_design_reaches_the_svd_and_raises(monkeypa
 
 
 # ---------------------------------------------------------------------------
+# the ridge-free logistic fit certifies its rank from its first Newton Hessian
+
+def _rank_deficient_logistic_cases():
+    rng = np.random.default_rng(21)
+    s = rng.normal(size=(40, 2))
+    labels = (rng.random(40) < expit(s @ [1.0, -0.5])).astype(float)
+    yield "duplicated-column", np.hstack([s, s[:, :1]]), labels, RANK_DEFICIENT
+    yield "constant-column", np.hstack([s, np.full((40, 1), 3.0)]), labels, RANK_DEFICIENT
+    yield ("too-few-rows", s[:2], np.array([0.0, 1.0]),
+           "2 rows cannot identify 3 coefficients; add rows or use a positive ridge")
+    # every row once with each label: the score at beta = 0 is zero, so the fit forms no Hessian
+    rows = np.hstack([s[:10], s[:10, :1]])
+    yield "every-row-with-both-labels", np.vstack([rows, rows]), np.repeat([0.0, 1.0], 10), RANK_DEFICIENT
+
+
+def _recording(monkeypatch, name):
+    """Replace ``nuisance.<name>`` with a wrapper that records each call's arguments."""
+    from surrogate_ate import nuisance
+
+    calls, original = [], getattr(nuisance, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nuisance, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_rank_deficient_logistic_cases()), ids=lambda case: case[0])
+@pytest.mark.parametrize("max_iter", [100, 1, 0])
+def test_a_ridge_free_logistic_fit_raises_the_rank_error_before_any_other(monkeypatch, case, max_iter):
+    name, features, labels, message = case
+    checks = _recording(monkeypatch, "_check_rank")
+    for trusted in (False, True):
+        with pytest.raises(SingularDesignError) as err:
+            fit_logistic(features, labels, max_iter=max_iter, _trusted=trusted)
+        assert str(err.value) == message
+    if name == "every-row-with-both-labels" or max_iter == 0:
+        # no Newton step solved a Hessian, so the design itself was checked
+        score = _standardize(features)[0].T @ (labels - 0.5)
+        assert max_iter == 0 or np.abs(score).max() < 1e-8
+        assert all(len(args) == 1 for args in checks)
+
+
+def test_a_ridge_free_logistic_fit_checks_its_rank_on_its_first_hessian(monkeypatch, rng):
+    s = rng.normal(size=(300, 4))
+    labels = (rng.random(300) < expit(s @ [1.0, -0.5, 0.25, 0.0])).astype(float)
+    want = fit_logistic(s, labels)
+    checks = _recording(monkeypatch, "_check_rank")
+    solved = _recording(monkeypatch, "_penalized_solve")
+    eigenvalue_inputs = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(matrix, *args, **kwargs):
+        eigenvalue_inputs.append(matrix)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    got = fit_logistic(s, labels)
+    assert _bits(got.intercept, got.coef) == _bits(want.intercept, want.coef) and got.iterations > 1
+    # one check, on the Hessian that the first Newton step solves, and no Gram of its own
+    [(z1, hessian)] = checks
+    assert hessian is solved[0][0] and len(solved) == got.iterations
+    assert len(eigenvalue_inputs) == 1 and eigenvalue_inputs[0] is hessian
+    # at beta = 0 every weight is 1/4
+    assert np.allclose(4.0 * hessian, z1.T @ z1, rtol=1e-13, atol=1e-10)
+    # a positive ridge checks no rank, and least squares checks its own design
+    fit_logistic(s, labels, ridge=1e-3)
+    fit_least_squares(s, labels)
+    assert len(checks) == 2 and len(checks[1]) == 1
+
+
+# ---------------------------------------------------------------------------
 # fit_all on the pooled dataset's shared designs
 
 
