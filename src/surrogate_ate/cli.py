@@ -54,7 +54,7 @@ from .diagnostics import (
 from .errors import ConfigurationError, SurrogateError
 from .estimators import (DEFAULT_TRIM, _index_step, _linear_step, _match, _score_step, bootstrap_se, estimate_index,
                          estimate_linear_shortcut, estimate_score)
-from .nuisance import NuisanceFits, NuisanceOptions, _fit_scores, fit_all
+from .nuisance import NuisanceFits, NuisanceOptions, _check_ridge, _fit_scores, fit_all
 from .parallel import worker_count
 from .simulation import STUDIES, run_study
 
@@ -100,6 +100,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _trim_value(args) -> float | None:
+    """``--trim`` as the estimators take it; ``--ridge`` and ``--trim`` are checked first, before any input is read."""
+    _check_ridge(args.ridge)
     if not 0.0 <= args.trim < 0.5:
         raise ConfigurationError(f"--trim must lie in [0, 0.5), got {args.trim}")
     return None if args.trim == 0.0 else args.trim
@@ -163,6 +165,7 @@ def run_diagnose(args) -> int:
 
 
 def run_bounds(args) -> int:
+    _check_ridge(args.ridge)
     if args.single is not None:
         sample = load_single(args.single)
         mode = args.variance_mode.replace("-", "_")

@@ -35,7 +35,7 @@ import numpy as np
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
 from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
 from .estimators import DEFAULT_TRIM, _arm_mean, _ipw_weights, _JsonRecord, _predicted, _propensity, _trim_scores
-from .nuisance import ConstantScore, NuisanceFits, _fit, fit_least_squares, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, fit_least_squares, fit_logistic
 
 # ---------------------------------------------------------------------------
 # Bias bound
@@ -383,18 +383,15 @@ def _per_cell_variance(values: np.ndarray, cells: np.ndarray, rows: np.ndarray |
 def _covariate_plugins(sample: SingleSample, variance_mode: str, ridge: float):
     """Propensity ``e(x)`` and the arm regressions of ``y`` on ``x``, shared by both bound forms.
 
-    Returns ``(e, models, mu1, mu0)``: per-row propensities, the
-    least-squares fit of each arm keyed by treatment value, and ``mu_1(x)``
-    and ``mu_0(x)`` on every row.  ``SingleSample`` guarantees both arms are
-    non-empty.
+    Returns ``(e, models, mu1, mu0)``: per-row propensities from the
+    package's one propensity rule (``nuisance._fit_propensity``, as
+    ``fit_all`` fits ``e``), the least-squares fit of each arm keyed by
+    treatment value, and ``mu_1(x)`` and ``mu_0(x)`` on every row.
+    ``SingleSample`` guarantees both arms are non-empty.
     """
     if variance_mode not in ("homoskedastic", "per_stratum"):
         raise UnsupportedConfigurationError(f"unknown variance mode {variance_mode!r}")
-    e = (
-        np.full(sample.n, float(sample.w.mean()))
-        if sample.n_covariates == 0
-        else _fit("propensity score", fit_logistic, sample.x, sample.w, ridge, 0)._predict_sx(sample.x)
-    )
+    e = _fit_propensity(sample, ridge)._predict_sx(sample.x)
     models = {}
     for arm, name in ((1, "treated"), (0, "control")):
         rows = sample.w == arm
@@ -524,9 +521,21 @@ def two_sample_bound_value(
     and non-negative by construction; the between-strata term is
     ``(1/q) * (r/p (mu - mu1)^2 + (1-r)/(1-p) (mu - mu0)^2)``.  Returns the
     two terms as means over the supplied rows; the bound is their sum.
+
+    ``p`` and ``q`` outside (0, 1), a negative or NaN ``sigma2``, ``r`` and
+    ``mu`` of different lengths and ``r`` outside [0, 1] raise
+    :class:`ValidationError`; an infinite ``sigma2`` gives an infinite term.
     """
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
+        raise ValidationError(f"p and q must lie in (0, 1), got p={p}, q={q}")
+    if not sigma2 >= 0.0:
+        raise ValidationError(f"sigma2 must be non-negative, got {sigma2}")
+    if r.shape != mu.shape:
+        raise ValidationError("r and mu must have equal length")
+    if not ((r >= 0.0) & (r <= 1.0)).all():
+        raise ValidationError("surrogate-score values must lie in [0, 1]")
     pq2 = (p * (1.0 - p)) ** 2
     first = sigma2 / (1.0 - q) * (r - p) ** 2 / pq2
     second = (1.0 / q) * (r / p * (mu - mu1) ** 2 + (1.0 - r) / (1.0 - p) * (mu - mu0) ** 2)

@@ -394,10 +394,9 @@ def estimate_matching(
     sample finds the classes of identical raw ``[s | x]`` and ``x`` rows
     once (:meth:`~surrogate_ate.data._Sample._classes`); a bootstrap
     resample inherits them through its index (see :func:`_resample`), and
-    one matrix product per block of queries screens the pool.
+    one matrix product per block of queries screens the pool.  Samples of
+    different widths raise :class:`PoolingError`, as :func:`pool` does.
     """
-    if exp.n_surrogates != obs.n_surrogates or exp.n_covariates != obs.n_covariates:
-        raise ValidationError("experimental and observational samples have mismatched dimensions")
     return _match(PooledDataset(exp, obs), options)
 
 

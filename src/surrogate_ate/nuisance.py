@@ -28,16 +28,23 @@ which names its role: ``propensity score``, ``surrogate score``,
 ``sampling score`` and ``surrogate index`` in :func:`fit_all`, in the
 Monte Carlo replications and in the single-sample bounds and estimate,
 plus the ``treated arm regression`` and ``control arm regression`` of
-the single-sample bounds.  It builds the interaction design, lets the
-validated columns of a sample skip the rescans of their inputs, and puts
-the role before the message of a fit that fails.  :func:`fit_all` fits
-``r`` and ``h`` on the rows ``[s | x]`` that each sample stores (``sx``),
-and takes ``z1`` for the propensity and the sampling score from the
-:class:`PooledDataset`, which standardizes the experimental ``x`` and the
-pooled ``sx`` once each (``data._standardize``) and hands the same arrays
-to matching's distances; the other fits standardize their own designs.
-Predictions read the same stored rows
-(:meth:`_LinearPredictor._predict_sx`).
+the single-sample bounds.  It lets the validated columns of a sample skip
+the rescans of their inputs, and puts the role before the message of a fit
+that fails.  :func:`fit_all` fits ``r`` and ``h`` on the rows ``[s | x]``
+that each sample stores (``sx``), and takes ``z1`` for the propensity and
+the sampling score from the :class:`PooledDataset`, which standardizes the
+experimental ``x`` and the pooled ``sx`` once each (``data._standardize``)
+and hands the same arrays to matching's distances; the other fits
+standardize their own designs.  The propensity has one rule,
+:func:`_fit_propensity`.
+
+A model's design is the stored rows ``[s | x]``, or with interaction terms
+``[s | x | s*x]``, which one helper builds from those rows,
+:func:`_with_interactions`: for the fit in :func:`_fit`, for prediction in
+:meth:`_LinearPredictor._predict_sx` and for :func:`build_design`.
+``_predict_sx`` evaluates ``link(intercept + design @ coef)`` on a
+sample's stored rows; ``predict(s, x)`` is the checked boundary over it,
+which coerces its inputs and checks their widths against the model's.
 
 The IRLS kernel is numpy alone and allocates its working arrays once per
 fit.  Each Newton step writes the probability, residual, weights and
@@ -108,19 +115,24 @@ def _probability(eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, p, out=p)
 
 
-def _interaction_columns(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """All pairwise surrogate-by-covariate products, surrogate-major order."""
-    n = s.shape[0]
-    if s.shape[1] == 0 or x.shape[1] == 0:
-        return np.empty((n, 0))
-    return (s[:, :, None] * x[:, None, :]).reshape(n, -1)
+def _with_interactions(sx: np.ndarray, n_s: int) -> np.ndarray:
+    """``[s | x | s*x]`` from a sample's stored rows ``sx = [s | x]``, whose first ``n_s`` columns are surrogates.
+
+    The products come in surrogate-major order (``s_1 x_1, s_1 x_2, ...``).
+    This is the one place the interaction design is built: for fitting
+    (:func:`_fit`), for prediction (:meth:`_LinearPredictor._predict_sx`)
+    and for :func:`build_design`.
+    """
+    n, n_x = len(sx), sx.shape[1] - n_s
+    return np.hstack([sx, (sx[:, :n_s, None] * sx[:, None, n_s:]).reshape(n, n_s * n_x)])
 
 
 def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
     """Assemble ``[s | x | s*x]`` and return the block widths.
 
-    When only one block has columns, ``features`` is that block, as a
-    C-contiguous array that may share memory with the argument.
+    The products are those of :func:`_with_interactions`.  When only one
+    block has columns, ``features`` is that block, as a C-contiguous array
+    that may share memory with the argument.
 
     Returns
     -------
@@ -128,15 +140,11 @@ def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
     """
     s = np.atleast_2d(np.asarray(s, dtype=float))
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    blocks = [s, x]
-    n_sx = 0
-    if interactions:
-        sx = _interaction_columns(s, x)
-        blocks.append(sx)
-        n_sx = sx.shape[1]
-    filled = [block for block in blocks if block.shape[1]]
-    features = np.ascontiguousarray(filled[0]) if len(filled) == 1 else np.hstack(blocks)
-    return features, s.shape[1], x.shape[1], n_sx
+    n_s, n_x = s.shape[1], x.shape[1]
+    if not (n_s and n_x):
+        return np.ascontiguousarray(s if n_s else x), n_s, n_x, 0
+    features = np.hstack([s, x])
+    return (_with_interactions(features, n_s), n_s, n_x, n_s * n_x) if interactions else (features, n_s, n_x, 0)
 
 
 @dataclass(frozen=True)
@@ -177,21 +185,28 @@ class _LinearPredictor:
             )
 
     def predict(self, s, x=None) -> np.ndarray:
+        """The model at the rows of ``s`` and ``x`` (no covariates when ``None``): the checked boundary.
+
+        The inputs are coerced to 2-d float arrays and their widths checked
+        against the model's; the rows ``[s | x]`` then go to
+        :meth:`_predict_sx`.
+        """
         s = np.atleast_2d(np.asarray(s, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float)) if x is not None else np.empty((s.shape[0], 0))
-        features, n_s, n_x, _ = build_design(s, x, self.uses_interactions)
+        rows, n_s, n_x, _ = build_design(s, np.empty((len(s), 0)) if x is None else x)
         self._check_widths(n_s, n_x)
-        return self._link(self.intercept + features @ self.coef)
+        return self._predict_sx(rows)
 
     def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
-        """:meth:`predict` on a sample's stored rows ``[s | x]`` (``sample.sx``).
+        """The model at a sample's stored rows ``[s | x]`` (``sample.sx``), unchecked.
 
-        Without interaction terms the rows are the design itself, so they
-        are not stacked again; the widths are the fit's own, so the caller
-        checks them against the sample's (:meth:`_check_widths`).
+        ``link(intercept + design @ coef)``, where the design is the rows
+        themselves, or with interaction terms the rows and their products
+        (:func:`_with_interactions`).  The caller checks the sample's
+        widths against the fit's (:meth:`_check_widths`); :meth:`predict`
+        does so for arbitrary inputs.
         """
         if self.uses_interactions:
-            return self.predict(*np.hsplit(sx, [len(self.coef_s)]))
+            sx = _with_interactions(sx, len(self.coef_s))
         return self._link(self.intercept + sx @ self.coef)
 
     def to_dict(self) -> dict:
@@ -309,6 +324,12 @@ def _penalized_solve(matrix: np.ndarray, penalty, rhs: np.ndarray, separation: b
         raise SingularDesignError("the penalized normal equations are singular; use a larger ridge penalty") from None
 
 
+def _check_ridge(ridge: float) -> None:
+    """Every fit's check on its ridge penalty, which the CLI also runs on ``--ridge`` before any input is read."""
+    if not 0.0 <= ridge < np.inf:
+        raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
+
+
 def _prepare(features, targets, ridge: float, binary: bool, standardized=None, trusted=False):
     """Coerce and check one fit's inputs, then standardize the design.
 
@@ -334,8 +355,7 @@ def _prepare(features, targets, ridge: float, binary: bool, standardized=None, t
             raise ValidationError("non-finite values in the training data")
         if binary and not ((y == 0.0) | (y == 1.0)).all():
             raise ValidationError("labels must be 0 or 1")
-    if not 0.0 <= ridge < np.inf:
-        raise ValidationError(f"ridge penalty must be finite and non-negative, got {ridge}")
+    _check_ridge(ridge)
     if binary:
         n_positive = y.sum()
         if n_positive == 0 or n_positive == len(y):
@@ -625,17 +645,17 @@ def _fit(role: str, fitter, rows, target, ridge: float, n_s: int, standardized=N
     outcome column; such columns skip the rescans of their inputs (see
     :func:`_prepare`).  ``standardized`` is a :class:`PooledDataset`'s
     builder of their standardized design, if it has one.  With
-    ``interactions`` and surrogates, the design gains the
-    surrogate-by-covariate products, which are checked as user input is
-    (products of finite columns may overflow).  ``fitter`` comes from the
-    caller's own module, so that a test or a tracer that replaces it there
-    sees the call.  A :class:`ValidationError` or :class:`FitError` is
-    raised again, of the same type, with ``role`` before its message.
+    ``interactions``, surrogates and covariates, the design is built here
+    by :func:`_with_interactions`; its surrogate-by-covariate products are
+    checked as user input is (products of finite columns may overflow) and
+    standardized by the fit.  ``fitter`` comes from the caller's own
+    module, so that a test or a tracer that replaces it there sees the
+    call.  A :class:`ValidationError` or :class:`FitError` is raised
+    again, of the same type, with ``role`` before its message.
     """
-    n_sx = 0
-    if interactions and n_s:
-        rows, _, _, n_sx = build_design(rows[:, :n_s], rows[:, n_s:], True)
-        standardized = None
+    n_sx = n_s * (rows.shape[1] - n_s) if interactions else 0
+    if n_sx:
+        rows, standardized = _with_interactions(rows, n_s), None
     try:
         return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,
                       _standardized=standardized, _trusted=n_sx == 0)
@@ -643,24 +663,34 @@ def _fit(role: str, fitter, rows, target, ridge: float, n_s: int, standardized=N
         raise type(exc)(f"{role}: {exc}") from exc
 
 
+def _fit_propensity(sample, ridge: float, standardized=None) -> ScoreModel:
+    """The propensity ``e(x)`` of a sample with a treatment column ``w``: the package's one rule for it.
+
+    With no covariates it is the treated fraction, an exact
+    :class:`ConstantScore`; otherwise the logistic fit of ``w`` on ``x``
+    (:func:`_fit`, with ``standardized`` as there).  :func:`_fit_scores`,
+    the single-sample bounds (``diagnostics._covariate_plugins``) and the
+    Monte Carlo replications call it.
+    """
+    if sample.n_covariates == 0:
+        return ConstantScore(float(sample.w.mean()))
+    return _fit("propensity score", fit_logistic, sample.x, sample.w, ridge, 0, standardized)
+
+
 def _fit_scores(pooled: PooledDataset, options: NuisanceOptions) -> tuple:
     """``(e_model, r_model)``: the propensity and the surrogate score, fitted as :func:`fit_all` fits them.
 
-    The propensity is ``options.constant_propensity`` when given; with no
-    covariates it collapses to the treated fraction, stored as an exact
-    :class:`ConstantScore`; otherwise it is fitted on ``pooled``'s
-    standardized experimental ``x``.  The surrogate score is fitted on the
-    experimental ``sx``.  :func:`fit_all` calls this first, and ``diagnose``
-    calls it alone, since the bias bound reads these two models only.
+    The propensity is ``options.constant_propensity`` when given, else
+    :func:`_fit_propensity` on ``pooled``'s standardized experimental
+    ``x``.  The surrogate score is fitted on the experimental ``sx``.
+    :func:`fit_all` calls this first, and ``diagnose`` calls it alone,
+    since the bias bound reads these two models only.
     """
     exp = pooled.exp
     if options.constant_propensity is not None:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
-    elif exp.n_covariates == 0:
-        e_model = ConstantScore(float(exp.w.mean()))
     else:
-        e_model = _fit("propensity score", fit_logistic, exp.x, exp.w, options.ridge_propensity, 0,
-                       lambda: pooled.standardized_x)
+        e_model = _fit_propensity(exp, options.ridge_propensity, lambda: pooled.standardized_x)
     r_model = _fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score,
                    exp.n_surrogates, interactions=options.interactions)
     return e_model, r_model

@@ -46,7 +46,7 @@ from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import DEFAULT_TRIM, _index_step, _score_step
-from .nuisance import ConstantScore, NuisanceFits, _fit, expit, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, expit, fit_logistic
 from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
@@ -353,7 +353,7 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     if k is not None and k < spec.m_surrogates:
         exp, obs = _first_columns(exp, k), _first_columns(obs, k)
     q = spec.n_exp / (spec.n_exp + spec.n_obs)
-    e_model = ConstantScore(float(exp.w.mean()))
+    e_model = _fit_propensity(exp, HARNESS_RIDGE)  # the treated fraction: the samples have no covariates
     t_model = ConstantScore(q)
 
     try:

@@ -484,12 +484,35 @@ def test_simulate_empty_grid_exits_2(tmp_path, capsys, grid):
     ("covariate_files", ["estimate", "--ridge", "nan"]),
     ("covariate_files", ["estimate", "--ridge", "inf"]),
     ("fixture_files", ["bounds", "--ridge", "nan"]),
+    # matching fits nothing, and a missing input file is never opened: the flag is checked first
+    ("covariate_files", ["estimate", "--method", "match", "--ridge", "nan"]),
+    ("covariate_files", ["estimate", "--method", "match", "--ridge", "-1"]),
+    ("missing_files", ["estimate", "--method", "match", "--ridge", "inf"]),
+    ("missing_files", ["estimate", "--ridge", "nan"]),
+    ("missing_files", ["diagnose", "--delta-s", "1", "--delta-c", "1", "--ridge", "nan"]),
+    ("missing_files", ["bounds", "--ridge", "-1"]),
 ])
 def test_non_finite_delta_or_ridge_exits_2(request, tmp_path, capsys, files, flags):
     pe, po = request.getfixturevalue(files)
     out = tmp_path / "r.json"
     assert _run([*flags, "--exp", pe, "--obs", po, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("error: ValidationError:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError:")
+    if "--ridge" in flags:
+        ridge = float(flags[flags.index("--ridge") + 1])
+        assert err == f"error: ValidationError: ridge penalty must be finite and non-negative, got {ridge}\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def missing_files(tmp_path):
+    return tmp_path / "absent_exp.csv", tmp_path / "absent_obs.csv"
+
+
+def test_bounds_single_checks_the_ridge_before_reading_its_file(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert _run(["bounds", "--single", tmp_path / "absent.csv", "--ridge", "nan", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: ValidationError: ridge penalty must be finite and non-negative, got nan\n"
     assert not out.exists()
 
 

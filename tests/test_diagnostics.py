@@ -476,6 +476,37 @@ def test_two_sample_bound_grows_as_q_approaches_one(rng):
     assert f1 / f0 == pytest.approx((1 - 0.5) / (1 - 0.999), rel=1e-9)
 
 
+_R, _MU = np.array([0.2, 0.5, 0.9]), np.array([1.0, -2.0, 0.5])
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"p": 0.0}, "p and q must lie in"),
+    ({"p": 1.0}, "p and q must lie in"),
+    ({"p": float("nan")}, "p and q must lie in"),
+    ({"q": 0.0}, "p and q must lie in"),
+    ({"q": 1.0}, "p and q must lie in"),
+    ({"q": -0.5}, "p and q must lie in"),
+    ({"sigma2": -1.0}, "sigma2 must be non-negative"),
+    ({"sigma2": float("nan")}, "sigma2 must be non-negative"),
+    ({"mu": _MU[:2]}, "r and mu must have equal length"),
+    ({"r": np.array([0.2, 1.5, 0.9])}, r"surrogate-score values must lie in \[0, 1\]"),
+    ({"r": np.array([0.2, -0.1, 0.9])}, r"surrogate-score values must lie in \[0, 1\]"),
+    ({"r": np.array([0.2, np.nan, 0.9])}, r"surrogate-score values must lie in \[0, 1\]"),
+])
+def test_two_sample_bound_value_rejects_invalid_plug_ins(kwargs, text):
+    args = {"sigma2": 1.0, "r": _R, "mu": _MU, "mu1": 0.3, "mu0": -0.2, "p": 0.5, "q": 0.4, **kwargs}
+    with pytest.raises(ValidationError, match=text):
+        two_sample_bound_value(**args)
+
+
+def test_two_sample_bound_value_takes_an_infinite_variance_and_the_boundary_scores():
+    # an overflowed plug-in is not an input error: it reaches the CLI's strict JSON as a result that is not finite
+    first, second = two_sample_bound_value(np.inf, _R, _MU, 0.3, -0.2, 0.4, 0.4)
+    assert first == np.inf and np.isfinite(second)
+    first, second = two_sample_bound_value(0.0, np.array([0.0, 1.0]), _MU[:2], 0.3, -0.2, 0.5, 0.4)
+    assert first == 0.0 and second > 0.0
+
+
 def test_two_sample_bound_matches_enumeration_oracle(rng):
     pooled, fits = _two_sample_inputs(rng, sigma=0.4)
     bounds = efficiency_bound_two_sample(pooled, fits)

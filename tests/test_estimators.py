@@ -16,6 +16,7 @@ from surrogate_ate import (
     NuisanceOptions,
     ObservationalSample,
     OverlapError,
+    PoolingError,
     SingleSample,
     SurrogateError,
     UnstableBootstrapError,
@@ -337,6 +338,18 @@ def test_matching_single_pair_no_choice():
     report = estimate_matching(exp, obs)
     assert report.tau_hat == pytest.approx(10.0 - 20.0)
 
+
+
+@pytest.mark.parametrize("obs_s, obs_x", [([[0.1, 0.2], [4.9, 5.0]], None), ([[0.1], [4.9]], [[1.0], [2.0]])])
+def test_matching_mismatched_samples_raise_the_pooling_error(obs_s, obs_x):
+    # the dimensions are checked where the samples are pooled, as pool() and the CLI check them
+    exp = ExperimentalSample(w=[1, 0], s=[[0.0], [5.0]], x=None)
+    obs = ObservationalSample(y=[10.0, 20.0], s=obs_s, x=obs_x)
+    with pytest.raises(PoolingError, match="dimension") as caught:
+        estimate_matching(exp, obs)
+    with pytest.raises(PoolingError) as pooled:
+        pool(exp, obs)
+    assert str(caught.value) == str(pooled.value)
 
 # ---------------------------------------------------------------------------
 # single-sample estimators

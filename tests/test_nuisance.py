@@ -1190,6 +1190,26 @@ def test_fit_all_checks_an_overflowing_interaction_design_as_user_input():
         fit_all(pool(exp, obs))
 
 
+def _design_oracle(s, x, interactions):
+    """``[s | x | s (x) x]`` stacked in one ``hstack``, the products surrogate-major."""
+    blocks = [s, x] + ([(s[:, :, None] * x[:, None, :]).reshape(len(s), -1)] if interactions else [])
+    return np.hstack(blocks)
+
+
+def _predict_oracle(model, s, x):
+    """A model's prediction written out: the stacked design times the coefficients, then the link."""
+    if isinstance(model, ConstantScore):
+        return np.full(len(s), model.p)
+    eta = model.intercept + _design_oracle(s, x, model.uses_interactions) @ model.coef
+    if isinstance(model, LogisticModel):
+        return 1.0 / (1.0 + np.exp(-np.clip(eta, -36.0, 36.0)))
+    return eta
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
 @pytest.mark.parametrize("options", [{}, {"interactions": True}])
 def test_predictions_from_the_pooled_rows_equal_predict(options):
     rng = np.random.default_rng(8)
@@ -1199,5 +1219,70 @@ def test_predictions_from_the_pooled_rows_equal_predict(options):
     fits = fit_all(pooled, NuisanceOptions(**options))
     for model, sample, rows in ((fits.r_model, obs, pooled.sx[exp.n:]), (fits.t_model, obs, pooled.sx[exp.n:]),
                                 (fits.h_model, exp, pooled.sx[: exp.n]), (ConstantScore(0.3), exp, pooled.sx[: exp.n])):
-        want = model.predict(sample.s, sample.x)
-        assert [v.hex() for v in model._predict_sx(rows)] == [v.hex() for v in want]
+        want = _hexes(_predict_oracle(model, sample.s, sample.x))
+        assert _hexes(model._predict_sx(rows)) == want
+        assert _hexes(model.predict(sample.s, sample.x)) == want
+
+
+@pytest.mark.parametrize("cls", [LinearModel, LogisticModel])
+@pytest.mark.parametrize("n_x, interactions", [(0, False), (2, False), (2, True)])
+def test_predict_and_the_stored_rows_path_pin_the_stacked_design_bits(cls, n_x, interactions):
+    rng = np.random.default_rng(31)
+    n, n_s = 50, 3
+    # wide enough that some logistic predictors reach the +-36 clip
+    s, x = rng.normal(size=(n, n_s)) * 20.0, rng.normal(size=(n, n_x)) * 3.0
+    model = cls(intercept=0.7, coef_s=rng.normal(size=n_s), coef_x=rng.normal(size=n_x),
+                coef_sx=rng.normal(size=n_s * n_x if interactions else 0))
+    assert model.uses_interactions == interactions
+    want = _hexes(_predict_oracle(model, s, x))
+    assert _hexes(model.predict(s, x)) == want
+    assert _hexes(model._predict_sx(np.hstack([s, x]))) == want
+    if n_x == 0:
+        assert _hexes(model.predict(s)) == want
+    if cls is LogisticModel:
+        eta = model.intercept + _design_oracle(s, x, interactions) @ model.coef
+        assert np.abs(eta).max() > 36.0
+
+
+@pytest.mark.parametrize("n_s, n_x, interactions", [
+    (3, 0, False), (3, 0, True), (0, 2, False), (0, 2, True), (3, 2, False), (3, 2, True),
+])
+def test_build_design_for_each_block_layout(n_s, n_x, interactions):
+    rng = np.random.default_rng(6)
+    s, x = rng.normal(size=(7, n_s)), rng.normal(size=(7, n_x))
+    features, got_s, got_x, n_sx = build_design(s, x, interactions)
+    want_sx = n_s * n_x if interactions else 0
+    assert (got_s, got_x, n_sx) == (n_s, n_x, want_sx)
+    assert features.shape == (7, n_s + n_x + want_sx) and features.flags.c_contiguous
+    assert features.tobytes() == _design_oracle(s, x, interactions).tobytes()
+    if n_s and n_x:
+        assert not np.shares_memory(features, s) and not np.shares_memory(features, x)
+        return
+    # a lone block is returned as it is when C-contiguous, else as a C-contiguous copy
+    lone = s if n_s else x
+    assert np.shares_memory(features, lone)
+    strided = np.asfortranarray(lone)
+    copied = build_design(*((strided, x) if n_s else (s, strided)), interactions)[0]
+    assert copied.flags.c_contiguous and not np.shares_memory(copied, strided)
+    assert copied.tobytes() == features.tobytes()
+
+
+@pytest.mark.parametrize("n_x", [0, 2])
+@pytest.mark.parametrize("ridge", [0.0, 0.1])
+def test_the_single_sample_propensity_is_fit_all_s_on_the_same_rows(n_x, ridge):
+    from surrogate_ate.diagnostics import _covariate_plugins
+
+    rng = np.random.default_rng(12)
+    n = 120
+    x = rng.normal(size=(n, n_x))
+    w = (rng.random(n) < expit(0.5 * x.sum(axis=1))).astype(float)
+    s = rng.normal(size=(n, 2)) + w[:, None]
+    covariates = x if n_x else None
+    sample = SingleSample(w=w, y=rng.normal(size=n), s=s, x=covariates)
+    exp = ExperimentalSample(w=w, s=s, x=covariates)
+    obs = ObservationalSample(y=rng.normal(size=80), s=rng.normal(size=(80, 2)),
+                              x=rng.normal(size=(80, n_x)) if n_x else None)
+    fits = fit_all(pool(exp, obs), NuisanceOptions(ridge_propensity=ridge))
+    assert isinstance(fits.e_model, LogisticModel if n_x else ConstantScore)
+    e = _covariate_plugins(sample, "homoskedastic", ridge)[0]
+    assert _hexes(e) == _hexes(fits.e_model._predict_sx(exp.x))
