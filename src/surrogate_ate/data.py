@@ -56,8 +56,11 @@ _COVARIATE_RE = re.compile(r"^x(\d+)$")
 
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    return _check_2d(arr.reshape(-1, 1) if arr.ndim == 1 else arr, name)
+
+
+def _check_2d(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, coerced by the caller, when it is 2-d; else :class:`ValidationError`."""
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
     return arr

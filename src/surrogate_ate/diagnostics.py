@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .data import ExperimentalSample, PooledDataset, SingleSample, _freeze
-from .errors import OverlapError, UnsupportedConfigurationError, ValidationError
+from .errors import EstimationError, OverlapError, UnsupportedConfigurationError, ValidationError
 from .estimators import DEFAULT_TRIM, _arm_mean, _ipw_weights, _JsonRecord, _predicted, _propensity, _trim_scores
-from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, fit_least_squares, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity
 
 # ---------------------------------------------------------------------------
 # Bias bound
@@ -395,7 +395,7 @@ def _covariate_plugins(sample: SingleSample, variance_mode: str, ridge: float):
     models = {}
     for arm, name in ((1, "treated"), (0, "control")):
         rows = sample.w == arm
-        models[arm] = _fit(f"{name} arm regression", fit_least_squares, sample.x[rows], sample.y[rows], ridge, 0)
+        models[arm] = _fit(f"{name} arm regression", sample.x[rows], sample.y[rows], ridge, 0, logistic=False)
     return e, models, models[1]._predict_sx(sample.x), models[0]._predict_sx(sample.x)
 
 
@@ -416,8 +416,8 @@ def efficiency_bounds_single_sample(
     recorded on the result.
     """
     e, _, mu1, mu0 = _covariate_plugins(sample, variance_mode, ridge)
-    r = _fit("surrogate score", fit_logistic, sample.sx, sample.w, ridge, sample.n_surrogates)._predict_sx(sample.sx)
-    h_model = _fit("surrogate index", fit_least_squares, sample.sx, sample.y, ridge, sample.n_surrogates)
+    r = _fit("surrogate score", sample.sx, sample.w, ridge, sample.n_surrogates, logistic=True)._predict_sx(sample.sx)
+    h_model = _fit("surrogate index", sample.sx, sample.y, ridge, sample.n_surrogates, logistic=False)
     h = h_model._predict_sx(sample.sx)
     tau_hat = float(np.mean(mu1 - mu0))
 
@@ -484,7 +484,8 @@ def efficiency_gain_homoskedastic(
     ``sum_k probs[k] * (2 sigma^2 / (p(1-p))) * (p(1-p) - (r_k - p)^2)``
     over a discrete distribution of surrogate-score values.  The gain is
     ``2 sigma^2`` when the score is constant at ``p`` and zero when the
-    score is binary with mean ``p``.
+    score is binary with mean ``p``.  A gain that overflows raises
+    :class:`EstimationError`.
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
@@ -501,7 +502,10 @@ def efficiency_gain_homoskedastic(
     if np.any(r < 0) or np.any(r > 1):
         raise ValidationError("surrogate-score values must lie in [0, 1]")
     pq = p * (1.0 - p)
-    return float(np.sum(pr * (2.0 * sigma2 / pq) * (pq - (r - p) ** 2)))
+    gain = float(np.sum(pr * (2.0 * sigma2 / pq) * (pq - (r - p) ** 2)))
+    if not np.isfinite(gain):
+        raise EstimationError("the gain is not finite: sigma2 is too large in magnitude")
+    return gain
 
 
 def two_sample_bound_value(
@@ -523,8 +527,10 @@ def two_sample_bound_value(
     two terms as means over the supplied rows; the bound is their sum.
 
     ``p`` and ``q`` outside (0, 1), a negative or NaN ``sigma2``, ``r`` and
-    ``mu`` of different lengths and ``r`` outside [0, 1] raise
+    ``mu`` of different or zero lengths and ``r`` outside [0, 1] raise
     :class:`ValidationError`; an infinite ``sigma2`` gives an infinite term.
+    A term that is not a number (a NaN plug-in, or an infinite one that
+    meets a zero) raises :class:`EstimationError`.
     """
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -532,14 +538,17 @@ def two_sample_bound_value(
         raise ValidationError(f"p and q must lie in (0, 1), got p={p}, q={q}")
     if not sigma2 >= 0.0:
         raise ValidationError(f"sigma2 must be non-negative, got {sigma2}")
-    if r.shape != mu.shape:
-        raise ValidationError("r and mu must have equal length")
+    if r.shape != mu.shape or r.size == 0:
+        raise ValidationError("r and mu must have equal length, of at least one row")
     if not ((r >= 0.0) & (r <= 1.0)).all():
         raise ValidationError("surrogate-score values must lie in [0, 1]")
     pq2 = (p * (1.0 - p)) ** 2
     first = sigma2 / (1.0 - q) * (r - p) ** 2 / pq2
     second = (1.0 / q) * (r / p * (mu - mu1) ** 2 + (1.0 - r) / (1.0 - p) * (mu - mu0) ** 2)
-    return float(np.mean(first)), float(np.mean(second))
+    terms = float(np.mean(first)), float(np.mean(second))
+    if np.isnan(terms).any():
+        raise EstimationError("a bound term is not a number: a plug-in is NaN, infinite or too large in magnitude")
+    return terms
 
 
 def efficiency_bound_two_sample(pooled: PooledDataset, fits: NuisanceFits) -> EfficiencyBounds:

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .nuisance import ConstantScore, LinearModel, NuisanceFits, _fit, _LinearPredictor, fit_least_squares
+from .nuisance import ConstantScore, LinearModel, NuisanceFits, _fit, _LinearPredictor
 from .parallel import ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
@@ -465,7 +465,7 @@ def estimate_single_sample(
         values = sample.y
         method = "single_sample_dim"
     elif mode == "surrogate_index":
-        model = _fit("surrogate index", fit_least_squares, sample.sx, sample.y, ridge, sample.n_surrogates)
+        model = _fit("surrogate index", sample.sx, sample.y, ridge, sample.n_surrogates, logistic=False)
         values = model._predict_sx(sample.sx)
         method = "single_sample_index"
     else:
@@ -520,10 +520,13 @@ def bootstrap_se(
     raises a package error drops the replicate for every statistic.  Each
     statistic, in tuple order, with more than ``max_failure_rate`` of its
     replicates dropped, or fewer than 2 left, aborts with
-    :class:`UnstableBootstrapError`; ``max_failure_rate`` must lie in [0, 1].
+    :class:`UnstableBootstrapError`; ``max_failure_rate`` must lie in [0, 1],
+    and ``reps`` must be an integer of at least 2.
     """
     if reps < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
+    if not isinstance(reps, (int, np.integer)):
+        raise ValidationError(f"bootstrap replicates must be counted by an integer, got {reps}")
     if not 0.0 <= max_failure_rate <= 1.0:
         raise ValidationError(f"max_failure_rate must lie in [0, 1], got {max_failure_rate}")
     data = tuple(data)

@@ -24,7 +24,9 @@ standardized columns written straight into a preallocated design
 all start from.
 
 Every nuisance fit in the package goes through one site, :func:`_fit`,
-which names its role: ``propensity score``, ``surrogate score``,
+the only caller of the two kernels :func:`fit_logistic` and
+:func:`fit_least_squares`; its callers name the model kind, not a kernel.
+It names each fit's role: ``propensity score``, ``surrogate score``,
 ``sampling score`` and ``surrogate index`` in :func:`fit_all`, in the
 Monte Carlo replications and in the single-sample bounds and estimate,
 plus the ``treated arm regression`` and ``control arm regression`` of
@@ -67,10 +69,11 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .data import PooledDataset, _standardize, _strict_json
+from .data import PooledDataset, _check_2d, _check_finite, _standardize, _strict_json
 from .errors import (
     ConvergenceError,
     DegenerateLabelsError,
+    EstimationError,
     FitError,
     SeparationError,
     SingularDesignError,
@@ -134,17 +137,32 @@ def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
     block has columns, ``features`` is that block, as a C-contiguous array
     that may share memory with the argument.
 
+    Each block is coerced to a float array, a 1-d block being one row, and
+    must then be 2-d; the blocks must have the same row count, and the
+    design must be finite (products of finite cells may overflow).
+    Otherwise :class:`ValidationError` is raised.
+
     Returns
     -------
     (features, n_s, n_x, n_sx)
     """
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    s = _check_2d(np.atleast_2d(np.asarray(s, dtype=float)), "s")
+    x = _check_2d(np.atleast_2d(np.asarray(x, dtype=float)), "x")
+    if len(s) != len(x):
+        raise ValidationError(f"row counts differ: s={len(s)}, x={len(x)}")
     n_s, n_x = s.shape[1], x.shape[1]
-    if not (n_s and n_x):
-        return np.ascontiguousarray(s if n_s else x), n_s, n_x, 0
-    features = np.hstack([s, x])
-    return (_with_interactions(features, n_s), n_s, n_x, n_s * n_x) if interactions else (features, n_s, n_x, 0)
+    n_sx = n_s * n_x if interactions else 0
+    features = np.hstack([s, x]) if n_s and n_x else np.ascontiguousarray(s if n_s else x)
+    if n_sx:
+        features = _with_interactions(features, n_s)
+    _check_finite(features, "design")
+    return features, n_s, n_x, n_sx
+
+
+def _checked_rows(s, x):
+    """:func:`build_design` of ``s`` and ``x`` (no covariates when ``None``): every model's ``predict`` checks its input here."""
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    return build_design(s, np.empty((len(s), 0)) if x is None else x)
 
 
 @dataclass(frozen=True)
@@ -157,6 +175,11 @@ class _LinearPredictor:
     coef_s: np.ndarray
     coef_x: np.ndarray
     coef_sx: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self):
+        blocks = (self.coef_s, self.coef_x, self.coef_sx)
+        if any(np.ndim(b) != 1 for b in blocks) or len(self.coef_sx) not in (0, len(self.coef_s) * len(self.coef_x)):
+            raise ValidationError("coefficients must be 1-d, with one interaction term per (s, x) pair or none")
 
     @classmethod
     def _from_coef(cls, intercept: float, b: np.ndarray, n_surrogates: int | None, n_interactions: int, **fit):
@@ -187,14 +210,17 @@ class _LinearPredictor:
     def predict(self, s, x=None) -> np.ndarray:
         """The model at the rows of ``s`` and ``x`` (no covariates when ``None``): the checked boundary.
 
-        The inputs are coerced to 2-d float arrays and their widths checked
-        against the model's; the rows ``[s | x]`` then go to
-        :meth:`_predict_sx`.
+        The inputs are coerced and checked by :func:`build_design`
+        (:func:`_checked_rows`) and their widths against the model's; the rows ``[s | x]`` then go to
+        :meth:`_predict_sx`.  A prediction that overflows raises
+        :class:`EstimationError`.
         """
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        rows, n_s, n_x, _ = build_design(s, np.empty((len(s), 0)) if x is None else x)
+        rows, n_s, n_x, _ = _checked_rows(s, x)
         self._check_widths(n_s, n_x)
-        return self._predict_sx(rows)
+        values = self._predict_sx(rows)
+        if not np.isfinite(values).all():
+            raise EstimationError("a prediction is not finite: an input or a coefficient is too large in magnitude")
+        return values
 
     def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
         """The model at a sample's stored rows ``[s | x]`` (``sample.sx``), unchecked.
@@ -256,8 +282,8 @@ class ConstantScore:
             raise ValidationError(f"constant score must lie in (0, 1), got {self.p}")
 
     def predict(self, s, x=None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        return np.full(s.shape[0], self.p)
+        """``p`` at every row of ``s`` and ``x``, which are checked as a fitted model's are."""
+        return np.full(len(_checked_rows(s, x)[0]), self.p)
 
     def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
         return np.full(len(sx), self.p)
@@ -347,7 +373,7 @@ def _prepare(features, targets, ridge: float, binary: bool, standardized=None, t
     """
     y = targets
     if not trusted:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        features = _check_2d(np.atleast_2d(np.asarray(features, dtype=float)), "features")
         y = np.asarray(targets, dtype=float).ravel()
         if features.shape[0] != len(y):
             raise ValidationError(f"features and {'labels' if binary else 'targets'} have different row counts")
@@ -381,12 +407,16 @@ def fit_least_squares(
     ``n_surrogates`` gives the number of leading feature columns that are
     surrogates (defaults to all of them); remaining columns are covariates,
     with the final ``n_interactions`` columns treated as interaction terms.
-    Inputs are coerced to float arrays and checked for matching row counts
-    and finite values; :func:`_fit` skips those checks for the columns
-    of a validated sample (see :func:`_prepare`).
+    Inputs are coerced to float arrays and checked for 2-d features,
+    matching row counts and finite values; :func:`_fit` skips those checks
+    for the columns of a validated sample (see :func:`_prepare`).
 
     Raises
     ------
+    ValidationError
+        If the coefficients or the residuals are not finite: the targets
+        are too large in magnitude.  The mean squared residual may still
+        overflow to ``inf``.
     SingularDesignError
         If ``ridge == 0`` and the design is rank deficient, or if the
         penalized normal equations are singular.
@@ -401,6 +431,8 @@ def fit_least_squares(
     b = _penalized_solve(z.T @ z, ridge / sd**2, z.T @ (y - y_bar)) / sd
     intercept = float(y_bar - mean @ b)
     resid = y - intercept - features @ b
+    if not (np.isfinite(b).all() and np.isfinite(resid).all()):
+        raise ValidationError("the target column is too large in magnitude to fit")
     return LinearModel._from_coef(
         intercept, b, n_surrogates, n_interactions, residual_variance=float(np.mean(resid**2))
     )
@@ -441,10 +473,13 @@ def fit_logistic(
 
     This is the public boundary of the fit: inputs are coerced to float
     arrays and checked for matching row counts, finite values and 0/1
-    labels.  :func:`_fit`, the package's one caller, passes the columns
-    of a validated sample, which skip those rescans (see
-    :func:`_prepare`); the checks on the data itself (single class, empty
-    sample, rank, separation, convergence) and on ``ridge`` always run.
+    labels, and refused when they are not 2-d.  ``tol`` must be finite
+    and positive and ``max_iter`` a non-negative integer, or
+    :class:`ValidationError` is raised before any fit.  :func:`_fit`,
+    the package's one caller, passes the columns of a validated sample,
+    which skip those rescans (see :func:`_prepare`); the checks on the
+    data itself (single class, empty sample, rank, separation,
+    convergence) and on ``ridge`` always run.
 
     Each Newton step works in buffers allocated once per fit: n-vectors for
     the linear predictor, the line-search candidate's predictor (swapped in
@@ -481,6 +516,11 @@ def fit_logistic(
     ConvergenceError
         If the score is still above ``tol`` after ``max_iter`` Newton steps.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    # a string fails the comparison with TypeError, as for every number argument
+    if not (0 <= max_iter and isinstance(max_iter, (int, np.integer))):
+        raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
     features, y, z1, mean, sd = _prepare(features, labels, ridge, True, _standardized, _trusted)
     n, d = features.shape
     penalty = np.concatenate([[0.0], ridge / sd**2])
@@ -586,6 +626,14 @@ class NuisanceOptions:
 
 
 _MODEL_SLOTS = ("e_model", "r_model", "t_model", "h_model")
+_MODEL_TYPES = {"constant": ConstantScore, "linear": LinearModel, "logistic": LogisticModel}
+
+
+def _finite_number(token: str) -> int | float:
+    """A number of a saved payload as ``json`` reads it; ``ValueError`` unless it is finite as a float."""
+    if not np.isfinite(float(token)):
+        raise ValueError(f"number out of range: {token}")
+    return int(token) if token.lstrip("-").isdigit() else float(token)
 
 
 @dataclass(frozen=True)
@@ -620,42 +668,59 @@ class NuisanceFits:
 
     @staticmethod
     def from_json(text: str) -> "NuisanceFits":
-        payload = json.loads(text)
+        """The fits that :meth:`to_json` wrote.
+
+        Text that is not such a payload raises :class:`ValidationError`:
+        text that is not JSON or holds a number that is not finite, a
+        payload that is not an object, a model slot or ``options``
+        missing, an unknown model ``type``, field or option, and a model
+        field that is not a number (the coefficients: a list of numbers).
+        """
 
         def _model(d):
             if d is None:
                 return None
             d = dict(d)
-            tag = d.pop("type")
-            if tag == "constant":
-                return ConstantScore(**d)
+            cls = _MODEL_TYPES[d.pop("type")]
             d.pop("converged", None)  # written on logistic models by earlier versions; a fitted model has converged
-            cls = LinearModel if tag == "linear" else LogisticModel
-            return cls(**{k: np.asarray(v, dtype=float) if k.startswith("coef") else v for k, v in d.items()})
+            coefs = {k: np.asarray(d.pop(k), dtype=float) for k in list(d) if k.startswith("coef")}
+            finite = all(np.isfinite(c).all() for c in coefs.values())
+            if not finite or any(type(v) not in (int, float) for v in d.values()):
+                raise ValidationError(f"the fields of a {cls.__name__} must be finite numbers")
+            return cls(**d, **coefs)
 
-        models = {slot: _model(payload[slot]) for slot in _MODEL_SLOTS}
-        return NuisanceFits(**models, options=NuisanceOptions(**payload["options"]))
+        hooks = dict.fromkeys(("parse_int", "parse_float", "parse_constant"), _finite_number)
+        try:
+            payload = json.loads(text, **hooks)
+            models = {slot: _model(payload[slot]) for slot in _MODEL_SLOTS}
+            options = NuisanceOptions(**payload["options"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"not a saved nuisance fits payload: {type(exc).__name__}: {exc}") from None
+        return NuisanceFits(**models, options=options)
 
 
-def _fit(role: str, fitter, rows, target, ridge: float, n_s: int, standardized=None, interactions=False):
+def _fit(role: str, rows, target, ridge: float, n_s: int, standardized=None, interactions=False, *, logistic: bool):
     """Fit one nuisance: the one place the package calls :func:`fit_logistic` or :func:`fit_least_squares`.
 
-    ``rows`` are the columns ``[s | x]`` of a validated sample, of which
-    the first ``n_s`` are surrogates, and ``target`` is its label or
+    ``logistic`` names the model kind, and the kernel is looked up in this
+    module when the fit runs, so that a test or a tracer that replaces
+    ``nuisance.fit_logistic`` or ``nuisance.fit_least_squares`` sees every
+    fit.  ``rows`` are the columns ``[s | x]`` of a validated sample, of
+    which the first ``n_s`` are surrogates, and ``target`` is its label or
     outcome column; such columns skip the rescans of their inputs (see
     :func:`_prepare`).  ``standardized`` is a :class:`PooledDataset`'s
     builder of their standardized design, if it has one.  With
     ``interactions``, surrogates and covariates, the design is built here
     by :func:`_with_interactions`; its surrogate-by-covariate products are
     checked as user input is (products of finite columns may overflow) and
-    standardized by the fit.  ``fitter`` comes from the caller's own
-    module, so that a test or a tracer that replaces it there sees the
-    call.  A :class:`ValidationError` or :class:`FitError` is raised
-    again, of the same type, with ``role`` before its message.
+    standardized by the fit.  A :class:`ValidationError` or
+    :class:`FitError` is raised again, of the same type, with ``role``
+    before its message.
     """
     n_sx = n_s * (rows.shape[1] - n_s) if interactions else 0
     if n_sx:
         rows, standardized = _with_interactions(rows, n_s), None
+    fitter = fit_logistic if logistic else fit_least_squares
     try:
         return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,
                       _standardized=standardized, _trusted=n_sx == 0)
@@ -674,7 +739,7 @@ def _fit_propensity(sample, ridge: float, standardized=None) -> ScoreModel:
     """
     if sample.n_covariates == 0:
         return ConstantScore(float(sample.w.mean()))
-    return _fit("propensity score", fit_logistic, sample.x, sample.w, ridge, 0, standardized)
+    return _fit("propensity score", sample.x, sample.w, ridge, 0, standardized, logistic=True)
 
 
 def _fit_scores(pooled: PooledDataset, options: NuisanceOptions) -> tuple:
@@ -691,8 +756,8 @@ def _fit_scores(pooled: PooledDataset, options: NuisanceOptions) -> tuple:
         e_model: ScoreModel = ConstantScore(options.constant_propensity)
     else:
         e_model = _fit_propensity(exp, options.ridge_propensity, lambda: pooled.standardized_x)
-    r_model = _fit("surrogate score", fit_logistic, exp.sx, exp.w, options.ridge_surrogate_score,
-                   exp.n_surrogates, interactions=options.interactions)
+    r_model = _fit("surrogate score", exp.sx, exp.w, options.ridge_surrogate_score, exp.n_surrogates,
+                   interactions=options.interactions, logistic=True)
     return e_model, r_model
 
 
@@ -712,10 +777,9 @@ def fit_all(pooled: PooledDataset, options: NuisanceOptions | None = None) -> Nu
     if options.constant_sampling_score:
         t_model: ScoreModel = ConstantScore(pooled.q)
     else:
-        t_model = _fit("sampling score", fit_logistic, pooled.sx, pooled.is_experimental.astype(float),
-                       options.ridge_sampling_score, n_s, lambda: pooled.standardized_sx, interactions)
+        t_model = _fit("sampling score", pooled.sx, pooled.is_experimental.astype(float),
+                       options.ridge_sampling_score, n_s, lambda: pooled.standardized_sx, interactions, logistic=True)
 
-    h_model = _fit("surrogate index", fit_least_squares, obs.sx, obs.y, options.ridge_index, n_s,
-                   interactions=interactions)
+    h_model = _fit("surrogate index", obs.sx, obs.y, options.ridge_index, n_s, interactions=interactions, logistic=False)
 
     return NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=h_model, options=options)

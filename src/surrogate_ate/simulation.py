@@ -46,7 +46,7 @@ from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
 from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
 from .estimators import DEFAULT_TRIM, _index_step, _score_step
-from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, expit, fit_logistic
+from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, expit
 from .parallel import ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
@@ -357,14 +357,14 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     t_model = ConstantScore(q)
 
     try:
-        r_model = _fit("surrogate score", fit_logistic, exp.s, exp.w, HARNESS_RIDGE, exp.n_surrogates)
+        r_model = _fit("surrogate score", exp.s, exp.w, HARNESS_RIDGE, exp.n_surrogates, logistic=True)
         fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
         tau_o = _score_step(obs, fits, q, DEFAULT_TRIM)[0]
     except SurrogateError:
         tau_o = None
     try:
         # the outcomes are binary, so the index is itself a logistic mean
-        h_model = _fit("surrogate index", fit_logistic, obs.s, obs.y, HARNESS_RIDGE, obs.n_surrogates)
+        h_model = _fit("surrogate index", obs.s, obs.y, HARNESS_RIDGE, obs.n_surrogates, logistic=True)
         fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
         tau_e = _index_step(exp, fits, DEFAULT_TRIM)[0]
     except SurrogateError:

@@ -1267,6 +1267,57 @@ def test_build_design_for_each_block_layout(n_s, n_x, interactions):
     assert copied.tobytes() == features.tobytes()
 
 
+_MODEL_SX = LinearModel(intercept=0.0, coef_s=np.ones(2), coef_x=np.ones(1))
+
+
+@pytest.mark.parametrize("call", [build_design, _MODEL_SX.predict, ConstantScore(0.3).predict],
+                         ids=["build_design", "predict", "constant-predict"])
+@pytest.mark.parametrize("s, x, text", [
+    (np.ones((3, 2)), np.ones((4, 1)), "row counts differ: s=3, x=4"),
+    (np.ones((3, 2, 1)), np.ones((3, 1)), "s must be a 2-d array, got ndim=3"),
+    (np.ones((3, 2)), np.ones((3, 1, 1)), "x must be a 2-d array, got ndim=3"),
+    (np.array([[1.0, np.nan]] * 3), np.ones((3, 1)), "non-finite value in design column 2 at row 1"),
+])
+def test_build_design_and_predict_refuse_blocks_that_do_not_make_a_design(call, s, x, text):
+    # numpy's hstack raised ValueError on mismatched rows, predict evaluated a NaN cell to NaN,
+    # and a constant score answered every one of these with its probability
+    with pytest.raises(ValidationError, match=text):
+        call(s, x)
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"max_iter": -1}, "max_iter must be a non-negative integer, got -1"),
+    ({"max_iter": 1.5}, "max_iter must be a non-negative integer, got 1.5"),
+    ({"tol": float("nan")}, "tol must be finite and positive, got nan"),
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+])
+def test_fit_logistic_refuses_a_bad_setting_before_any_fit(kwargs, text):
+    # these were ConvergenceError ("in -1 iterations", "below nan") or, for 1.5, a raw TypeError
+    s = np.array([[0.0], [1.0], [2.0], [3.0], [0.5], [2.5]])
+    with pytest.raises(ValidationError, match=text):
+        fit_logistic(s, [0.0, 1.0, 0.0, 1.0, 1.0, 0.0], **kwargs)
+
+
+@pytest.mark.parametrize("fit", [fit_least_squares, fit_logistic])
+def test_a_kernel_refuses_features_that_are_not_2d(fit):
+    with pytest.raises(ValidationError, match="features must be a 2-d array, got ndim=3"):
+        fit(np.ones((4, 1, 1)), [0.0, 1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "JSONDecodeError"),
+    ("{}", "KeyError: 'e_model'"),
+    ("[]", "TypeError"),
+    (SAVED_FITS.replace('"linear"', '"cubic"'), "KeyError: 'cubic'"),
+    (SAVED_FITS.replace('"intercept": 2.0', '"intercept": "2.0"'), "fields of a LinearModel must be finite numbers"),
+    (SAVED_FITS.replace('"intercept": 2.0', '"intercept": NaN'), "number out of range: NaN"),
+    (SAVED_FITS.replace('"coef_sx": [0.0625, 1e-300]', '"coef_sx": [0.0625]'), "one interaction term per"),
+])
+def test_fits_json_refuses_a_malformed_payload(text, message):
+    with pytest.raises(ValidationError, match=message):
+        NuisanceFits.from_json(text)
+
+
 @pytest.mark.parametrize("n_x", [0, 2])
 @pytest.mark.parametrize("ridge", [0.0, 0.1])
 def test_the_single_sample_propensity_is_fit_all_s_on_the_same_rows(n_x, ridge):

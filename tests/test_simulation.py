@@ -359,12 +359,12 @@ def test_draw_dataset_int_seed_is_the_one_element_stream():
 def test_replication_counts_a_non_converged_fit_as_a_failure(monkeypatch):
     from functools import partial
 
-    from surrogate_ate import simulation
+    from surrogate_ate import nuisance, simulation
 
     spec = make_spec("sample_size", seed=2, q=0.5)
     seed = np.random.SeedSequence((2, 2, 0, 0))
     assert None not in simulation._replicate(spec, seed)
-    monkeypatch.setattr(simulation, "fit_logistic", partial(simulation.fit_logistic, max_iter=1))
+    monkeypatch.setattr(nuisance, "fit_logistic", partial(nuisance.fit_logistic, max_iter=1))
     assert simulation._replicate(spec, seed) == (None, None)
 
 
