@@ -52,8 +52,8 @@ from .diagnostics import (
     efficiency_bounds_single_sample,
 )
 from .errors import ConfigurationError, SurrogateError
-from .estimators import (DEFAULT_TRIM, _index_step, _linear_step, _match, _score_step, bootstrap_se, estimate_index,
-                         estimate_linear_shortcut, estimate_score)
+from .estimators import (DEFAULT_TRIM, _attempt, _index_step, _linear_step, _match, _score_step, bootstrap_se,
+                         estimate_index, estimate_linear_shortcut, estimate_score)
 from .nuisance import NuisanceFits, NuisanceOptions, _check_ridge, _fit_scores, fit_all
 from .parallel import worker_count
 from .simulation import STUDIES, run_study
@@ -128,22 +128,10 @@ def run_estimate(args) -> int:
         def replicate(e, o):
             # one pool and one fit_all per resample serve every method; when
             # the fit fails, only the methods that read it lose the replicate
-            p, f = pool(e, o), None
-            if needs_fits:
-                try:
-                    f = fit_all(p, options)
-                except SurrogateError:
-                    pass
-            taus = []
-            for method in methods:
-                tau = None
-                if method == "match" or f is not None:
-                    try:
-                        tau = _METHOD_TABLE[method][1](p, f, trim)
-                    except SurrogateError:
-                        pass
-                taus.append(tau)
-            return tuple(taus)
+            p = pool(e, o)
+            f = _attempt(fit_all, p, options) if needs_fits else None
+            return tuple(_attempt(_METHOD_TABLE[m][1], p, f, trim) if m == "match" or f is not None else None
+                         for m in methods)
 
         ses = bootstrap_se(replicate, (pooled.exp, pooled.obs), reps=args.bootstrap, seed=args.seed)
         reports = [replace(r, se_bootstrap=se) for r, se in zip(reports, ses)]

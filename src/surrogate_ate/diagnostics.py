@@ -502,7 +502,8 @@ def efficiency_gain_homoskedastic(
     if np.any(r < 0) or np.any(r > 1):
         raise ValidationError("surrogate-score values must lie in [0, 1]")
     pq = p * (1.0 - p)
-    gain = float(np.sum(pr * (2.0 * sigma2 / pq) * (pq - (r - p) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain that overflows is the typed error below
+        gain = float(np.sum(pr * (2.0 * sigma2 / pq) * (pq - (r - p) ** 2)))
     if not np.isfinite(gain):
         raise EstimationError("the gain is not finite: sigma2 is too large in magnitude")
     return gain
@@ -543,9 +544,12 @@ def two_sample_bound_value(
     if not ((r >= 0.0) & (r <= 1.0)).all():
         raise ValidationError("surrogate-score values must lie in [0, 1]")
     pq2 = (p * (1.0 - p)) ** 2
-    first = sigma2 / (1.0 - q) * (r - p) ** 2 / pq2
-    second = (1.0 / q) * (r / p * (mu - mu1) ** 2 + (1.0 - r) / (1.0 - p) * (mu - mu0) ** 2)
-    terms = float(np.mean(first)), float(np.mean(second))
+    # a term that overflows, or whose p * (1 - p) underflows, is infinite (documented); one that is not a number is
+    # the typed error below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        first = sigma2 / (1.0 - q) * (r - p) ** 2 / pq2
+        second = (1.0 / q) * (r / p * (mu - mu1) ** 2 + (1.0 - r) / (1.0 - p) * (mu - mu0) ** 2)
+        terms = float(np.mean(first)), float(np.mean(second))
     if np.isnan(terms).any():
         raise EstimationError("a bound term is not a number: a plug-in is NaN, infinite or too large in magnitude")
     return terms

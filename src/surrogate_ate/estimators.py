@@ -26,6 +26,12 @@ that each sample stores (``sample.sx``), and the propensity on
 ``sample.x``, all through :func:`_predicted`.  A public estimator is
 :func:`_report` of its step, which adds the weight summaries; Monte Carlo
 replications and bootstrap replicates read the step's ``tau_hat`` alone.
+
+A replicate fails by one rule, :func:`_attempt`: a bootstrap replicate, a
+Monte Carlo replication's draw and estimates, and the CLI's per-resample
+fits and estimates are dropped when they raise a package error
+(:class:`SurrogateError`), and counted, never imputed; any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .nuisance import ConstantScore, LinearModel, NuisanceFits, _fit, _LinearPredictor
-from .parallel import ordered_map, seed_sequence
+from .parallel import _check_integer, ordered_map, seed_sequence
 
 DEFAULT_TRIM = 1e-6
 
@@ -475,6 +481,19 @@ def estimate_single_sample(
     return _report(method, _tau(arm1, arm0), arm1[1], arm0[1], 0, None)
 
 
+def _attempt(fn: Callable, *args):
+    """``fn(*args)``, or ``None`` when it raises a :class:`SurrogateError`: the one rule for a failed replicate.
+
+    Which errors drop a replicate is decided here alone.  The callers
+    count the ``None`` (:func:`bootstrap_se`, ``simulation._stats``) and
+    never impute it; any other exception propagates with its type.
+    """
+    try:
+        return fn(*args)
+    except SurrogateError:
+        return None
+
+
 def _resample(sample, rng: np.random.Generator):
     """Draw a bootstrap copy of one sample, preserving its size.
 
@@ -521,30 +540,25 @@ def bootstrap_se(
     statistic, in tuple order, with more than ``max_failure_rate`` of its
     replicates dropped, or fewer than 2 left, aborts with
     :class:`UnstableBootstrapError`; ``max_failure_rate`` must lie in [0, 1],
-    and ``reps`` must be an integer of at least 2.
+    ``reps`` must be an integer of at least 2, and ``seed`` a non-negative
+    integer.
     """
-    if reps < 2:
-        raise ValidationError("bootstrap needs at least 2 replicates")
-    if not isinstance(reps, (int, np.integer)):
-        raise ValidationError(f"bootstrap replicates must be counted by an integer, got {reps}")
+    _check_integer(reps, "reps", 2)
     if not 0.0 <= max_failure_rate <= 1.0:
         raise ValidationError(f"max_failure_rate must lie in [0, 1], got {max_failure_rate}")
+    _check_integer(seed, "seed")
     data = tuple(data)
 
     def one(rep: int):
         rng = np.random.default_rng(seed_sequence(seed, rep))
-        try:
-            resampled = [_resample(s, rng) for s in data]
-            result = estimator(*resampled)
-        except SurrogateError:
-            # a resample that cannot even be constructed (e.g. one arm lost)
-            # counts as a failed replicate, same as an estimator failure
-            return None
+        result = estimator(*[_resample(s, rng) for s in data])
         if isinstance(result, tuple):
             return tuple(None if v is None else float(v) for v in result)
         return float(result)
 
-    results = [r for r in ordered_map(one, range(reps)) if r is not None]
+    # a resample that cannot even be constructed (e.g. one arm lost)
+    # counts as a failed replicate, same as an estimator failure
+    results = [r for r in ordered_map(lambda rep: _attempt(one, rep), range(reps)) if r is not None]
     scalar = not any(isinstance(r, tuple) for r in results)
     rows = [(r,) for r in results] if scalar else results
     ses = []

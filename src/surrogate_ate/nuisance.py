@@ -130,39 +130,35 @@ def _with_interactions(sx: np.ndarray, n_s: int) -> np.ndarray:
     return np.hstack([sx, (sx[:, :n_s, None] * sx[:, None, n_s:]).reshape(n, n_s * n_x)])
 
 
-def build_design(s: np.ndarray, x: np.ndarray, interactions: bool = False):
-    """Assemble ``[s | x | s*x]`` and return the block widths.
+def build_design(s: np.ndarray, x: np.ndarray | None = None, interactions: bool = False):
+    """Assemble ``[s | x | s*x]`` and return the block widths; ``x=None`` means no covariates.
 
     The products are those of :func:`_with_interactions`.  When only one
     block has columns, ``features`` is that block, as a C-contiguous array
     that may share memory with the argument.
 
     Each block is coerced to a float array, a 1-d block being one row, and
-    must then be 2-d; the blocks must have the same row count, and the
-    design must be finite (products of finite cells may overflow).
-    Otherwise :class:`ValidationError` is raised.
+    must then be 2-d (``s`` is checked before ``x``); the blocks must have
+    the same row count, and the design must be finite (products of finite
+    cells may overflow).  Otherwise :class:`ValidationError` is raised.
+    Every model's ``predict`` checks its input here.
 
     Returns
     -------
     (features, n_s, n_x, n_sx)
     """
     s = _check_2d(np.atleast_2d(np.asarray(s, dtype=float)), "s")
-    x = _check_2d(np.atleast_2d(np.asarray(x, dtype=float)), "x")
+    x = np.empty((len(s), 0)) if x is None else _check_2d(np.atleast_2d(np.asarray(x, dtype=float)), "x")
     if len(s) != len(x):
         raise ValidationError(f"row counts differ: s={len(s)}, x={len(x)}")
     n_s, n_x = s.shape[1], x.shape[1]
     n_sx = n_s * n_x if interactions else 0
     features = np.hstack([s, x]) if n_s and n_x else np.ascontiguousarray(s if n_s else x)
     if n_sx:
-        features = _with_interactions(features, n_s)
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is the typed error below
+            features = _with_interactions(features, n_s)
     _check_finite(features, "design")
     return features, n_s, n_x, n_sx
-
-
-def _checked_rows(s, x):
-    """:func:`build_design` of ``s`` and ``x`` (no covariates when ``None``): every model's ``predict`` checks its input here."""
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    return build_design(s, np.empty((len(s), 0)) if x is None else x)
 
 
 @dataclass(frozen=True)
@@ -210,14 +206,15 @@ class _LinearPredictor:
     def predict(self, s, x=None) -> np.ndarray:
         """The model at the rows of ``s`` and ``x`` (no covariates when ``None``): the checked boundary.
 
-        The inputs are coerced and checked by :func:`build_design`
-        (:func:`_checked_rows`) and their widths against the model's; the rows ``[s | x]`` then go to
+        The inputs are coerced and checked by :func:`build_design` and
+        their widths against the model's; the rows ``[s | x]`` then go to
         :meth:`_predict_sx`.  A prediction that overflows raises
         :class:`EstimationError`.
         """
-        rows, n_s, n_x, _ = _checked_rows(s, x)
+        rows, n_s, n_x, _ = build_design(s, x)
         self._check_widths(n_s, n_x)
-        values = self._predict_sx(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # a prediction that overflows is the typed error below
+            values = self._predict_sx(rows)
         if not np.isfinite(values).all():
             raise EstimationError("a prediction is not finite: an input or a coefficient is too large in magnitude")
         return values
@@ -283,7 +280,7 @@ class ConstantScore:
 
     def predict(self, s, x=None) -> np.ndarray:
         """``p`` at every row of ``s`` and ``x``, which are checked as a fitted model's are."""
-        return np.full(len(_checked_rows(s, x)[0]), self.p)
+        return np.full(len(build_design(s, x)[0]), self.p)
 
     def _predict_sx(self, sx: np.ndarray) -> np.ndarray:
         return np.full(len(sx), self.p)
@@ -426,16 +423,17 @@ def fit_least_squares(
         _check_rank(z1)
     # a contiguous copy: numpy's matrix-vector product of a strided view can round differently
     z = np.ascontiguousarray(z1[:, 1:])
-    y_bar = y.mean()
-    # ridge * S^-2 in standardized space == ridge * I on the original scale
-    b = _penalized_solve(z.T @ z, ridge / sd**2, z.T @ (y - y_bar)) / sd
-    intercept = float(y_bar - mean @ b)
-    resid = y - intercept - features @ b
+    # targets that overflow are the typed error below, or an infinite residual variance
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_bar = y.mean()
+        # ridge * S^-2 in standardized space == ridge * I on the original scale
+        b = _penalized_solve(z.T @ z, ridge / sd**2, z.T @ (y - y_bar)) / sd
+        intercept = float(y_bar - mean @ b)
+        resid = y - intercept - features @ b
+        variance = float(np.mean(resid**2))
     if not (np.isfinite(b).all() and np.isfinite(resid).all()):
         raise ValidationError("the target column is too large in magnitude to fit")
-    return LinearModel._from_coef(
-        intercept, b, n_surrogates, n_interactions, residual_variance=float(np.mean(resid**2))
-    )
+    return LinearModel._from_coef(intercept, b, n_surrogates, n_interactions, residual_variance=variance)
 
 
 def bernoulli_loglik(intercept: float, coef: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -523,7 +521,10 @@ def fit_logistic(
         raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
     features, y, z1, mean, sd = _prepare(features, labels, ridge, True, _standardized, _trusted)
     n, d = features.shape
-    penalty = np.concatenate([[0.0], ridge / sd**2])
+    # a penalty that overflows (a column of tiny spread, or a huge ridge) becomes the largest finite double,
+    # which holds that coefficient near 0
+    with np.errstate(over="ignore"):
+        penalty = np.concatenate([[0.0], np.minimum(ridge / sd**2, np.finfo(float).max)])
     zt = np.ascontiguousarray(z1.T)
     zwt = np.empty_like(zt)
     # r holds the residual, then the square-root weights; u and v hold the objective's terms
@@ -719,7 +720,8 @@ def _fit(role: str, rows, target, ridge: float, n_s: int, standardized=None, int
     """
     n_sx = n_s * (rows.shape[1] - n_s) if interactions else 0
     if n_sx:
-        rows, standardized = _with_interactions(rows, n_s), None
+        with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses a product that overflows as input
+            rows, standardized = _with_interactions(rows, n_s), None
     fitter = fit_logistic if logistic else fit_least_squares
     try:
         return fitter(rows, target, ridge=ridge, n_surrogates=n_s, n_interactions=n_sx,

@@ -56,10 +56,23 @@ _CLAIM_BYTES = 4
 _MAX_CLAIMS = 1024
 
 
+def _check_integer(value, name: str, low: int = 0, error=ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer of at least ``low``.
+
+    Each public entry point checks its seeds, stream entries and counts
+    once, before any work; the replicates then build their streams with
+    :func:`seed_sequence` unchecked.  The comparison comes first, so a
+    string or ``None`` fails it with Python's ``TypeError``: the library
+    checks values, not types.
+    """
+    if value < low:
+        raise error(f"{name} must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}")
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value}")
+
+
 def seed_sequence(seed: int, *stream: int) -> np.random.SeedSequence:
-    """The seed stream ``(seed, *stream)``; a negative ``seed`` is a ``ValidationError``."""
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    """The seed stream ``(seed, *stream)``, of entries that a public entry point checked (:func:`_check_integer`)."""
     return np.random.SeedSequence((seed, *stream))
 
 

@@ -23,8 +23,11 @@ by logistic regression of the binary outcome on the same surrogates, then
 computes the normalized score-weighted and index-imputation estimates with
 constant propensity and sampling scores.  A standing ridge of 1e-6 keeps
 the replication fits defined under (quasi-)separation, which small
-experimental samples and wide designs produce routinely; fits that still
-fail are counted, never imputed.
+experimental samples and wide designs produce routinely.  A replication's
+draw, and each estimator's fit and estimate, fail by the package's one rule
+(``estimators._attempt``): a package error (:class:`SurrogateError`) drops
+the replication for the estimates it feeds, and it is counted, never
+imputed; any other exception propagates.
 
 Seed contract: coefficients for a study seeded ``s`` are drawn from the
 stream ``(s, 1, tag)`` (tag = M for the dimension study, 0 otherwise), and
@@ -44,10 +47,10 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
-from .errors import CalibrationError, ConfigurationError, StudyError, SurrogateError
-from .estimators import DEFAULT_TRIM, _index_step, _score_step
+from .errors import CalibrationError, ConfigurationError, StudyError
+from .estimators import DEFAULT_TRIM, _attempt, _index_step, _score_step
 from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, expit
-from .parallel import ordered_map, seed_sequence
+from .parallel import _check_integer, ordered_map, seed_sequence
 
 HARNESS_RIDGE = 1e-6
 
@@ -74,7 +77,15 @@ _CSV_FIELDS = ("grid_value", "estimator", "abs_bias_x100", "sd_x100", "reps", "f
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """A fully-specified data-generating process for one grid point."""
+    """A fully-specified data-generating process for one grid point.
+
+    The surrogate count is an integer of at least 1 and the sample sizes
+    non-negative integers; the intercepts and the squared norms of the
+    coefficient vectors are finite, so every linear predictor of a draw is.
+    Anything else raises :class:`ConfigurationError`.  :func:`true_tau`
+    reads no sample size, and :func:`run_monte_carlo` needs at least 2
+    rows in each sample.
+    """
 
     study: str
     m_surrogates: int
@@ -89,11 +100,19 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer(self.m_surrogates, "m_surrogates", 1, ConfigurationError)
+        _check_integer(self.n_exp, "n_exp", 0, ConfigurationError)
+        _check_integer(self.n_obs, "n_obs", 0, ConfigurationError)
         alpha, gamma = _freeze(self.alpha).ravel(), _freeze(self.gamma).ravel()
         if len(alpha) != self.m_surrogates or len(gamma) != self.m_surrogates:
             raise ConfigurationError("coefficient lengths must equal the number of surrogates")
-        if self.k_used is not None and not 1 <= self.k_used <= self.m_surrogates:
-            raise ConfigurationError("k_used must lie in [1, m_surrogates]")
+        with np.errstate(over="ignore", invalid="ignore"):  # a squared norm that overflows is refused below
+            finite = np.isfinite([self.alpha0, self.gamma0, alpha @ alpha, gamma @ gamma]).all()
+        if not finite:
+            raise ConfigurationError("the intercepts and the coefficients' squared norms must be finite")
+        k = self.k_used
+        if k is not None and not (1 <= k <= self.m_surrogates and isinstance(k, (int, np.integer))):
+            raise ConfigurationError("k_used must be an integer in [1, m_surrogates]")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
 
@@ -109,6 +128,8 @@ def _hermite():
 
 
 def _tau_from_moments(e_r: float, e_h: float, e_rh: float) -> float:
+    if not 0.0 < e_r < 1.0:
+        raise ConfigurationError(f"the treated share is {e_r} in floating point, so one arm's mean is not defined")
     return e_rh / e_r - (e_h - e_rh) / (1.0 - e_r)
 
 
@@ -119,14 +140,15 @@ def true_tau(spec: DgpSpec) -> float:
     ``h(s) = expit(g0 + gamma's)``.  Both scores depend on the surrogates
     only through the Gaussian pair ``(alpha'S, gamma'S)``, so the integral
     collapses to one dimension when the coefficient vectors are parallel
-    and to two dimensions otherwise.
+    and to two dimensions otherwise.  A spec whose treated share rounds to
+    0 or 1 (an extreme ``alpha0``) raises :class:`ConfigurationError`.
     """
     a, g = spec.alpha, spec.gamma
     na, ng = float(np.linalg.norm(a)), float(np.linalg.norm(g))
-    if ng == 0.0:
-        return 0.0  # constant index: identical arm means
-    if na == 0.0:
-        return 0.0  # constant score: arms are identical tilts
+    # a constant index has identical arm means, and under a constant score the arms are identical; below
+    # 1e-100 a coefficient vector moves no mean by a representable amount, and its square may be subnormal
+    if min(na, ng) < 1e-100:
+        return 0.0
     cross = float(a @ g)
     nodes, weights = _hermite()
     if abs(abs(cross) - na * ng) <= 1e-12 * na * ng:
@@ -156,8 +178,9 @@ def true_tau_mc(spec: DgpSpec, n_draws: int = 1_000_000, seed: int = 0) -> tuple
     """Monte Carlo version of :func:`true_tau`; returns (estimate, standard error).
 
     Simulates the actual assignment mechanism, so it is an independent
-    check on the quadrature path.
+    check on the quadrature path.  ``seed`` is a non-negative integer.
     """
+    _check_integer(seed, "seed")
     rng = np.random.default_rng(seed_sequence(seed, 3))
     chunk = 250_000
     n1 = n0 = 0
@@ -242,11 +265,17 @@ def make_spec(
     q: float | None = None,
     design_row: int | None = None,
 ) -> DgpSpec:
-    """Build the generating process for one grid point of a named study."""
+    """Build the generating process for one grid point of a named study.
+
+    ``seed`` is a non-negative integer (:class:`ValidationError`
+    otherwise), and ``m``, ``k_used`` and ``design_row`` are integers
+    (:class:`ConfigurationError` otherwise).
+    """
+    _check_integer(seed, "seed")
     n_exp = n_obs = 500
     if study == "dimension":
-        if m is None or not 1 <= m <= 200:
-            raise ConfigurationError("dimension study needs m in [1, 200]")
+        if m is None or not (1 <= m <= 200 and isinstance(m, (int, np.integer))):
+            raise ConfigurationError("dimension study needs an integer m in [1, 200]")
         rng = np.random.default_rng(seed_sequence(seed, 1, m))
         alpha = gamma = rng.normal(0.0, np.sqrt(1.0 / m), m)
         rule = "alpha ~ N(0, 1/M) drawn once; gamma = alpha"
@@ -270,7 +299,7 @@ def make_spec(
         alpha = gamma = calibrate_tau(_SAMPLE_SIZE_TAU, direction) * (direction / np.linalg.norm(direction))
         rule = f"shared direction drawn once, rescaled so the true effect is {_SAMPLE_SIZE_TAU}"
     elif study == "explanatory":
-        if design_row not in _EXPLANATORY_MULTIPLIERS:
+        if design_row not in _EXPLANATORY_MULTIPLIERS or not isinstance(design_row, (int, np.integer)):
             raise ConfigurationError("explanatory study needs design_row in {1, 2, 3, 4}")
         m = 10
         rng = np.random.default_rng(seed_sequence(seed, 1, 0))
@@ -289,7 +318,8 @@ def make_spec(
 def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, ObservationalSample]:
     """Draw one replication's dataset; deterministic in ``(spec, rep_seed)``.
 
-    An int ``rep_seed`` must be non-negative.  The generator stream is
+    ``rep_seed`` is a ``SeedSequence`` or a non-negative integer, or
+    :class:`ValidationError` is raised.  The generator stream is
     consumed in a fixed order: experimental surrogates, treatments,
     observational surrogates, outcomes.  The draws are fresh float64
     arrays, finite and 0/1 where they are treatments or outcomes, so the
@@ -298,7 +328,8 @@ def draw_dataset(spec: DgpSpec, rep_seed) -> tuple[ExperimentalSample, Observati
     and both-arms checks run, raising the validating constructor's
     ``ValidationError``.
     """
-    if isinstance(rep_seed, (int, np.integer)):
+    if not isinstance(rep_seed, np.random.SeedSequence):
+        _check_integer(rep_seed, "seed")
         rep_seed = seed_sequence(rep_seed)
     rng = np.random.default_rng(rep_seed)
     s_exp = rng.standard_normal((spec.n_exp, spec.m_surrogates))
@@ -345,10 +376,10 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     columns, and each estimate is the ``tau_hat`` of its estimator's step,
     without the weight summaries of a report.
     """
-    try:
-        exp, obs = draw_dataset(spec, rep_seed)
-    except SurrogateError:
+    drawn = _attempt(draw_dataset, spec, rep_seed)
+    if drawn is None:
         return None, None
+    exp, obs = drawn
     k = spec.k_used
     if k is not None and k < spec.m_surrogates:
         exp, obs = _first_columns(exp, k), _first_columns(obs, k)
@@ -356,20 +387,16 @@ def _replicate(spec: DgpSpec, rep_seed) -> tuple[float | None, float | None]:
     e_model = _fit_propensity(exp, HARNESS_RIDGE)  # the treated fraction: the samples have no covariates
     t_model = ConstantScore(q)
 
-    try:
+    def score():
         r_model = _fit("surrogate score", exp.s, exp.w, HARNESS_RIDGE, exp.n_surrogates, logistic=True)
-        fits = NuisanceFits(e_model=e_model, r_model=r_model, t_model=t_model, h_model=None)
-        tau_o = _score_step(obs, fits, q, DEFAULT_TRIM)[0]
-    except SurrogateError:
-        tau_o = None
-    try:
+        return _score_step(obs, NuisanceFits(e_model, r_model, t_model, None), q, DEFAULT_TRIM)[0]
+
+    def index():
         # the outcomes are binary, so the index is itself a logistic mean
         h_model = _fit("surrogate index", obs.s, obs.y, HARNESS_RIDGE, obs.n_surrogates, logistic=True)
-        fits = NuisanceFits(e_model=e_model, r_model=None, t_model=t_model, h_model=h_model)
-        tau_e = _index_step(exp, fits, DEFAULT_TRIM)[0]
-    except SurrogateError:
-        tau_e = None
-    return tau_o, tau_e
+        return _index_step(exp, NuisanceFits(e_model, None, t_model, h_model), DEFAULT_TRIM)[0]
+
+    return _attempt(score), _attempt(index)
 
 
 def _stats(values: list[float | None], reps: int, tt: float) -> EstimatorStats:
@@ -392,10 +419,17 @@ def run_monte_carlo(spec: DgpSpec, reps: int, seed: int, grid_index: int = 0) ->
 
     Replication ``k`` uses the seed stream ``(seed, 2, grid_index, k)``;
     results are aggregated in replication order, so the outcome is
-    independent of worker count and execution order.
+    independent of worker count and execution order.  ``reps`` is an
+    integer of at least 1 and each sample has at least 2 rows
+    (:class:`ConfigurationError` otherwise); ``seed`` and ``grid_index`` are
+    non-negative integers (:class:`ValidationError` otherwise).  They are
+    checked once, before any replication runs.
     """
-    if reps < 1:
-        raise ConfigurationError("reps must be at least 1")
+    _check_integer(reps, "reps", 1, ConfigurationError)
+    _check_integer(seed, "seed")
+    _check_integer(grid_index, "grid_index")
+    if min(spec.n_exp, spec.n_obs) < 2:
+        raise ConfigurationError(f"replications need 2 rows in each sample, got n_exp={spec.n_exp}, n_obs={spec.n_obs}")
     tt = true_tau(spec)
 
     def one(rep: int):
@@ -427,8 +461,7 @@ def run_study(
     """
     if study not in STUDIES:
         raise ConfigurationError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    _check_integer(seed, "seed", 0, ConfigurationError)
     keyword, cast, default_grid = STUDIES[study]
     if grid is None:
         grid = default_grid

@@ -3,7 +3,9 @@
 Hypothesis draws arrays of 0 to 3 dimensions, blocks of mismatched row
 counts, cells that are NaN, infinite, subnormal (``5e-324``) or near the
 top of float64 (``1e308``), out-of-range ``ridge``, ``tol``, ``max_iter``
-and ``reps``, and truncated or mistyped JSON.  Whatever the input, a call
+and ``reps``, truncated or mistyped JSON, and simulation settings (study
+grid values, seeds, sample sizes and coefficients) that are negative,
+fractional or not finite.  Whatever the input, a call
 returns finite values or raises a :class:`SurrogateError`.  Two results
 may be infinite where the package documents it, and never NaN: the
 least-squares ``residual_variance`` when the squared residuals overflow
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from surrogate_ate import (
+    ConfigurationError,
     ConstantScore,
     ExperimentalSample,
     LinearModel,
@@ -42,8 +45,9 @@ from surrogate_ate import (
     fit_logistic,
     two_sample_bound_value,
 )
+from surrogate_ate.simulation import STUDIES, DgpSpec, draw_dataset, make_spec, run_monte_carlo, true_tau
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 0.0, -0.0]
 _CELLS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_SPECIAL))
@@ -142,7 +146,8 @@ def test_fit_logistic_returns_a_finite_model_or_a_typed_error(data, ridge, tol, 
 @given(_training_data(), _RIDGES)
 def test_fit_least_squares_returns_a_finite_model_or_a_typed_error(data, ridge):
     features, targets = data
-    targets = np.where(np.isin(targets, [0.0, 1.0]), targets * 2.5 - 1.0, targets)  # outcomes, not only labels
+    # outcomes, not only labels: 0 -> -1 and 1 -> 1.5, with no arithmetic on the other cells
+    targets = np.where(targets == 1.0, 1.5, np.where(targets == 0.0, -1.0, targets))
     try:
         model = fit_least_squares(features, targets, ridge=ridge)
     except SurrogateError:
@@ -150,6 +155,16 @@ def test_fit_least_squares_returns_a_finite_model_or_a_typed_error(data, ridge):
     assert _finite(model.intercept, model.coef)
     # the squared residuals may overflow (documented); the variance is then +inf, never NaN
     assert model.residual_variance >= 0.0
+
+
+def test_a_column_whose_standardized_penalty_overflows_is_held_near_zero():
+    rng = np.random.default_rng(0)
+    y = (rng.random(40) < 0.5).astype(float)
+    informative, tiny = rng.normal(size=40) + y, rng.normal(size=40) * 1e-160
+    alone = fit_logistic(informative[:, None], y, ridge=1.0)
+    both = fit_logistic(np.column_stack([informative, tiny]), y, ridge=1.0)
+    assert both.coef[0] == pytest.approx(alone.coef[0], rel=1e-12)
+    assert both.intercept == pytest.approx(alone.intercept, rel=1e-12) and abs(both.coef[1]) < 1e-100
 
 
 _SAVED = NuisanceFits(
@@ -254,6 +269,69 @@ def test_efficiency_gain_returns_a_finite_gain_or_a_typed_error(p, sigma2, r_val
 
 
 _EXP = ExperimentalSample(w=np.tile([0.0, 1.0], 4), s=np.arange(8.0).reshape(8, 1))
+_COUNTS = st.sampled_from([-1, 0, 1, 2, 3, np.int64(2), 1.5, 2.0, math.nan, math.inf])
+_SEEDS = _mostly(st.integers(0, 2**32 - 1), _COUNTS)
+
+
+def _is_count(value, low=0):
+    return isinstance(value, (int, np.integer)) and value >= low
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(STUDIES)), _SEEDS, _SEEDS, st.data())
+def test_make_spec_and_draw_dataset_return_a_spec_and_samples_or_raise_a_typed_error(study, seed, rep_seed, data):
+    keyword, _, grid = STUDIES[study]
+    value = data.draw(_mostly(st.sampled_from(grid), st.one_of(_COUNTS, st.sampled_from([5e-324, 1e-4, 0.9999, 1e308]))))
+    try:
+        spec = make_spec(study, seed=seed, **{keyword: value})
+    except SurrogateError:
+        return
+    assert _is_count(seed) and _finite(true_tau(spec))
+    try:
+        exp, obs = draw_dataset(spec, rep_seed)
+    except SurrogateError:
+        assert not _is_count(rep_seed)
+        return
+    assert _is_count(rep_seed) and (exp.n, obs.n) == (spec.n_exp, spec.n_obs)
+
+
+def test_true_tau_at_extreme_coefficients_is_finite_or_a_typed_error():
+    def spec(**keywords):
+        return DgpSpec(**{"study": "dimension", "m_surrogates": 1, "n_exp": 2, "n_obs": 2, "alpha": [1.0],
+                          "gamma": [1.0], **keywords})
+
+    # the square of a norm this small is subnormal, so its covariance matrix is not positive definite
+    assert true_tau(spec(gamma=[9.09062611e-160])) == 0.0
+    with pytest.raises(ConfigurationError, match="treated share"):
+        true_tau(spec(alpha0=40.0))
+
+
+@st.composite
+def _specs(draw):
+    """The keywords of a ``DgpSpec``: a surrogate count, sample sizes, coefficients and intercepts."""
+    m = draw(_mostly(st.integers(1, 2), _COUNTS))
+    length = draw(_mostly(st.just(int(m) if _is_count(m) else 1), st.integers(0, 3)))
+    coefs = [draw(hnp.arrays(float, length, elements=_mostly(st.floats(-2.0, 2.0), st.sampled_from(_SPECIAL))))
+             for _ in range(2)]
+    sizes = [draw(_mostly(st.integers(2, 12), _COUNTS)) for _ in range(2)]
+    intercepts = [draw(_mostly(st.floats(-2.0, 2.0), st.sampled_from(_SPECIAL + [40.0, -800.0]))) for _ in range(2)]
+    return dict(study="dimension", m_surrogates=m, n_exp=sizes[0], n_obs=sizes[1], alpha=coefs[0], gamma=coefs[1],
+                alpha0=intercepts[0], gamma0=intercepts[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs(), _mostly(st.integers(1, 3), _COUNTS), _SEEDS, _mostly(st.just(0), _COUNTS))
+def test_run_monte_carlo_returns_finite_summaries_or_raises_a_typed_error(keywords, reps, seed, grid_index):
+    try:
+        spec = DgpSpec(**keywords)
+        assert _finite(true_tau(spec))
+        result = run_monte_carlo(spec, reps, seed, grid_index)
+    except SurrogateError:
+        return
+    assert _is_count(reps, 1) and _is_count(seed) and _is_count(grid_index)
+    assert min(spec.n_exp, spec.n_obs) >= 2
+    for stats in (result.score, result.index):
+        assert _finite(stats.abs_bias, stats.sd, stats.mean_estimate, stats.true_tau) and stats.reps == reps
 
 
 @settings(max_examples=30, deadline=None)
@@ -277,8 +355,12 @@ def test_bootstrap_se_counts_replicates_with_an_integer_or_raises_a_typed_error(
     lambda: build_design([["1", "x"]], [[1.0]]),
     lambda: two_sample_bound_value(1.0, [0.5], [0.0], 0.0, 0.0, "0.5", 0.5),
     lambda: efficiency_gain_homoskedastic(0.5, None, [0.5], [1.0]),
+    lambda: make_spec("dimension", seed="0", m=3),
+    lambda: draw_dataset(make_spec("dimension", seed=0, m=3), None),
+    lambda: run_monte_carlo(make_spec("dimension", seed=0, m=3), "2", 0),
+    lambda: DgpSpec(study="dimension", m_surrogates=1, n_exp="5", n_obs=5, alpha=[1.0], gamma=[1.0]),
 ], ids=["constant-score", "bootstrap-reps", "tol", "max-iter", "ridge", "features", "design-cell",
-        "bound-p", "gain-sigma2"])
+        "bound-p", "gain-sigma2", "spec-seed", "draw-seed", "monte-carlo-reps", "spec-size"])
 def test_a_string_where_a_number_belongs_is_a_type_error(call):
     with pytest.raises((TypeError, ValueError)) as info:
         call()
