@@ -258,12 +258,9 @@ def main(argv=None) -> int:
         # forked workers inherit the state
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigurationError as err:
-        sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
-        return 2
     except SurrogateError as err:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
-        return 3
+        return 2 if isinstance(err, ConfigurationError) else 3
 
 
 def entry() -> None:

@@ -75,6 +75,12 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
     raise ValidationError(f"non-finite value in {where} at row {row}")
 
 
+def _check_flag(value, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is a flag: a Python or numpy bool, not any truthy value."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

@@ -122,7 +122,7 @@ class DiscretePopulation:
             raise ValidationError("prob must have shape (n_s, n_x, 2)")
         if not np.isfinite(prob).all():
             raise ValidationError("prob contains non-finite values")
-        if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
+        if np.any((prob < 0) | (prob > 1)) or abs(prob.sum() - 1.0) > 1e-9:  # a sum of entries in [0, 1] is finite
             raise ValidationError("cell probabilities must be non-negative and sum to 1")
         for name, n_levels in (("s_levels", prob.shape[0]), ("x_levels", prob.shape[1])):
             levels = getattr(self, name)
@@ -144,7 +144,7 @@ class DiscretePopulation:
             raise ValidationError("propensity must be strictly inside (0, 1) at every covariate level")
         if self.obs_prob is not None:
             op = self.obs_prob
-            if np.any(op < 0) or abs(op.sum() - 1.0) > 1e-9:
+            if np.any((op < 0) | (op > 1)) or abs(op.sum() - 1.0) > 1e-9:
                 raise ValidationError("obs_prob must be non-negative and sum to 1")
             if np.any((self.exp_marginal > 0) & (op == 0)):
                 raise ValidationError("observational support must cover the experimental support")
@@ -497,7 +497,7 @@ def efficiency_gain_homoskedastic(
         raise ValidationError("r_values and probs must have equal length")
     if not (np.isfinite(r).all() and np.isfinite(pr).all()):
         raise ValidationError("r_values and probs must be finite")
-    if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-9:
+    if np.any((pr < 0) | (pr > 1)) or abs(pr.sum() - 1.0) > 1e-9:  # a sum of entries in [0, 1] is finite
         raise ValidationError("invalid probability vector")
     if np.any(r < 0) or np.any(r > 1):
         raise ValidationError("surrogate-score values must lie in [0, 1]")

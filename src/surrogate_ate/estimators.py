@@ -41,7 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ExperimentalSample, ObservationalSample, PooledDataset, SingleSample, _by_class, _strict_json
+from .data import (ExperimentalSample, ObservationalSample, PooledDataset, SingleSample, _by_class, _check_flag,
+                   _strict_json)
 from .errors import (
     DegenerateArmError,
     OverlapError,
@@ -135,7 +136,7 @@ def _summary(weights: np.ndarray) -> ArmWeights:
     positive = normalized[normalized > 0]
     return ArmWeights(
         n=int((weights > 0).sum()),
-        min=float(positive.min()) if positive.size else 0.0,
+        min=float(positive.min()),
         max=float(normalized.max()),
         ess=float(1.0 / np.sum(normalized**2)),
     )
@@ -280,6 +281,9 @@ class MatchOptions:
 
     both_directions: bool = False
 
+    def __post_init__(self):
+        _check_flag(self.both_directions, "both_directions")
+
 
 # Working memory of one query block in `_nearest_scan`, sized for the worst case
 # in which every pool row survives the screen (exact ties on discrete data).
@@ -298,10 +302,10 @@ def _nearest(queries: np.ndarray, pool_rows: np.ndarray, query_classes, pool_cla
     each row an integer class in which every row is identical; matching
     passes the exact classes its samples found
     (:meth:`~surrogate_ate.data._Sample._classes`).  The answer does not
-    depend on which identical rows share a class.
+    depend on which identical rows share a class.  Rows of no columns
+    (matching without covariates) are all identical, so each side is one
+    class and the search is a 1 x 1 scan that gives every query pool row 0.
     """
-    if queries.shape[1] == 0:
-        return np.zeros(len(queries), dtype=int)
     query_first, query_group = _by_class(query_classes)
     pool_first, _ = _by_class(pool_classes)
     return pool_first[_nearest_scan(queries.take(query_first, axis=0), pool_rows.take(pool_first, axis=0))][query_group]
@@ -417,15 +421,14 @@ def _match(pooled: PooledDataset, options: MatchOptions | None = None) -> Estima
     search of every experimental row would give it.  The searches run over
     each sample's classes of identical raw rows
     (:meth:`~surrogate_ate.data._Sample._classes`), the classes that the
-    per-stratum efficiency bounds read as strata.
+    per-stratum efficiency bounds read as strata.  Matching raises no
+    error of its own: every sample constructor, the validating and the
+    trusted one, refuses a sample with no rows or with one experimental arm.
     """
     options = options or MatchOptions()
     exp, obs = pooled.exp, pooled.obs
     treated_idx = np.flatnonzero(exp.w == 1.0)
     control_idx = np.flatnonzero(exp.w == 0.0)
-    if len(treated_idx) == 0 or len(control_idx) == 0 or obs.n == 0:
-        raise DegenerateArmError("matching needs both experimental arms and a non-empty observational sample")
-
     x_std = pooled.standardized_x[0][:, 1:]
     sx_std = pooled.standardized_sx[0][:, 1:]
     # rows identical before standardizing stay identical after it

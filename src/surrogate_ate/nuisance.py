@@ -69,7 +69,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .data import PooledDataset, _check_2d, _check_finite, _standardize, _strict_json
+from .data import PooledDataset, _check_2d, _check_finite, _check_flag, _standardize, _strict_json
 from .errors import (
     ConvergenceError,
     DegenerateLabelsError,
@@ -302,6 +302,8 @@ def _check_rank(z1: np.ndarray, gram: np.ndarray | None = None) -> None:
     ``1e-7 * lambda_max`` while ``A`` has fewer than 10**8 cells, so
     ``lambda_min > 1e-6 * lambda_max`` proves ``sigma_min / sigma_max > ~1e-3``
     and the SVD is skipped.  Every other design goes to the SVD, as before.
+    An intercept-only design (``d = 0``) has the 1 x 1 Gram ``[n]``, which
+    passes the eigenvalue test whenever it has a row.
     ``gram`` is a Gram that the caller has formed already, up to a positive
     factor, which the eigenvalue ratio does not see: the ridge-free logistic
     fit passes its first Newton Hessian, ``A'A / 4`` at ``beta = 0``.
@@ -312,8 +314,6 @@ def _check_rank(z1: np.ndarray, gram: np.ndarray | None = None) -> None:
         raise SingularDesignError(
             f"{n_rows} rows cannot identify {d + 1} coefficients; add rows or use a positive ridge"
         )
-    if d == 0:
-        return
     if n_rows * (d + 1) < 10**8:
         eig = np.linalg.eigvalsh(z1.T @ z1 if gram is None else gram)
         if eig[0] > 1e-6 * eig[-1]:
@@ -624,6 +624,10 @@ class NuisanceOptions:
     constant_propensity: float | None = None
     constant_sampling_score: bool = False
     interactions: bool = False
+
+    def __post_init__(self):
+        _check_flag(self.constant_sampling_score, "constant_sampling_score")
+        _check_flag(self.interactions, "interactions")
 
 
 _MODEL_SLOTS = ("e_model", "r_model", "t_model", "h_model")

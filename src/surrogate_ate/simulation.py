@@ -47,7 +47,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .data import ExperimentalSample, ObservationalSample, _check_output, _freeze, _open_output
-from .errors import CalibrationError, ConfigurationError, StudyError
+from .errors import CalibrationError, ConfigurationError, EstimationError, StudyError
 from .estimators import DEFAULT_TRIM, _attempt, _index_step, _score_step
 from .nuisance import ConstantScore, NuisanceFits, _fit, _fit_propensity, expit
 from .parallel import _check_integer, ordered_map, seed_sequence
@@ -143,7 +143,11 @@ def true_tau(spec: DgpSpec) -> float:
     and to two dimensions otherwise.  A spec whose treated share rounds to
     0 or 1 (an extreme ``alpha0``) raises :class:`ConfigurationError`.
     """
-    a, g = spec.alpha, spec.gamma
+    return _true_tau(spec.alpha0, spec.gamma0, spec.alpha, spec.gamma)
+
+
+def _true_tau(alpha0: float, gamma0: float, a: np.ndarray, g: np.ndarray) -> float:
+    """:func:`true_tau` of the intercepts and the coefficient vectors, whose squared norms are finite."""
     na, ng = float(np.linalg.norm(a)), float(np.linalg.norm(g))
     # a constant index has identical arm means, and under a constant score the arms are identical; below
     # 1e-100 a coefficient vector moves no mean by a representable amount, and its square may be subnormal
@@ -153,8 +157,8 @@ def true_tau(spec: DgpSpec) -> float:
     nodes, weights = _hermite()
     if abs(abs(cross) - na * ng) <= 1e-12 * na * ng:
         u = na * nodes
-        r = expit(spec.alpha0 + u)
-        h = expit(spec.gamma0 + (cross / na**2) * u)
+        r = expit(alpha0 + u)
+        h = expit(gamma0 + (cross / na**2) * u)
         e_r = float(weights @ r)
         e_h = float(weights @ h)
         e_rh = float(weights @ (r * h))
@@ -166,8 +170,8 @@ def true_tau(spec: DgpSpec) -> float:
     u = chol[0, 0] * z1 + 0.0 * z2
     v = chol[1, 0] * z1 + chol[1, 1] * z2
     wgrid = weights[:, None] * weights[None, :]
-    r = expit(spec.alpha0 + u)
-    h = expit(spec.gamma0 + v)
+    r = expit(alpha0 + u)
+    h = expit(gamma0 + v)
     e_r = float(np.sum(wgrid * r))
     e_h = float(np.sum(wgrid * h))
     e_rh = float(np.sum(wgrid * r * h))
@@ -178,8 +182,11 @@ def true_tau_mc(spec: DgpSpec, n_draws: int = 1_000_000, seed: int = 0) -> tuple
     """Monte Carlo version of :func:`true_tau`; returns (estimate, standard error).
 
     Simulates the actual assignment mechanism, so it is an independent
-    check on the quadrature path.  ``seed`` is a non-negative integer.
+    check on the quadrature path.  ``n_draws`` is a positive integer and
+    ``seed`` a non-negative one (:class:`ValidationError` otherwise); draws
+    that leave an arm empty raise :class:`EstimationError`.
     """
+    _check_integer(n_draws, "n_draws", 1)
     _check_integer(seed, "seed")
     rng = np.random.default_rng(seed_sequence(seed, 3))
     chunk = 250_000
@@ -199,6 +206,8 @@ def true_tau_mc(spec: DgpSpec, n_draws: int = 1_000_000, seed: int = 0) -> tuple
         sum0 += float(h0.sum())
         sumsq1 += float((h1**2).sum())
         sumsq0 += float((h0**2).sum())
+    if min(n1, n0) == 0:
+        raise EstimationError(f"the draws left an arm empty: {n1} treated and {n0} control")
     m1, m0 = sum1 / n1, sum0 / n0
     v1 = sumsq1 / n1 - m1**2
     v0 = sumsq0 / n0 - m0**2
@@ -214,26 +223,28 @@ def calibrate_tau(
 
     Bisection on the common scale ``c`` with ``alpha = gamma = c * direction``
     and intercepts fixed at zero; the effect is zero at ``c = 0`` and
-    increases toward its supremum as ``c`` grows.  Raises
-    :class:`CalibrationError` when the target is out of reach, reporting the
-    achieved supremum.
+    increases toward its supremum as ``c`` grows.  Each step evaluates the
+    quadrature of :func:`true_tau` on the scaled direction directly.  Raises
+    :class:`CalibrationError`, before any quadrature, for ``|target| >= 1``
+    and for a ``direction`` that is zero, has an entry that is not finite,
+    or whose squared norm overflows; and when the target is out of reach,
+    reporting the achieved supremum.
     """
     if not abs(target) < 1.0:
         raise CalibrationError(f"targets must satisfy |target| < 1 for binary outcomes, got {target}")
     direction = np.asarray(direction, dtype=float).ravel()
-    norm = float(np.linalg.norm(direction))
+    with np.errstate(over="ignore"):  # a squared norm that overflows is refused below
+        norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         raise CalibrationError("direction must be a non-zero vector")
+    if not norm < np.inf:
+        raise CalibrationError(f"direction must have finite entries and a finite squared norm, got norm {norm}")
     unit = direction / norm
     if target == 0.0:
         return 0.0
 
     def tau_of(scale: float) -> float:
-        spec = DgpSpec(
-            study="calibration", m_surrogates=len(unit), n_exp=1, n_obs=1,
-            alpha=scale * unit, gamma=scale * unit,
-        )
-        return true_tau(spec)
+        return _true_tau(0.0, 0.0, scale * unit, scale * unit)
 
     sign = 1.0 if target > 0 else -1.0
     goal = abs(target)
